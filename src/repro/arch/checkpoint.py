@@ -66,16 +66,9 @@ def canonical_json(payload) -> str:
 
 def config_digest(obj) -> str:
     """Short content hash of a frozen config dataclass (machine or
-    scheme); a resumed checkpoint must match the one it was cut on.
-
-    The ``backend`` selector is excluded: it is an execution strategy,
-    not model state (every backend is value-identical by contract), so
-    a checkpoint cut under one backend resumes under any other.
-    """
-    fields = asdict(obj)
-    fields.pop("backend", None)
+    scheme); a resumed checkpoint must match the one it was cut on."""
     return hashlib.sha256(
-        canonical_json(fields).encode("ascii")
+        canonical_json(asdict(obj)).encode("ascii")
     ).hexdigest()[:16]
 
 
@@ -218,7 +211,7 @@ class CheckpointableRun:
 
     def run_for_events(self, budget: int) -> int:
         """Execute up to *budget* events; returns the number executed.
-        Whole chunks go through the simulator's selected backend; the
+        Whole chunks go through the simulator's chunk dispatch; the
         partial tail chunk is reference-stepped (value-identical by
         contract)."""
         sim = self.sim

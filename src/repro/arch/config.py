@@ -102,12 +102,6 @@ class MachineConfig:
     #: Fraction of a miss's latency exposed to the commit stage (models
     #: out-of-order overlap / MLP; gem5's O3CPU hides most of it).
     mlp_factor: float = 0.2
-    #: Simulator execution strategy for packed traces ("packed",
-    #: "columnar", or "reference"); ``None`` defers to $REPRO_BACKEND
-    #: and then the packed default.  Pure execution detail: every
-    #: backend produces bit-identical stats, so this field is excluded
-    #: from config digests (see repro.arch.checkpoint.config_digest).
-    backend: Optional[str] = None
 
     def ns(self, nanoseconds: float) -> float:
         """Convert nanoseconds to cycles."""

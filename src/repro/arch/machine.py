@@ -23,7 +23,6 @@ code  meaning                  payload
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arch.caches import CacheHierarchy
@@ -139,37 +138,20 @@ class SimStats:
         )
 
 
-#: Valid values for the ``backend`` selector (see TimingSimulator).
-BACKENDS = ("packed", "columnar", "reference")
-
-
 class TimingSimulator:
     """One core's commit stream against the shared memory system.
 
-    *backend* selects the execution strategy for packed traces --
-    ``"packed"`` (the fused scalar loop), ``"columnar"`` (the numpy
-    sidecar walk, see :mod:`repro.arch.columnar`), or ``"reference"``
-    (the per-event dispatch loop).  All three are value-identical by
-    contract; the choice is resolved as explicit argument >
-    ``machine.backend`` > ``$REPRO_BACKEND`` > ``"packed"``, and a
-    columnar request silently degrades to the packed loop wherever its
-    preconditions fail (non-power-of-two geometry or commit width, no
-    numpy, multicore cores).
+    Packed traces run through the fused loop (:meth:`_run_packed`)
+    whenever the machine geometry admits it (``_packed_fast``);
+    anything else -- plain event lists, or packed traces on a
+    non-power-of-two geometry -- runs through the per-event reference
+    loop (:meth:`_run_events`), which is also the oracle the tests
+    diff the fused loop against.
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        scheme: Scheme,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, machine: MachineConfig, scheme: Scheme) -> None:
         self.machine = machine
         self.scheme = scheme
-        if backend is None:
-            backend = machine.backend or os.environ.get("REPRO_BACKEND") or "packed"
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        self.backend = backend
         self.hier = CacheHierarchy(machine.caches, machine.dram_cache if scheme.dram_cache_enabled else None)
         self.cycle = 0.0
         self.wb = CompletionQueue(machine.wb_entries)
@@ -232,22 +214,6 @@ class TimingSimulator:
             # results; the reference path creates them lazily).
             for i in range(l1.n_sets):
                 l1.sets.setdefault(i, {})
-        # Columnar gate: the sidecar walk additionally needs a
-        # power-of-two commit width (the deferred-add replay is only
-        # exact for a dyadic commit cost) and numpy for the sidecar.
-        # When any precondition fails, a columnar request silently
-        # degrades to the packed loop -- same values by contract.
-        self._columnar_run = None
-        if (
-            self.backend == "columnar"
-            and self._packed_fast
-            and machine.commit_width & (machine.commit_width - 1) == 0
-        ):
-            try:
-                from repro.arch.columnar import run_columnar
-                self._columnar_run = run_columnar
-            except ImportError:  # pragma: no cover - numpy is baked in
-                self._columnar_run = None
         self.stats = SimStats(scheme=scheme.name)
         # Core-owned records, bound once for the hot loop.
         m = self.stats.metrics
@@ -307,26 +273,14 @@ class TimingSimulator:
         return self.finalize()
 
     def _run_trace(self, trace: PackedTrace) -> None:
-        """Commit one packed chunk through the selected backend (no
-        finalize).  The single dispatch point every whole-chunk path
-        (``run``, ``run_stream``, the checkpoint drivers) routes
-        through, so backend selection cannot drift between them."""
-        if self.backend == "reference":
-            self._run_events(trace)
-        elif self._columnar_run is not None:
-            self._columnar_run(self, trace)
-        elif self._packed_fast:
+        """Commit one packed chunk (no finalize).  The single dispatch
+        point every whole-chunk path (``run``, ``run_stream``, the
+        checkpoint drivers) routes through, so loop selection cannot
+        drift between them."""
+        if self._packed_fast:
             self._run_packed(trace)
         else:
             self._run_events(trace)
-
-    def _run_columnar(self, trace: PackedTrace) -> None:
-        """Columnar walk over one packed chunk (no finalize); value-
-        identical to :meth:`_run_packed` by contract.  Requires the
-        columnar preconditions (see :mod:`repro.arch.columnar`)."""
-        from repro.arch.columnar import run_columnar
-
-        run_columnar(self, trace)
 
     def run_until(
         self,
@@ -1130,17 +1084,14 @@ def simulate(
     machine: MachineConfig,
     scheme: Scheme,
     prime: Optional[Iterable[Tuple[int, int]]] = None,
-    backend: Optional[str] = None,
 ) -> SimStats:
     """Run *events* through a fresh simulator; return its stats.
 
     ``prime`` is an iterable of (base, size) address ranges used to
     warm the cache hierarchy before timing starts (see
-    :meth:`CacheHierarchy.prime`).  ``backend`` overrides the execution
-    strategy (see :class:`TimingSimulator`); stats are bit-identical
-    across backends.
+    :meth:`CacheHierarchy.prime`).
     """
-    sim = TimingSimulator(machine, scheme, backend=backend)
+    sim = TimingSimulator(machine, scheme)
     if prime is not None:
         sim.hier.prime(list(prime))
     return sim.run(events)

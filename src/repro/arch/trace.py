@@ -36,7 +36,7 @@ CODES = CODES_NO_ADDR | CODES_WITH_ADDR
 class PackedTrace:
     """An event stream as parallel code/address batches."""
 
-    __slots__ = ("codes", "addrs", "_sidecar")
+    __slots__ = ("codes", "addrs")
 
     def __init__(self, codes: str, addrs: List[int]) -> None:
         if len(codes) != len(addrs):
@@ -50,7 +50,6 @@ class PackedTrace:
             )
         self.codes = codes
         self.addrs = addrs
-        self._sidecar = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -116,31 +115,6 @@ class PackedTrace:
             b"".join(addr.to_bytes(10, "little", signed=False) for addr in self.addrs)
         )
         return h.hexdigest()
-
-    def columnar(self):
-        """The :class:`repro.arch.columnar.ColumnarTrace` sidecar for
-        this trace, built on first use and cached.
-
-        Derived data only: never part of equality, digests, snapshots,
-        or pickles.  Returns ``None`` when the sidecar cannot be built
-        (no numpy, or addresses outside the int64 range) -- callers
-        must fall back to the scalar loop.
-        """
-        sidecar = self._sidecar
-        if sidecar is None:
-            try:
-                from repro.arch.columnar import ColumnarTrace
-
-                sidecar = ColumnarTrace(self)
-            except (ImportError, OverflowError):
-                sidecar = False  # cache the failure, too
-            self._sidecar = sidecar
-        return sidecar or None
-
-    def __reduce__(self):
-        # Pickle only the stream itself; the sidecar is derived data
-        # and is rebuilt lazily on the other side if needed.
-        return (PackedTrace, (self.codes, self.addrs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedTrace({len(self.codes)} events)"

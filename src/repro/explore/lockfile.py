@@ -10,9 +10,7 @@ timestamps, no host names, no dict-order dependence.
 
 ``--frozen`` replays a campaign from its lockfile and fails loudly on
 *any* divergence: spec digest, salt/recipe, environment, point keys,
-or result bytes.  What is in the digest (and what is deliberately not,
-e.g. the simulator backend, mirroring the checkpoint
-``config_digest``'s backend exclusion) is documented in DESIGN.md
+or result bytes.  What is in the digest is documented in DESIGN.md
 section 9.
 """
 

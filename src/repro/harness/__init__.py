@@ -15,7 +15,6 @@ CLI::
 
 from repro.harness.engine import Engine, MemoryCache, NullCache, ResultCache
 from repro.harness.report import FigureResult, format_table, gmean
-from repro.harness.runner import Runner
 from repro.harness.spec import ExperimentSpec, PlanContext, ShapeError, SimPoint
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "NullCache",
     "PlanContext",
     "ResultCache",
-    "Runner",
     "ShapeError",
     "SimPoint",
     "format_table",

@@ -7,7 +7,6 @@
     python -m repro.harness --jobs 4             # parallel execution
     python -m repro.harness --n-insts 8000       # CI-sized traces
     python -m repro.harness --no-cache           # force re-simulation
-    python -m repro.harness --backend columnar   # batched simulator backend
     python -m repro.harness --out artifacts/     # JSON artifacts
     python -m repro.harness --list               # what exists
     python -m repro.harness serve [...]          # live incremental daemon
@@ -100,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --checkpoint)",
     )
     parser.add_argument(
-        "--backend", default=None, choices=["packed", "columnar", "reference"],
-        help="simulator execution strategy (default: packed, or "
-        "$REPRO_BACKEND); every backend produces bit-identical stats",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
     )
     parser.add_argument(
@@ -159,7 +153,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
     engine = Engine(
         jobs=args.jobs, cache=cache, seed=args.seed, n_insts=args.n_insts,
-        checkpoint=checkpoint, backend=args.backend,
+        checkpoint=checkpoint,
     )
     t0 = time.time()
 

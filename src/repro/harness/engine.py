@@ -71,20 +71,14 @@ _SALT_ENTRY_MODULES = (
     "repro.workloads.synthetic",
 )
 
-#: Reachable-in-principle modules excluded from the salt: alternate
-#: execution strategies held bit-identical to the packed loop by
-#: contract (and by CI's golden-identity reruns), so editing them
-#: cannot change what a cached result would be.  Both are lazy,
-#: function-level imports on the simulation path, which the
-#: module-level AST walk below already skips; the explicit set makes
-#: the contract auditable and keeps them out even if the import style
-#: changes.
-_SALT_CONTRACT_EXCLUDED = frozenset(
-    {
-        "repro.arch.columnar",  # backend= is excluded from digests too
-        "repro.arch.checkpoint",  # cut/resume is bit-identical by contract
-    }
-)
+#: Reachable-in-principle modules excluded from the salt: the
+#: checkpoint drivers, whose cut-and-resume is held bit-identical to an
+#: uninterrupted run by contract, so editing them cannot change what a
+#: cached result would be.  It is a lazy, function-level import on the
+#: simulation path, which the module-level AST walk below already
+#: skips; the explicit set makes the contract auditable and keeps it
+#: out even if the import style changes.
+_SALT_CONTRACT_EXCLUDED = frozenset({"repro.arch.checkpoint"})
 
 _code_salt: Optional[str] = None
 _salt_recipe: Optional[Dict[str, object]] = None
@@ -123,7 +117,7 @@ def _module_level_imports(path: Path) -> List[str]:
 
     Walks only module-level statements (recursing through top-level
     ``if``/``try`` blocks), so lazy function-level imports -- the
-    columnar backend, the checkpoint drivers -- stay out of the salt.
+    checkpoint drivers -- stay out of the salt.
     Two import styles get special care so the closure matches what
     actually *runs* (tested with planted fixture modules):
 
@@ -229,7 +223,7 @@ def code_salt(refresh: bool = False) -> str:
     Editing the simulator, the workload generator, or the scheme
     catalog changes the salt and invalidates the whole cache; editing
     the harness, the fault engine, the compiler/IR stack, or the
-    contract-pinned backends (columnar, checkpoint) does not -- see
+    contract-pinned checkpoint drivers does not -- see
     :func:`salt_recipe` for exactly what is hashed.
     """
     global _code_salt
@@ -341,7 +335,6 @@ def compute_point(
     point: Point,
     checkpoint: Optional[CheckpointPolicy] = None,
     key: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> SimStats:
     """Regenerate the trace(s) for *point* and simulate it.
 
@@ -349,16 +342,7 @@ def compute_point(
     name the file), the simulation runs through the checkpointable
     drivers -- cut every ``every`` events, persisted, resumable --
     producing stats bit-identical to the direct path.
-
-    ``backend`` selects the simulator execution strategy
-    (``--backend``); it is applied *after* the cache key is computed
-    because every backend produces bit-identical stats -- a cached
-    result is valid regardless of which backend computed it.
     """
-    if backend is not None:
-        point = dataclasses.replace(
-            point, machine=dataclasses.replace(point.machine, backend=backend)
-        )
     if checkpoint is not None and key is not None:
         return _checkpointed_point(point, checkpoint, key)
     if isinstance(point, MulticorePoint):
@@ -386,11 +370,9 @@ def compute_point(
     return simulate(trace, point.machine, point.scheme, prime=prime_ranges(profile))
 
 
-def _execute_task(task: Tuple) -> SimStats:
-    key, point = task[0], task[1]
-    checkpoint = task[2] if len(task) > 2 else None
-    backend = task[3] if len(task) > 3 else None
-    return compute_point(point, checkpoint=checkpoint, key=key, backend=backend)
+def _execute_task(task: Tuple[str, Point, Optional[CheckpointPolicy]]) -> SimStats:
+    key, point, checkpoint = task
+    return compute_point(point, checkpoint=checkpoint, key=key)
 
 
 class WorkerCrash(RuntimeError):
@@ -503,7 +485,6 @@ def resolve_points(
     cache,
     jobs: int = 1,
     checkpoint: Optional[CheckpointPolicy] = None,
-    backend: Optional[str] = None,
     mp_context: Optional[str] = None,
     always_pool: bool = False,
 ) -> Tuple[Dict[Point, SimStats], int]:
@@ -525,10 +506,7 @@ def resolve_points(
             misses.append((key, point))
         else:
             resolved[point] = hit
-    if checkpoint is not None or backend is not None:
-        work: Sequence[Tuple] = [(k, p, checkpoint, backend) for k, p in misses]
-    else:
-        work = misses
+    work = [(key, point, checkpoint) for key, point in misses]
 
     def _flush(index: int, stats: SimStats) -> None:
         key, point = misses[index]
@@ -640,7 +618,6 @@ class Engine:
         n_insts: Optional[int] = None,
         salt: Optional[str] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
-        backend: Optional[str] = None,
         mp_context: Optional[str] = None,
         always_pool: bool = False,
     ) -> None:
@@ -653,10 +630,6 @@ class Engine:
         #: When set, in-flight simulations checkpoint to disk and can
         #: resume across harness invocations (``--checkpoint``).
         self.checkpoint = checkpoint
-        #: Simulator backend override (``--backend``); applied at
-        #: compute time, never part of cache keys (results are
-        #: bit-identical across backends by contract).
-        self.backend = backend
         #: Worker start method + pool forcing, for callers that must
         #: not run simulations in this (possibly stale) process -- the
         #: serve loop passes ``mp_context="spawn", always_pool=True``.
@@ -711,7 +684,6 @@ class Engine:
             self.cache,
             jobs=self.jobs,
             checkpoint=self.checkpoint,
-            backend=self.backend,
             mp_context=self.mp_context,
             always_pool=self.always_pool,
         )

@@ -6,8 +6,8 @@ edits by recomputing *only the dirty delta*:
 
 1. **Watch.**  Every poll tick the daemon re-derives the dependency-
    sliced salt closure from disk (:func:`compute_salt_recipe`) and
-   content-hashes every file in it, plus the contract-excluded modules
-   (columnar, checkpoint) and the experiment-spec module.  No inotify:
+   content-hashes every file in it, plus the contract-excluded module
+   (checkpoint) and the experiment-spec module.  No inotify:
    plain sha256 polling, so it works on any filesystem.
 2. **Classify.**  On change, the grid is re-planned and every point is
    classified clean or dirty through the content-addressed cache keys
@@ -97,7 +97,6 @@ class ServeConfig:
     #: Exit after this many generations (None = run forever).  CI and
     #: the e2e tests use it to bound the daemon's lifetime.
     max_generations: Optional[int] = None
-    backend: Optional[str] = None
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -205,7 +204,6 @@ class ResultsServer:
                 seed=self.config.seed,
                 n_insts=self.config.n_insts,
                 salt=salt,
-                backend=self.config.backend,
                 mp_context="spawn",
                 always_pool=True,
             )
@@ -412,10 +410,6 @@ def build_parser():
         "--max-generations", type=int, default=None, metavar="N",
         help="exit after N generations (default: run forever)",
     )
-    parser.add_argument(
-        "--backend", default=None, choices=["packed", "columnar", "reference"],
-        help="simulator execution strategy (bit-identical by contract)",
-    )
     return parser
 
 
@@ -431,7 +425,6 @@ def main(argv: Optional[List[str]] = None) -> None:
         interval=args.interval,
         specs_module=args.specs_module,
         max_generations=args.max_generations,
-        backend=args.backend,
     )
     server = ResultsServer(config, progress=lambda msg: print(msg, flush=True))
     try:

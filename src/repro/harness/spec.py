@@ -90,7 +90,7 @@ _PHONY = _PhonyStats()
 
 
 class Resolver:
-    """What a reducer may ask for; mirrors the old ``Runner`` API.
+    """What a reducer may ask for: stats, slowdowns, and profiles.
 
     Subclasses implement :meth:`_resolve`.  The resolver also records
     every distinct scheme it was asked about, which the report layer

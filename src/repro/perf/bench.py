@@ -87,25 +87,15 @@ def _machine():
     return skylake_machine(scaled=True)
 
 
-def _trace(n_insts: int, instrument: Optional[str] = "pruned", packed: bool = True):
-    """Fixed-seed benchmark trace; prefers the packed representation.
-
-    Falls back to the legacy tuple list when the generator predates
-    ``packed=`` -- that is exactly how pre-optimization baselines are
-    measured on the unoptimized tree.
-    """
+def _trace(n_insts: int, instrument: Optional[str] = "pruned"):
+    """Fixed-seed packed benchmark trace."""
     from repro.workloads.profiles import PROFILES
     from repro.workloads.synthetic import generate_trace
 
-    profile = PROFILES[_BENCH_APP]
-    if packed:
-        try:
-            return generate_trace(
-                profile, n_insts, seed=_BENCH_SEED, instrument=instrument, packed=True
-            )
-        except TypeError:
-            pass
-    return generate_trace(profile, n_insts, seed=_BENCH_SEED, instrument=instrument)
+    return generate_trace(
+        PROFILES[_BENCH_APP], n_insts, seed=_BENCH_SEED, instrument=instrument,
+        packed=True,
+    )
 
 
 def _events_per_sec(scheme_factory, config: BenchConfig, name: str) -> BenchResult:
@@ -139,7 +129,6 @@ def _events_per_sec(scheme_factory, config: BenchConfig, name: str) -> BenchResu
             "app": _BENCH_APP,
             "seed": _BENCH_SEED,
             "scheme": scheme_factory().name,
-            "packed_trace": type(trace).__name__ != "list",
             "cycles": stats.cycles,
         },
     )
@@ -184,78 +173,6 @@ def bench_machine_cwsp(config: BenchConfig) -> BenchResult:
     from repro.schemes import cwsp
 
     return _events_per_sec(cwsp, config, "machine.run.cwsp")
-
-
-@bench("machine.run.columnar")
-def bench_machine_columnar(config: BenchConfig) -> BenchResult:
-    """cwsp hot path through the columnar backend, A/B'd against packed.
-
-    Identical measurement protocol to ``machine.run.cwsp`` (construct,
-    prime, run) with ``backend="columnar"``; the packed loop is measured
-    on the same trace in the same process and the two stat dicts are
-    asserted identical, so a batching divergence fails the perf job,
-    not just the unit suite.  The A/B repetitions are *interleaved*
-    (columnar, packed, columnar, ...) so host-frequency drift hits both
-    sides equally; ``speedup_vs_packed`` in the meta records the
-    measured best-of ratio on this host.
-    """
-    from repro.arch.machine import TimingSimulator
-    from repro.perf.timers import Stopwatch
-    from repro.schemes import cwsp
-    from repro.workloads.profiles import PROFILES
-    from repro.workloads.synthetic import prime_ranges
-
-    n_insts = config.size("n_insts")
-    reps = config.size("reps")
-    machine = _machine()
-    trace = _trace(n_insts)
-    prime = prime_ranges(PROFILES[_BENCH_APP])
-    n_events = len(trace)
-
-    def run_once(backend):
-        # Same timed region as _events_per_sec: construction, priming,
-        # and the run (identical setup work for both backends).
-        with Stopwatch() as sw:
-            sim = TimingSimulator(machine, cwsp(), backend=backend)
-            sim.hier.prime(list(prime))
-            result = sim.run(trace)
-        return sw.seconds, result
-
-    # Warm the trace's columnar sidecar before timing: it is built once
-    # per trace and cached, so only the very first repetition would pay
-    # it -- and only on the columnar side.
-    if hasattr(trace, "columnar"):
-        trace.columnar()
-    seconds = packed_seconds = None
-    stats = packed_stats = None
-    for _ in range(reps):
-        sec, stats = run_once("columnar")
-        if seconds is None or sec < seconds:
-            seconds = sec
-        psec, packed_stats = run_once("packed")
-        if packed_seconds is None or psec < packed_seconds:
-            packed_seconds = psec
-    if stats.to_dict() != packed_stats.to_dict():
-        raise AssertionError("columnar backend diverged from the packed loop")
-    return BenchResult(
-        name="machine.run.columnar",
-        value=n_events / seconds,
-        unit="events/sec",
-        higher_is_better=True,
-        seconds=seconds,
-        reps=reps,
-        meta={
-            "n_events": n_events,
-            "n_insts": n_insts,
-            "app": _BENCH_APP,
-            "seed": _BENCH_SEED,
-            "scheme": cwsp().name,
-            "backend": "columnar",
-            "cycles": stats.cycles,
-            "packed_events_per_sec": n_events / packed_seconds,
-            "speedup_vs_packed": packed_seconds / seconds,
-        },
-    )
 
 
 @bench("machine.run.baseline")

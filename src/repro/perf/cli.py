@@ -72,8 +72,8 @@ def document(results: Dict[str, BenchResult], config: BenchConfig) -> dict:
         "created_unix": time.time(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        # The columnar backend's sidecar build runs through numpy, so
-        # the exact library version is part of a number's provenance.
+        # Trace generation draws from numpy's PCG64, so the exact
+        # library version is part of a number's provenance.
         "numpy": numpy_version(),
         "platform": platform.platform(),
         "mode": "quick" if config.quick else "full",

@@ -112,7 +112,6 @@ class SyntheticStream:
         seed: int = 0,
         instrument: Optional[str] = None,
         block: int = _GEN_BLOCK,
-        columnar: bool = False,
     ) -> None:
         if instrument not in (None, "unpruned", "pruned"):
             raise ValueError(f"bad instrument mode {instrument!r}")
@@ -121,12 +120,6 @@ class SyntheticStream:
         self.seed = seed
         self.instrument = instrument
         self.block = block
-        #: Opt-in: build each chunk's columnar sidecar at generation
-        #: time, while the chunk is cache-hot, instead of lazily on
-        #: first simulation.  Pure execution detail -- the sidecar is
-        #: derived data, so this flag is not part of the checkpoint
-        #: trace descriptor (spec/snapshot) and never changes results.
-        self.columnar = columnar
 
         base = _app_base(profile.name)
         self._base = base
@@ -295,10 +288,7 @@ class SyntheticStream:
             self.ckpt_accum = ckpt_accum
             self.slot = slot
         self.emitted += block_n
-        chunk = PackedTrace("".join(codes), addrs)
-        if self.columnar:
-            chunk.columnar()
-        return chunk
+        return PackedTrace("".join(codes), addrs)
 
     # -- checkpoint protocol -------------------------------------------
     def spec(self) -> Dict[str, object]:
@@ -361,7 +351,6 @@ def generate_trace(
     seed: int = 0,
     instrument: Optional[str] = None,
     packed: bool = False,
-    columnar: bool = False,
 ) -> Union[EventView, PackedTrace]:
     """Build the committed-event stream for one application sample.
 
@@ -378,15 +367,8 @@ def generate_trace(
     draw happens in the same order, on the same generator state, as
     the original single-pass pipeline for every stream that fits one
     block.
-
-    ``columnar=True`` additionally builds the trace's columnar sidecar
-    (:meth:`~repro.arch.trace.PackedTrace.columnar`) before returning,
-    so a ``backend="columnar"`` simulation pays no lazy build on first
-    run.  Derived data only; the stream itself is unchanged.
     """
     stream = SyntheticStream(profile, n_insts, seed, instrument)
     chunks = list(stream)
     trace = PackedTrace.concat(chunks) if chunks else PackedTrace("", [])
-    if columnar:
-        trace.columnar()
     return trace if packed else trace.view()

@@ -99,16 +99,15 @@ class TestPackedTrace:
             "10c1052f43d9dee052e0accaa65f4ffeeadab43af7ff0bff3f1b7cf9ff8996ca"
         )
 
-    def test_sidecar_not_pickled(self):
-        """The columnar sidecar is derived data: pickling a trace with
-        a built sidecar round-trips the stream only."""
+    def test_pickle_round_trip(self):
+        """Traces cross process boundaries (worker pools): pickling
+        round-trips the stream exactly."""
         import pickle
 
         trace = PackedTrace("lsa", [8, 16, 0])
-        trace.columnar()
         clone = pickle.loads(pickle.dumps(trace))
         assert clone == trace
-        assert clone._sidecar is None
+        assert clone.codes == "lsa" and clone.addrs == [8, 16, 0]
 
     def test_generator_packed_matches_legacy(self):
         profile = PROFILES["astar"]
@@ -144,14 +143,19 @@ class TestPackedTrace:
 class TestSimulatorValueIdentity:
     @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
     def test_packed_equals_legacy_stats(self, scheme_name):
-        """run(PackedTrace) and run(list) agree to the last bit."""
+        """run(PackedTrace) and run(list) agree to the last bit.
+
+        The reference side must be a plain list: an ``EventView`` would
+        be unwrapped back to the packed trace and take the fused loop
+        too, making the comparison vacuous."""
         profile = PROFILES["xsbench"]
         machine = skylake_machine(scaled=True)
         prime = prime_ranges(profile)
-        legacy = generate_trace(profile, 8_000, seed=5, instrument="pruned")
         packed = generate_trace(
             profile, 8_000, seed=5, instrument="pruned", packed=True
         )
+        legacy = packed.to_events()
+        assert type(legacy) is list
         factory = SCHEME_FACTORIES[scheme_name]
         s_legacy = simulate(legacy, machine, factory(), prime=prime)
         s_packed = simulate(packed, machine, factory(), prime=prime)
@@ -162,8 +166,11 @@ class TestSimulatorValueIdentity:
         profile = PROFILES["astar"]
         machine = machine_with_cache_levels(3)
         prime = prime_ranges(profile)
-        legacy = generate_trace(profile, 6_000, seed=1, instrument="pruned")
-        packed = PackedTrace.from_events(legacy)
+        packed = generate_trace(
+            profile, 6_000, seed=1, instrument="pruned", packed=True
+        )
+        legacy = packed.to_events()
+        assert type(legacy) is list
         s_legacy = simulate(legacy, machine, cwsp(), prime=prime)
         s_packed = simulate(packed, machine, cwsp(), prime=prime)
         assert s_packed.to_dict() == s_legacy.to_dict()

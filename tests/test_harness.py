@@ -1,10 +1,8 @@
-"""Harness: runner caching, report formatting, small figure runs."""
+"""Harness: report formatting and small figure runs."""
 
 import pytest
 
-from repro.arch import skylake_machine
-from repro.harness import FigureResult, Runner, format_table, gmean
-from repro.schemes import baseline, cwsp
+from repro.harness import FigureResult, format_table, gmean
 
 
 class TestGmean:
@@ -41,32 +39,6 @@ class TestFigureResult:
         r = FigureResult("F", "d", ["app", "v"], summary={"g": 1.06})
         r.add("a", 1.0)
         assert "g=1.060" in r.format_table()
-
-
-class TestRunner:
-    def test_trace_cached(self):
-        r = Runner(n_insts=2000)
-        t1 = r.trace("namd", "pruned")
-        t2 = r.trace("namd", "pruned")
-        assert t1 is t2
-
-    def test_stats_cached(self):
-        r = Runner(n_insts=2000)
-        m = skylake_machine(scaled=True)
-        s1 = r.stats("namd", cwsp(), m)
-        s2 = r.stats("namd", cwsp(), m)
-        assert s1 is s2
-
-    def test_slowdown_at_least_one_ish(self):
-        r = Runner(n_insts=5000)
-        m = skylake_machine(scaled=True)
-        s = r.slowdown("namd", cwsp(), m)
-        assert 0.99 <= s < 2.0
-
-    def test_baseline_slowdown_is_one(self):
-        r = Runner(n_insts=5000)
-        m = skylake_machine(scaled=True)
-        assert r.slowdown("namd", baseline(), m, None) == pytest.approx(1.0)
 
 
 class TestFigureFunctions:

@@ -235,8 +235,8 @@ class TestSaltRecipe:
             "repro.workloads.synthetic",
         } <= modules
         # ...and nothing a point never touches: the harness itself,
-        # the compiler/IR stack, the fault engine, and the two
-        # contract-pinned backends (bit-identical by CI contract).
+        # the compiler/IR stack, the fault engine, and the
+        # contract-pinned checkpoint drivers.
         for absent in (
             "repro.harness.engine",
             "repro.ir.interpreter",
@@ -244,7 +244,6 @@ class TestSaltRecipe:
             "repro.faults.campaign",
             "repro.workloads.adapter",
             "repro.arch.checkpoint",
-            "repro.arch.columnar",
         ):
             assert absent not in modules, absent
 

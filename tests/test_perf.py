@@ -45,7 +45,6 @@ class TestRegistry:
         expected = {
             "calibration",
             "machine.run.cwsp",
-            "machine.run.columnar",
             "machine.run.baseline",
             "machine.run.capri",
             "machine.run_multicore",

@@ -8,9 +8,17 @@ failure at any point recovers to the failure-free outcome.
 
 from __future__ import annotations
 
+import json
+import random
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.arch.config import skylake_machine
+from repro.arch.machine import TimingSimulator, simulate
 from repro.arch.queues import CompletionQueue
+from repro.arch.scheme import Scheme
+from repro.arch.trace import PackedTrace
 from repro.compiler import (
     check_idempotence_static,
     check_regions_replayable,
@@ -23,6 +31,9 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.values import Reg, to_s64
 from repro.recovery import PersistenceConfig, check_crash_consistency
+from repro.schemes.catalog import baseline, capri, cwsp, ido, psp_ideal, replaycache
+from repro.workloads.profiles import PROFILES
+from repro.workloads.synthetic import generate_trace, prime_ranges
 
 # ----------------------------------------------------------------------
 # eval_binop matches a Python reference model
@@ -222,3 +233,165 @@ def test_printer_parser_roundtrip_random_programs(spec):
     module = build_program(spec)
     text = print_module(module)
     assert print_module(parse_module(text)) == text
+
+
+# ----------------------------------------------------------------------
+# The fused packed loop matches the per-event reference loop
+# ----------------------------------------------------------------------
+#
+# ``simulate(packed_trace)`` takes ``TimingSimulator._run_packed`` on
+# every machine below (all satisfy ``_packed_fast``); the same stream as
+# a plain list of event tuples takes ``_run_events``, the reference
+# oracle.  The two must agree byte for byte on ``SimStats.to_dict()``.
+
+#: Code alphabets to draw events from: the first is dense in rare
+#: events (boundaries, fences, atomics, checkpoint stores); the second
+#: approximates a real stream, mostly ALU ops and loads.
+_TRACE_ALPHABETS = ("alscbfx", "aaaaaaaaalllllsssscbfx")
+_NO_ADDR = frozenset("abf")
+_CATALOG = {
+    "baseline": baseline,
+    "capri": capri,
+    "cwsp": cwsp,
+    "ido": ido,
+    "psp_ideal": psp_ideal,
+    "replaycache": replaycache,
+}
+
+
+@st.composite
+def packed_traces(draw, max_size=200):
+    alphabet = draw(st.sampled_from(_TRACE_ALPHABETS))
+    # Draw the length first: st.lists alone averages a handful of
+    # events, too few to fill a cache set or a queue.
+    n = draw(st.integers(0, max_size))
+    codes = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    # Addresses from a few hot lines (L1 hits), from lines 8 KiB apart
+    # (one L1 and one L2 set, so both evict), and from a 4 MiB span
+    # (misses to every level).
+    addr = st.one_of(
+        st.integers(0, 255).map(lambda w: w * 8),
+        st.integers(0, 39).map(lambda k: k * 8192),
+        st.integers(0, (1 << 19) - 1).map(lambda w: w * 8),
+    )
+    addrs = [0 if code in _NO_ADDR else draw(addr) for code in codes]
+    return PackedTrace("".join(codes), addrs)
+
+
+def _schemes():
+    return st.builds(
+        Scheme,
+        name=st.just("fuzz"),
+        persist_stores=st.booleans(),
+        persist_bytes=st.sampled_from([8, 64]),
+        nvm_write_amp=st.sampled_from([1.0, 2.0, 8.0]),
+        stall_at_boundary=st.booleans(),
+        mc_speculation=st.booleans(),
+        wb_delay=st.booleans(),
+        wpq_load_delay=st.booleans(),
+        dram_cache_enabled=st.booleans(),
+        extra_insts_per_store=st.sampled_from([0, 1, 2]),
+        extra_insts_per_region=st.sampled_from([0, 4]),
+        ckpt_stores_per_region=st.sampled_from([0.0, 2.0]),
+        pb_entries_override=st.sampled_from([None, 2]),
+        rbt_entries_override=st.sampled_from([None, 1]),
+        coalesce_lines=st.booleans(),
+    )
+
+
+def _assert_packed_equals_reference(trace, machine, scheme, prime=None):
+    events = trace.to_events()
+    # A plain list: an EventView would be unwrapped back to the packed
+    # trace and take the fused loop too, making the check vacuous.
+    assert type(events) is list
+    packed = simulate(trace, machine, scheme, prime=prime).to_dict()
+    reference = simulate(events, machine, scheme, prime=prime).to_dict()
+    assert json.dumps(packed, sort_keys=True) == json.dumps(
+        reference, sort_keys=True
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    trace=packed_traces(),
+    scheme=_schemes(),
+    commit_width=st.sampled_from([1, 2, 3, 4]),
+)
+def test_packed_loop_matches_reference_loop(trace, scheme, commit_width):
+    machine = skylake_machine(scaled=True, commit_width=commit_width)
+    _assert_packed_equals_reference(trace, machine, scheme)
+
+
+class TestPackedVsReference:
+    """Deterministic packed-vs-reference cases beside the property."""
+
+    @pytest.mark.parametrize("scheme_name", sorted(_CATALOG))
+    def test_catalog_schemes(self, scheme_name):
+        """The golden config (astar, 4000 insts, seed 3), every scheme."""
+        machine = skylake_machine(scaled=True)
+        scheme = _CATALOG[scheme_name]()
+        assert TimingSimulator(machine, scheme)._packed_fast
+        profile = PROFILES["astar"]
+        trace = generate_trace(profile, 4_000, seed=3, instrument="pruned", packed=True)
+        _assert_packed_equals_reference(trace, machine, scheme, prime_ranges(profile))
+
+    @pytest.mark.parametrize("scheme_name", ["cwsp", "capri"])
+    def test_profiles(self, scheme_name):
+        """Every workload profile, two schemes with very different
+        impure-event mixes."""
+        machine = skylake_machine(scaled=True)
+        factory = _CATALOG[scheme_name]
+        for profile in PROFILES.values():
+            trace = generate_trace(
+                profile, 1_500, seed=11, instrument="pruned", packed=True
+            )
+            _assert_packed_equals_reference(trace, machine, factory())
+
+    def test_boundary_and_fence_heavy_stream(self):
+        """Adjacent rare events, a rare event first and last, and empty
+        pure runs between them."""
+        trace = PackedTrace("bflsbbxcafb", [0, 0, 8, 16, 0, 0, 24, 32, 0, 0, 0])
+        machine = skylake_machine(scaled=True)
+        for scheme in _CATALOG.values():
+            _assert_packed_equals_reference(trace, machine, scheme())
+
+    def test_empty_trace(self):
+        trace = PackedTrace("", [])
+        _assert_packed_equals_reference(trace, skylake_machine(scaled=True), cwsp())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_trace_random_scheme(self, seed):
+        """Fixed-seed cases beside the property: longer streams (800
+        events) than hypothesis draws, so queues and sets fill up."""
+        rng = random.Random(1000 + seed)
+        codes = []
+        addrs = []
+        for _ in range(800):
+            code = rng.choice("aaaaaaaaalllllsssscbfx")
+            codes.append(code)
+            addrs.append(0 if code in _NO_ADDR else rng.randrange(0, 1 << 22, 8))
+        trace = PackedTrace("".join(codes), addrs)
+        scheme = Scheme(
+            name="fuzz",
+            persist_stores=rng.random() < 0.8,
+            persist_bytes=rng.choice([8, 64]),
+            nvm_write_amp=rng.choice([1.0, 2.0, 8.0]),
+            stall_at_boundary=rng.random() < 0.3,
+            mc_speculation=rng.random() < 0.7,
+            wb_delay=rng.random() < 0.5,
+            wpq_load_delay=rng.random() < 0.5,
+            extra_insts_per_store=rng.choice([0, 0, 1, 2]),
+            extra_insts_per_region=rng.choice([0, 4]),
+            ckpt_stores_per_region=rng.choice([0.0, 2.0]),
+            coalesce_lines=rng.random() < 0.4,
+        )
+        machine = skylake_machine(scaled=True, commit_width=rng.choice([1, 2, 4]))
+        _assert_packed_equals_reference(trace, machine, scheme)
+
+    def test_non_power_of_two_commit_width(self):
+        """A commit width of 3 still takes the packed loop."""
+        machine = skylake_machine(scaled=True, commit_width=3)
+        assert TimingSimulator(machine, cwsp())._packed_fast
+        profile = PROFILES["astar"]
+        trace = generate_trace(profile, 2_000, seed=7, instrument="pruned", packed=True)
+        _assert_packed_equals_reference(trace, machine, cwsp())

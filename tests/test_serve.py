@@ -4,7 +4,7 @@ In-process tests drive :class:`ResultsServer` generation by generation;
 the end-to-end test boots the real ``python -m repro.harness serve``
 subprocess against a *copied* checkout and edits simulator modules
 under it, proving the acceptance criteria: a contract-excluded edit
-(``repro.arch.columnar``) triggers a generation with zero recomputed
+(``repro.arch.checkpoint``) triggers a generation with zero recomputed
 points and a byte-identical artifacts digest, while a salted edit
 (``repro.arch.machine``) recomputes the whole affected grid.
 """
@@ -97,14 +97,14 @@ class TestResultsServer:
         server = _server(tmp_path, tiny_specs)
         first = server.run_generation("initial", [])
         artifact = (tmp_path / "out" / "artifacts" / "tiny.json").read_bytes()
-        second = server.run_generation("edit", ["repro.arch.columnar"])
+        second = server.run_generation("edit", ["repro.arch.checkpoint"])
         assert second["generation"] == 1
         assert second["dirty"] == 0
         assert second["clean"] == second["planned"]
         assert second["executed"] == 0
         assert second["cache_hit_rate"] == 1.0
         assert second["artifacts_digest"] == first["artifacts_digest"]
-        assert second["changed_modules"] == ["repro.arch.columnar"]
+        assert second["changed_modules"] == ["repro.arch.checkpoint"]
         assert (
             tmp_path / "out" / "artifacts" / "tiny.json"
         ).read_bytes() == artifact
@@ -134,7 +134,7 @@ class TestResultsServer:
     ):
         watched = _server(tmp_path, tiny_specs).watch_paths()
         assert "repro.arch.machine" in watched       # salted
-        assert "repro.arch.columnar" in watched      # contract-excluded
+        assert "repro.arch.checkpoint" in watched    # contract-excluded
         assert tiny_specs in watched                 # the spec registry
         assert "repro.harness.engine" not in watched
         for path in watched.values():
@@ -197,13 +197,13 @@ class TestLedgerAndSubscribe:
                 "cache_hit_rate": 1.0,
                 "phase_seconds": {"plan": 0.1, "simulate": 0.0},
                 "artifacts_digest": "feedface",
-                "changed_modules": ["repro.arch.columnar"],
+                "changed_modules": ["repro.arch.checkpoint"],
             }
         )
         assert "gen 7" in line
         assert "dirty=0/37" in line
         assert "digest=feedface" in line
-        assert "changed=repro.arch.columnar" in line
+        assert "changed=repro.arch.checkpoint" in line
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +243,7 @@ class TestServeEndToEnd:
             # A contract-excluded edit: the salt must not move, so the
             # generation recomputes *zero* points and republishes
             # byte-identical artifacts.
-            with open(tmp_path / "src/repro/arch/columnar.py", "a") as fh:
+            with open(tmp_path / "src/repro/arch/checkpoint.py", "a") as fh:
                 fh.write("\n# serve e2e: no-op edit\n")
             _wait_for_lines(ledger, 2)
             # A salted edit: every dependent point recomputes.
@@ -261,7 +261,7 @@ class TestServeEndToEnd:
         assert [g0["generation"], g1["generation"], g2["generation"]] == [0, 1, 2]
         assert g0["dirty"] == g0["planned"] > 0
 
-        assert g1["changed_modules"] == ["repro.arch.columnar"], out
+        assert g1["changed_modules"] == ["repro.arch.checkpoint"], out
         assert g1["dirty"] == 0
         assert g1["executed"] == 0
         assert g1["salt"] == g0["salt"]
