@@ -3,7 +3,8 @@ cache, and the hierarchy walk that yields a load/store's latency."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.config import CacheConfig, DRAMCacheConfig
 
@@ -115,48 +116,98 @@ class SetAssocCache:
 
 
 class DirectMappedCache:
-    """Direct-mapped DRAM cache (Intel memory-mode style)."""
+    """Direct-mapped DRAM cache (Intel memory-mode style).
 
-    __slots__ = ("n_lines", "line_bits", "hit_latency", "lines", "hits", "misses")
+    State is an index -> tag map plus the set of dirty indices, so a
+    range of lines with one tag can be written by C-level dict calls
+    (:meth:`fill`) instead of one Python write per line.
+    """
+
+    __slots__ = ("n_lines", "line_bits", "hit_latency", "tags", "dirty", "hits", "misses")
 
     def __init__(self, config: DRAMCacheConfig) -> None:
         self.n_lines = max(1, config.size_bytes // config.line_bytes)
         self.line_bits = config.line_bytes.bit_length() - 1
         self.hit_latency = config.hit_latency
-        #: index -> [tag, dirty]
-        self.lines: Dict[int, List] = {}
+        #: index -> tag, in first-fill order (the snapshot order)
+        self.tags: Dict[int, int] = {}
+        #: indices whose resident line is dirty
+        self.dirty: Set[int] = set()
         self.hits = 0
         self.misses = 0
 
     def access(self, line_addr: int, is_write: bool) -> Tuple[bool, Optional[Tuple[int, bool]]]:
         index = line_addr % self.n_lines
         tag = line_addr // self.n_lines
-        entry = self.lines.get(index)
-        if entry is not None and entry[0] == tag:
+        old = self.tags.get(index)
+        if old == tag:
             self.hits += 1
             if is_write:
-                entry[1] = True
+                self.dirty.add(index)
             return True, None
         self.misses += 1
         evicted = None
-        if entry is not None:
-            evicted = (entry[0] * self.n_lines + index, entry[1])
-        self.lines[index] = [tag, is_write]
+        if old is not None:
+            evicted = (old * self.n_lines + index, index in self.dirty)
+        self.tags[index] = tag
+        if is_write:
+            self.dirty.add(index)
+        else:
+            self.dirty.discard(index)
         return False, evicted
 
+    def fill(self, first: int, end: int) -> None:
+        """Insert lines ``[first, end)`` clean, in order, in closed form.
+
+        Equivalent to writing each line's tag in turn.  An index's
+        *first* write lies among the range's first ``n_lines`` lines,
+        which fixes where a new index enters the map; its *last* write
+        lies among the last ``n_lines`` lines, which fixes its tag.
+        Both windows cover the same indices, and the last one spans at
+        most two tag blocks: indices at or above its start index
+        (``pivot``) get its starting tag, those below get the next.  So
+        one pass over the first window's indices, in rotation order,
+        writes every final value as at most four constant-tag runs.
+        """
+        n = self.n_lines
+        count = min(end - first, n)
+        if count <= 0:
+            return
+        start = first % n
+        last_first = end - count
+        pivot = last_first % n
+        low_tag = last_first // n
+        tags = self.tags
+        # The first window's indices in rotation order: [start, n), then
+        # the wrap-around [0, ...) when the window crosses index n.
+        for lo, hi in ((start, min(start + count, n)), (0, start + count - n)):
+            if lo >= hi:
+                continue
+            mid = min(max(pivot, lo), hi)
+            tags.update(zip(range(lo, mid), repeat(low_tag + 1)))
+            tags.update(zip(range(mid, hi), repeat(low_tag)))
+            if self.dirty:
+                self.dirty.difference_update(range(lo, hi))
+
     def snapshot(self) -> dict:
+        dirty = self.dirty
         return {
-            "lines": [[index, e[0], bool(e[1])] for index, e in self.lines.items()],
+            "lines": [[index, tag, index in dirty] for index, tag in self.tags.items()],
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def restore_state(self, state: dict) -> None:
+        """Restore a :meth:`snapshot` in place (the DRAM cache is shared
+        by every core of a multicore run)."""
         self.hits = state["hits"]
         self.misses = state["misses"]
-        self.lines.clear()
+        self.tags.clear()
+        self.dirty.clear()
         for index, tag, dirty in state["lines"]:
-            self.lines[index] = [tag, dirty]
+            self.tags[index] = tag
+            if dirty:
+                self.dirty.add(index)
 
     @property
     def miss_rate(self) -> float:
@@ -261,8 +312,7 @@ class CacheHierarchy:
             # direct-mapped conflicts -- the steady state a long
             # execution converges to.
             for base, size in reversed(ranges):
-                for line in range(base >> self.line_bits, (base + size) >> self.line_bits):
-                    self.dram.lines[line % self.dram.n_lines] = [line // self.dram.n_lines, False]
+                self.dram.fill(base >> self.line_bits, (base + size) >> self.line_bits)
 
     def snapshot(self, include_shared: bool = True) -> dict:
         """Checkpoint this hierarchy; ``include_shared=False`` captures

@@ -528,7 +528,13 @@ def resolve_points(
 # Result caches
 # ----------------------------------------------------------------------
 class ResultCache:
-    """Content-addressed JSON store under *root* (one file per point)."""
+    """Content-addressed JSON store under *root* (one file per point).
+
+    Each entry records the key it was written under, and :meth:`get`
+    serves only an entry whose recorded key is the one asked for: a file
+    copied or renamed from another key -- another point or another salt,
+    since keys embed the salt -- reads as a miss.
+    """
 
     def __init__(self, root: str = CACHE_DIR) -> None:
         self.root = Path(root)
@@ -541,14 +547,17 @@ class ResultCache:
         try:
             with open(path) as fh:
                 data = json.load(fh)
+            if data["key"] != key:
+                return None  # an entry written under another key
             return SimStats.from_dict(data["stats"])
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None  # missing or torn/corrupt entry: recompute
 
     def put(self, key: str, point: Point, stats: SimStats) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
+            "key": key,
             "kind": type(point).__name__,
             "point": dataclasses.asdict(point),
             "stats": stats.to_dict(),

@@ -2,16 +2,17 @@
 
 Each profile describes the memory behaviour that drives the paper's
 figures.  Working-set *classes* are sized against the scaled hierarchy
-(``skylake_machine(scaled=True)``; L1 16KB / L2 512KB / DRAM-LLC 16MB):
+(``skylake_machine(scaled=True)``; L1 16KB / L2 128KB / DRAM-LLC 2MB)
+by ``CLASS_SIZES``:
 
 ========  ==========  =======================================
 class     size        resident in
 ========  ==========  =======================================
 hot       8 KB        L1
-warm      96 KB       L2 (misses L1)
-mid       768 KB      DRAM LLC / L4 (misses 512KB L2)
-big       6 MB        DRAM LLC only
-huge      48 MB       overflows the 16MB DRAM LLC -> NVM reads
+warm      40 KB       L2 (misses 16KB L1)
+mid       160 KB      DRAM LLC (misses 128KB L2)
+big       640 KB      DRAM LLC only
+huge      6 MB        overflows the 2MB DRAM LLC -> NVM reads
 stream    unbounded   sequential, compulsory misses -> NVM
 ========  ==========  =======================================
 

@@ -1,5 +1,7 @@
 """Cache models: LRU, dirty eviction, direct-mapped DRAM, priming."""
 
+import json
+
 from repro.arch.caches import CacheHierarchy, DirectMappedCache, SetAssocCache
 from repro.arch.config import CacheConfig, DRAMCacheConfig
 
@@ -71,6 +73,50 @@ class TestDirectMapped:
         d.access(5, False)
         hit, _ = d.access(5, False)
         assert hit
+
+    def test_write_hit_marks_dirty(self):
+        d = DirectMappedCache(DRAMCacheConfig(size_bytes=2 * 64, hit_latency=1))
+        d.access(5, False)
+        assert d.dirty == set()
+        hit, _ = d.access(5, True)
+        assert hit and d.dirty == {1}
+        _, evicted = d.access(7, False)
+        assert evicted == (5, True)
+
+    def test_clean_refill_clears_dirty_bit(self):
+        d = DirectMappedCache(DRAMCacheConfig(size_bytes=2 * 64, hit_latency=1))
+        d.access(0, True)
+        _, evicted = d.access(2, False)  # clean refill of the dirty index
+        assert evicted == (0, True)
+        assert d.dirty == set()
+        _, evicted = d.access(0, False)
+        assert evicted == (2, False)  # the write-back was reported once
+
+    def test_prime_over_dirty_index_leaves_it_clean(self):
+        h = CacheHierarchy(
+            (CacheConfig("L1", 2 * 64, 1, hit_latency=4),),
+            DRAMCacheConfig(size_bytes=4 * 64, hit_latency=100),
+        )
+        h.dram.access(1, True)
+        h.dram.access(6, True)
+        h.prime([(5 * 64, 64)])  # line 5: index 1, tag 1
+        assert h.dram.dirty == {2}
+        assert h.dram.snapshot()["lines"] == [[1, 1, False], [2, 1, True]]
+        _, evicted = h.dram.access(1, False)
+        assert evicted == (5, False)
+
+    def test_restore_round_trip_in_place(self):
+        d = DirectMappedCache(DRAMCacheConfig(size_bytes=4 * 64, hit_latency=1))
+        for line, write in ((3, True), (0, False), (9, True), (4, True), (1, False)):
+            d.access(line, write)
+        state = d.snapshot()
+        text = json.dumps(state)
+        tags, dirty = d.tags, d.dirty
+        d.access(2, True)
+        d.access(7, False)
+        d.restore_state(json.loads(text))
+        assert json.dumps(d.snapshot()) == text
+        assert d.tags is tags and d.dirty is dirty
 
 
 class TestHierarchy:

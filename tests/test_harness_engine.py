@@ -153,6 +153,24 @@ class TestDedupAndCache:
         assert payload["kind"] == "SimPoint"
         assert payload["point"]["app"] == "namd"
         assert "stats" in payload
+        assert entries[0].name == f"{payload['key']}.json"
+
+    def test_entry_under_wrong_key_is_a_miss(self, tmp_path):
+        """A valid entry copied to another key's path (another point, or
+        the same point under another salt) is not served."""
+        cache = ResultCache(str(tmp_path))
+        point = SimPoint("namd", cwsp(), skylake_machine(scaled=True), "pruned", N, 1)
+        right = point_cache_key(point, salt="v1")
+        wrong = point_cache_key(point, salt="v2")
+        cache.put(right, point, compute_point(point))
+        assert cache.get(right) is not None
+        planted = cache._path(wrong)
+        planted.parent.mkdir(parents=True, exist_ok=True)
+        planted.write_bytes(cache._path(right).read_bytes())
+        assert cache.get(wrong) is None
+        assert cache.get(right) is not None
+        planted.write_text("[]")  # parseable, but not an entry
+        assert cache.get(wrong) is None
 
 
 class TestParallelism:

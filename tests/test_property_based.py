@@ -14,7 +14,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.arch.config import skylake_machine
+from repro.arch.caches import CacheHierarchy
+from repro.arch.config import CacheConfig, DRAMCacheConfig, skylake_machine
 from repro.arch.machine import TimingSimulator, simulate
 from repro.arch.queues import CompletionQueue
 from repro.arch.scheme import Scheme
@@ -320,6 +321,82 @@ def _assert_packed_equals_reference(trace, machine, scheme, prime=None):
 def test_packed_loop_matches_reference_loop(trace, scheme, commit_width):
     machine = skylake_machine(scaled=True, commit_width=commit_width)
     _assert_packed_equals_reference(trace, machine, scheme)
+
+
+# ----------------------------------------------------------------------
+# Closed-form priming matches a per-line replay
+# ----------------------------------------------------------------------
+#
+# ``CacheHierarchy.prime`` fills the direct-mapped DRAM cache from
+# constant-tag runs.  The reference below writes every line of every
+# range in turn, as priming is defined; the two must leave snapshots
+# that are equal byte for byte, dict insertion order included (LRU
+# first-minimum scans treat primed ticks as ties, so order is state).
+
+
+def _reference_prime(hier, ranges, from_level=0):
+    ranges = sorted(ranges, key=lambda r: r[1])
+    cumulative = 0
+    level_cutoff = []
+    for base, size in ranges:
+        cumulative += size
+        level_cutoff.append(cumulative)
+    for li, level in enumerate(hier.levels):
+        if li < from_level:
+            continue
+        capacity = level.n_sets * level.ways << level.line_bits
+        for (base, size), cum in zip(ranges, level_cutoff):
+            if cum > capacity:
+                continue
+            for line in range(base >> level.line_bits, (base + size) >> level.line_bits):
+                ways = level.sets.setdefault(line % level.n_sets, {})
+                if len(ways) < level.ways:
+                    ways[line // level.n_sets] = [0, False]
+    dram = hier.dram
+    if dram is not None:
+        for base, size in reversed(ranges):
+            for line in range(base >> hier.line_bits, (base + size) >> hier.line_bits):
+                index = line % dram.n_lines
+                dram.tags[index] = line // dram.n_lines
+                dram.dirty.discard(index)
+
+
+@st.composite
+def prime_cases(draw):
+    l1_sets, l1_ways = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    l2_sets, l2_ways = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    levels = (
+        CacheConfig("L1", 64 * l1_sets * l1_ways, l1_ways, hit_latency=4),
+        CacheConfig("L2", 64 * l2_sets * l2_ways, l2_ways, hit_latency=14),
+    )
+    n_lines = draw(st.integers(1, 16))
+    dram = draw(st.sampled_from([None, DRAMCacheConfig(64 * n_lines, hit_latency=100)]))
+    # Sizes in lines below, at and several times the DRAM cache, plus
+    # unaligned bytes; bases unaligned, overlapping in a small span.
+    lines = st.one_of(
+        st.integers(0, n_lines),
+        st.sampled_from([n_lines, 2 * n_lines, 3 * n_lines + 1, 5 * n_lines - 1]),
+    )
+    size = st.tuples(lines, st.integers(0, 63)).map(lambda t: max(0, t[0] * 64 - t[1]))
+    base = st.integers(0, 64 * 8 * n_lines)
+    ranges = draw(st.lists(st.tuples(base, size), max_size=6))
+    # Accesses before priming, so priming also overwrites dirty lines.
+    before = draw(st.lists(st.tuples(base, st.booleans()), max_size=8))
+    return levels, dram, ranges, before, draw(st.sampled_from([0, 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=prime_cases())
+def test_prime_matches_per_line_reference(case):
+    levels, dram, ranges, before, from_level = case
+    snapshots = []
+    for prime in (CacheHierarchy.prime, _reference_prime):
+        hier = CacheHierarchy(levels, dram)
+        for addr, write in before:
+            hier.access(addr, write)
+        prime(hier, list(ranges), from_level)
+        snapshots.append(json.dumps(hier.snapshot()))
+    assert snapshots[0] == snapshots[1]
 
 
 class TestPackedVsReference:
