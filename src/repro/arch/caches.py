@@ -314,6 +314,50 @@ class CacheHierarchy:
             for base, size in reversed(ranges):
                 self.dram.fill(base >> self.line_bits, (base + size) >> self.line_bits)
 
+    def _geometry(self) -> tuple:
+        return (
+            [(level.n_sets, level.ways, level.line_bits) for level in self.levels],
+            self.dram.n_lines if self.dram is not None else None,
+        )
+
+    def _accessed(self) -> bool:
+        """Has any access (priming is none) reached this hierarchy?"""
+        dram = self.dram
+        return any(level.hits or level.misses or level._tick for level in self.levels) or (
+            dram is not None and bool(dram.hits or dram.misses)
+        )
+
+    def copy_tags_from(self, template: "CacheHierarchy") -> None:
+        """Copy primed *template*'s resident lines into this untouched
+        hierarchy of the same geometry, in place.
+
+        The result is the state a direct :meth:`prime` would leave, set
+        and way order included, at the cost of a copy instead of a
+        replay: each line is copied clean at tick 0, as priming inserts
+        it.  Sets are reached with ``setdefault``, so set dicts that
+        already exist (the L1 sets the simulator's fused loop
+        pre-creates and holds) keep their identity and their place in
+        the outer order.  Raises ``ValueError`` if the geometries
+        differ, if the template has been accessed since priming, or if
+        this hierarchy has been touched at all.
+        """
+        if self._geometry() != template._geometry():
+            raise ValueError("copy_tags_from: template geometry differs")
+        if template._accessed():
+            raise ValueError("copy_tags_from: template accessed since priming")
+        if (
+            self._accessed()
+            or any(any(level.sets.values()) for level in self.levels)
+            or (self.dram is not None and self.dram.tags)
+        ):
+            raise ValueError("copy_tags_from: target hierarchy is not untouched")
+        for level, source in zip(self.levels, template.levels):
+            sets = level.sets
+            for index, ways in source.sets.items():
+                sets.setdefault(index, {}).update({tag: [0, False] for tag in ways})
+        if self.dram is not None:
+            self.dram.tags.update(template.dram.tags)
+
     def snapshot(self, include_shared: bool = True) -> dict:
         """Checkpoint this hierarchy; ``include_shared=False`` captures
         only the private L1 (the multicore split: levels 1..N and the

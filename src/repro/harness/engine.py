@@ -11,10 +11,11 @@ engine
    and scheme configuration, and a code-version salt over the simulator
    sources -- a warm rerun of ``python -m repro.harness`` does zero
    simulations;
-3. fans cache misses out over a process pool (``--jobs N``); workers
-   regenerate traces from the point key, so only compact
-   :class:`~repro.arch.machine.SimStats` metric sets cross process
-   boundaries;
+3. fans cache misses out over a process pool (``--jobs N``) in
+   per-app batches (:func:`form_batches`); workers regenerate traces
+   from the point key -- once per batch for points that share one --
+   so only compact :class:`~repro.arch.machine.SimStats` metric sets
+   cross process boundaries;
 4. re-runs each experiment's reducer against the resolved results and
    enforces its expected-shape assertions.
 
@@ -34,12 +35,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.machine import SimStats, simulate
+from repro.arch.caches import CacheHierarchy
+from repro.arch.machine import SimStats, TimingSimulator
 from repro.arch.multicore import simulate_multicore
 from repro.perf.timers import PhaseTimer
 from repro.harness.report import FigureResult
@@ -49,6 +52,7 @@ from repro.harness.spec import (
     PlanContext,
     Point,
     ResolvedResolver,
+    SimPoint,
     validate_result,
 )
 from repro.workloads.profiles import PROFILES
@@ -331,10 +335,55 @@ def _checkpointed_point(
     return stats
 
 
+def _trace_key(point: SimPoint) -> tuple:
+    """What a single-core point's trace is a pure function of."""
+    return ("trace", point.app, point.n_insts, point.seed, point.instrument)
+
+
+def _prime_key(point: SimPoint) -> tuple:
+    """What a single-core point's primed cache state is a pure function
+    of: the app's prime ranges and the hierarchy the simulator builds."""
+    machine = point.machine
+    dram = machine.dram_cache if point.scheme.dram_cache_enabled else None
+    return ("prime", point.app, machine.caches, dram)
+
+
+def _batch_memo(points: Sequence[Point]) -> Dict[tuple, list]:
+    """A batch-local memo holding only the keys its points share.
+
+    Every trace or primed-state key that more than one single-core
+    point of the batch needs maps to ``[uses_left, value]``, with the
+    value built by the first of them and dropped after the last; a key
+    only one point needs is absent, so that point builds its own
+    exactly as an unbatched run does.
+    """
+    uses = Counter(
+        key
+        for point in points
+        if isinstance(point, SimPoint)
+        for key in (_trace_key(point), _prime_key(point))
+    )
+    return {key: [n, None] for key, n in uses.items() if n > 1}
+
+
+def _shared(batch: Optional[Dict[tuple, list]], key: tuple, make: Callable):
+    """*make()* built once per *batch* for a key it shares, else None."""
+    entry = batch.get(key) if batch else None
+    if entry is None:
+        return None
+    if entry[1] is None:
+        entry[1] = make()
+    entry[0] -= 1
+    if entry[0] == 0:
+        del batch[key]  # its last user: free the trace or template
+    return entry[1]
+
+
 def compute_point(
     point: Point,
     checkpoint: Optional[CheckpointPolicy] = None,
     key: Optional[str] = None,
+    batch: Optional[Dict[tuple, list]] = None,
 ) -> SimStats:
     """Regenerate the trace(s) for *point* and simulate it.
 
@@ -342,6 +391,12 @@ def compute_point(
     name the file), the simulation runs through the checkpointable
     drivers -- cut every ``every`` events, persisted, resumable --
     producing stats bit-identical to the direct path.
+
+    *batch* is the memo of the worker batch *point* belongs to (see
+    :func:`_batch_memo`): a single-core point reuses the trace and the
+    primed cache state it shares with other points of the batch
+    instead of rebuilding them -- both are pure functions of their
+    keys, so the stats are bit-identical.
     """
     if checkpoint is not None and key is not None:
         return _checkpointed_point(point, checkpoint, key)
@@ -362,17 +417,44 @@ def compute_point(
         )
         return mstats.merged()
     profile = PROFILES[point.app]
+    ranges = prime_ranges(profile)
+
     # Packed traces feed the simulator's batched fast path; the result
     # is value-identical to the legacy tuple list (golden-pinned).
-    trace = generate_trace(
-        profile, point.n_insts, point.seed, instrument=point.instrument, packed=True
-    )
-    return simulate(trace, point.machine, point.scheme, prime=prime_ranges(profile))
+    def make_trace():
+        return generate_trace(
+            profile, point.n_insts, point.seed,
+            instrument=point.instrument, packed=True,
+        )
+
+    def make_template():
+        *_, caches, dram = _prime_key(point)
+        template = CacheHierarchy(caches, dram)
+        template.prime(ranges)
+        return template
+
+    trace = _shared(batch, _trace_key(point), make_trace)
+    if trace is None:
+        trace = make_trace()
+    sim = TimingSimulator(point.machine, point.scheme)
+    template = _shared(batch, _prime_key(point), make_template)
+    if template is None:
+        sim.hier.prime(ranges)
+    else:
+        sim.hier.copy_tags_from(template)
+    return sim.run(trace)
 
 
-def _execute_task(task: Tuple[str, Point, Optional[CheckpointPolicy]]) -> SimStats:
-    key, point, checkpoint = task
-    return compute_point(point, checkpoint=checkpoint, key=key)
+def _execute_batch(
+    task: Tuple[List[Tuple[str, Point]], Optional[CheckpointPolicy]]
+) -> List[SimStats]:
+    """Compute one worker batch; its memo dies with it."""
+    batch, checkpoint = task
+    memo = _batch_memo([point for _key, point in batch]) if len(batch) > 1 else None
+    return [
+        compute_point(point, checkpoint=checkpoint, key=key, batch=memo)
+        for key, point in batch
+    ]
 
 
 class WorkerCrash(RuntimeError):
@@ -480,6 +562,108 @@ def parallel_map(
     return results
 
 
+#: Batches formed per worker.  Fewer, larger batches share more traces
+#: and primed states, but the pool balances load only across batches
+#: and a worker crash loses its whole batch.  Measured on a shared
+#: 2-vCPU host at ``--jobs 2`` with 1, 2, 4 and 8 batches per worker:
+#: ``sweep-cold`` (100 points of 4 apps) took 0.59 / 0.62 / 0.61 /
+#: 0.64 s (median of 3, within run-to-run noise), the default figure
+#: grid (1457 points) 34 / 40 / 39 / 39 s (mean of 2).  Sharing is
+#: mostly won by 4 -- the sweep generates 12 traces and primes 8 times,
+#: against 8 and 4 at best and 100 each unbatched -- so 4 keeps that
+#: while a crash loses at most a quarter of a worker's share.
+BATCHES_PER_JOB = 4
+
+
+def form_batches(
+    misses: Sequence[Tuple[str, Point]],
+    jobs: int = 1,
+    checkpoint: Optional[CheckpointPolicy] = None,
+) -> List[List[int]]:
+    """Group *misses* into worker batches, as lists of indices.
+
+    Single-core points of one app form near-equal chunks of at most
+    ``ceil(len(misses) / (BATCHES_PER_JOB * jobs))`` points, in plan
+    order.  A multicore point (its per-core traces barely repeat) and,
+    under a :class:`CheckpointPolicy`, every point (one checkpoint file
+    per point) is a batch of its own.
+    """
+    cap = -(-len(misses) // (BATCHES_PER_JOB * max(1, jobs)))
+    batches: List[List[int]] = []
+    by_app: Dict[str, List[int]] = {}
+    for index, (_key, point) in enumerate(misses):
+        if checkpoint is not None or isinstance(point, MulticorePoint):
+            batches.append([index])
+        else:
+            by_app.setdefault(point.app, []).append(index)
+    for group in by_app.values():
+        n_chunks = -(-len(group) // cap)
+        size, extra = divmod(len(group), n_chunks)
+        start = 0
+        for chunk in range(n_chunks):
+            end = start + size + (chunk < extra)
+            batches.append(group[start:end])
+            start = end
+    return batches
+
+
+def classify_points(
+    tasks: Sequence[Tuple[str, Point]], cache
+) -> Tuple[Dict[Point, SimStats], List[Tuple[str, Point]]]:
+    """Look every ``(cache_key, point)`` task up in *cache* once.
+
+    Returns ``({point: stats}, misses)``: the results the cache served,
+    and the tasks it did not, in plan order.
+    """
+    hits: Dict[Point, SimStats] = {}
+    misses: List[Tuple[str, Point]] = []
+    for key, point in tasks:
+        stats = cache.get(key)
+        if stats is None:
+            misses.append((key, point))
+        else:
+            hits[point] = stats
+    return hits, misses
+
+
+def compute_points(
+    misses: Sequence[Tuple[str, Point]],
+    cache,
+    jobs: int = 1,
+    checkpoint: Optional[CheckpointPolicy] = None,
+    mp_context: Optional[str] = None,
+    always_pool: bool = False,
+) -> Dict[Point, SimStats]:
+    """Simulate the ``(cache_key, point)`` *misses* and backfill *cache*.
+
+    Misses run in the batches :func:`form_batches` cuts, one pool task
+    each.  A batch's results are flushed into *cache* together as the
+    batch lands, in completion order, so an interrupt or worker crash
+    keeps every completed batch and loses only the batches in flight.
+    Returns ``{point: stats}`` in the order of *misses*.
+    """
+    batches = form_batches(misses, jobs, checkpoint)
+    work = [([misses[i] for i in batch], checkpoint) for batch in batches]
+    computed: Dict[int, SimStats] = {}
+
+    def _flush(index: int, results: List[SimStats]) -> None:
+        for i, stats in zip(batches[index], results):
+            key, point = misses[i]
+            cache.put(key, point, stats)
+            computed[i] = stats
+
+    parallel_map(
+        _execute_batch,
+        work,
+        jobs=jobs,
+        ordered=False,
+        on_result=_flush,
+        mp_context=mp_context,
+        always_pool=always_pool,
+    )
+    return {point: computed[i] for i, (_key, point) in enumerate(misses)}
+
+
 def resolve_points(
     tasks: Sequence[Tuple[str, Point]],
     cache,
@@ -493,33 +677,18 @@ def resolve_points(
 
     The one point-execution path shared by :meth:`Engine.run`, the
     design-space campaign driver's shards (:mod:`repro.explore`), and
-    the serve loop's dirty-delta recomputation.  Each computed result
-    is flushed into *cache* as it lands (not batched at the end), so an
-    interrupt or worker crash mid-batch keeps every completed
-    simulation.  Returns ``({point: stats}, n_simulated)``.
+    the serve loop's dirty-delta recomputation.  Misses run in
+    per-app batches (:func:`form_batches`), and each batch's results
+    are flushed into *cache* as the batch lands (not per point, and
+    not at the end), so an interrupt or worker crash keeps every
+    completed batch.  Returns ``({point: stats}, n_simulated)``.
     """
-    resolved: Dict[Point, SimStats] = {}
-    misses: List[Tuple[str, Point]] = []
-    for key, point in tasks:
-        hit = cache.get(key)
-        if hit is None:
-            misses.append((key, point))
-        else:
-            resolved[point] = hit
-    work = [(key, point, checkpoint) for key, point in misses]
-
-    def _flush(index: int, stats: SimStats) -> None:
-        key, point = misses[index]
-        cache.put(key, point, stats)
-        resolved[point] = stats
-
-    parallel_map(
-        _execute_task,
-        work,
-        jobs=jobs,
-        on_result=_flush,
-        mp_context=mp_context,
-        always_pool=always_pool,
+    resolved, misses = classify_points(tasks, cache)
+    resolved.update(
+        compute_points(
+            misses, cache, jobs=jobs, checkpoint=checkpoint,
+            mp_context=mp_context, always_pool=always_pool,
+        )
     )
     return resolved, len(misses)
 
@@ -669,33 +838,37 @@ class Engine:
 
     def classify(
         self, tasks: Sequence[Tuple[str, Point]]
-    ) -> Tuple[List[Tuple[str, Point]], List[Tuple[str, Point]]]:
+    ) -> Tuple[Dict[Point, SimStats], List[Tuple[str, Point]]]:
         """Split *tasks* into ``(clean, dirty)`` by cache presence.
 
         A point is *clean* iff its content-addressed key -- point plus
         dependency-sliced code salt -- already has a cached result;
         everything else is *dirty* and must simulate.  This is the
         dirtiness query the serve loop publishes per generation; it
-        never computes anything.
+        never computes anything.  *clean* maps each clean point to the
+        stats just read, so :meth:`compute` on *dirty* completes the
+        generation without reading any entry twice.
         """
-        clean: List[Tuple[str, Point]] = []
-        dirty: List[Tuple[str, Point]] = []
-        for key, point in tasks:
-            (dirty if self.cache.get(key) is None else clean).append((key, point))
-        return clean, dirty
+        return classify_points(tasks, self.cache)
 
-    def resolve(
-        self, tasks: Sequence[Tuple[str, Point]]
-    ) -> Tuple[Dict[Point, SimStats], int]:
-        """Serve *tasks* from the cache, simulating misses over the pool."""
-        return resolve_points(
-            tasks,
+    def compute(self, dirty: Sequence[Tuple[str, Point]]) -> Dict[Point, SimStats]:
+        """Simulate the *dirty* tasks over the pool and backfill the cache."""
+        return compute_points(
+            dirty,
             self.cache,
             jobs=self.jobs,
             checkpoint=self.checkpoint,
             mp_context=self.mp_context,
             always_pool=self.always_pool,
         )
+
+    def resolve(
+        self, tasks: Sequence[Tuple[str, Point]]
+    ) -> Tuple[Dict[Point, SimStats], int]:
+        """Serve *tasks* from the cache, simulating misses over the pool."""
+        resolved, dirty = self.classify(tasks)
+        resolved.update(self.compute(dirty))
+        return resolved, len(dirty)
 
     def reduce(
         self,

@@ -6,18 +6,22 @@ import pytest
 
 from repro.arch import skylake_machine
 from repro.harness.engine import (
+    BATCHES_PER_JOB,
+    CheckpointPolicy,
     Engine,
     MemoryCache,
     NullCache,
     ResultCache,
     code_salt,
     compute_point,
+    form_batches,
     parallel_map,
     point_cache_key,
 )
 from repro.harness.report import FigureResult
 from repro.harness.spec import (
     ExperimentSpec,
+    MulticorePoint,
     PlanContext,
     ResolvedResolver,
     ShapeError,
@@ -191,6 +195,126 @@ class TestParallelism:
 
 def _square(x):
     return x * x
+
+
+# ----------------------------------------------------------------------
+# Batch formation: misses run in per-app batches, one pool task each.
+# ----------------------------------------------------------------------
+def _misses(apps, n_multicore=0):
+    machine = skylake_machine(scaled=True)
+    points = [
+        SimPoint(app, scheme, machine, None, N, seed)
+        for seed, app in enumerate(apps)
+        for scheme in (baseline(), cwsp())
+    ]
+    points += [
+        MulticorePoint(("lbm", "namd"), ("lbm", "namd"), cwsp(), machine, None, N, i)
+        for i in range(n_multicore)
+    ]
+    return [(f"key-{i}", point) for i, point in enumerate(points)]
+
+
+class TestBatchFormation:
+    APPS = ["lbm"] * 9 + ["namd"] * 4 + ["milc", "lbm", "astar"] * 3
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_apps", [1, 2, 7, len(APPS)])
+    def test_partition_cap_and_app_purity(self, jobs, n_apps):
+        misses = _misses(self.APPS[:n_apps], n_multicore=2)
+        batches = form_batches(misses, jobs)
+        flat = [i for batch in batches for i in batch]
+        assert sorted(flat) == list(range(len(misses)))
+        cap = -(-len(misses) // (BATCHES_PER_JOB * jobs))
+        assert all(1 <= len(batch) <= cap for batch in batches)
+        assert len(batches) >= min(jobs, len(misses))
+        for batch in batches:
+            points = [misses[i][1] for i in batch]
+            if any(isinstance(p, MulticorePoint) for p in points):
+                assert len(batch) == 1
+            else:
+                assert len({p.app for p in points}) == 1
+            assert batch == sorted(batch)  # plan order within a batch
+        # Chunks of one app differ in size by at most one.
+        by_app = {}
+        for batch in batches:
+            point = misses[batch[0]][1]
+            if isinstance(point, SimPoint):
+                by_app.setdefault(point.app, []).append(len(batch))
+        assert all(max(sizes) - min(sizes) <= 1 for sizes in by_app.values())
+
+    def test_checkpointed_points_are_singletons(self, tmp_path):
+        misses = _misses(self.APPS, n_multicore=1)
+        policy = CheckpointPolicy(dir=str(tmp_path))
+        assert form_batches(misses, 2, policy) == [[i] for i in range(len(misses))]
+
+    def test_batch_shares_trace_and_primed_state(self, monkeypatch):
+        """A batch of one app generates each trace and primes each
+        geometry once; a point that shares nothing takes the direct path."""
+        from repro.arch.caches import CacheHierarchy
+        from repro.harness import engine as engine_mod
+
+        calls = {"trace": 0, "prime": 0}
+        real_trace, real_prime = engine_mod.generate_trace, CacheHierarchy.prime
+
+        def counting_trace(*args, **kwargs):
+            calls["trace"] += 1
+            return real_trace(*args, **kwargs)
+
+        def counting_prime(self, *args, **kwargs):
+            calls["prime"] += 1
+            return real_prime(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "generate_trace", counting_trace)
+        monkeypatch.setattr(CacheHierarchy, "prime", counting_prime)
+        machine = skylake_machine(scaled=True)
+        batch = [
+            (f"key-{i}", SimPoint("lbm", scheme, machine, instrument, N, 1))
+            for i, (scheme, instrument) in enumerate(
+                [(baseline(), None), (cwsp(), "pruned"), (cwsp(), None)]
+            )
+        ]
+        stats = engine_mod._execute_batch((batch, None))
+        # Two distinct traces, one shared primed state.
+        assert calls == {"trace": 2, "prime": 1}
+        for (_key, point), got in zip(batch, stats):
+            assert json.dumps(got.to_dict()) == json.dumps(compute_point(point).to_dict())
+        calls.update(trace=0, prime=0)
+        engine_mod._execute_batch((batch[:1], None))
+        assert calls == {"trace": 1, "prime": 1}
+
+
+def _die_on_seed_666(point, checkpoint=None, key=None, batch=None):
+    import os as _os
+    import signal as _signal
+    import time as _time
+
+    from repro.arch.machine import SimStats
+
+    if point.seed == 666:
+        _time.sleep(1.0)  # let the other worker finish + flush first
+        _os.kill(_os.getpid(), _signal.SIGKILL)
+    return SimStats(scheme=point.scheme.name)
+
+
+def test_worker_crash_keeps_every_completed_batch(monkeypatch):
+    from repro.harness import engine as engine_mod
+    from repro.harness.engine import WorkerCrash, resolve_points
+
+    # Forked workers inherit the patched compute_point.
+    monkeypatch.setattr(engine_mod, "compute_point", _die_on_seed_666)
+    machine = skylake_machine(scaled=True)
+    misses = [("key-die", SimPoint("lbm", cwsp(), machine, None, N, 666))] + _misses(
+        ["namd", "milc", "lbm", "astar", "namd"]
+    )
+    cache = CountingCache()
+    with pytest.raises(WorkerCrash, match="worker process died"):
+        resolve_points(misses, cache, jobs=2)
+    batches = form_batches(misses, 2)
+    survivors = {
+        misses[i][0] for batch in batches if 0 not in batch for i in batch
+    }
+    assert len(batches) > 2 and survivors
+    assert set(cache._store) == survivors
 
 
 class TestEngineSemantics:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,6 +26,8 @@ from repro.compiler import (
     check_regions_replayable,
     compile_module,
 )
+from repro.harness.engine import NullCache, compute_point, resolve_points
+from repro.harness.spec import SimPoint
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Module
 from repro.ir.interpreter import Interpreter, Memory, eval_binop
@@ -472,3 +475,100 @@ class TestPackedVsReference:
         profile = PROFILES["astar"]
         trace = generate_trace(profile, 2_000, seed=7, instrument="pruned", packed=True)
         _assert_packed_equals_reference(trace, machine, cwsp())
+
+
+# ----------------------------------------------------------------------
+# Batched point execution matches one point at a time
+# ----------------------------------------------------------------------
+#
+# ``resolve_points`` runs cache misses in per-app batches that share
+# one trace and one primed cache state per key.  Whatever mix of
+# points lands in a batch, every point's stats must be the bytes a
+# lone ``compute_point`` call produces.
+
+_BATCH_MACHINES = (
+    # Inside the fused loop's preconditions.
+    skylake_machine(scaled=True),
+    # A 24-set L1: outside them, so the reference loop runs.
+    skylake_machine(
+        scaled=True,
+        caches=(
+            CacheConfig("L1D", 12 << 10, 8, hit_latency=4),
+            CacheConfig("L2", 128 << 10, 16, hit_latency=44),
+        ),
+        dram_cache=DRAMCacheConfig(size_bytes=3 << 19, hit_latency=140),
+    ),
+    # A power-of-two L1 over a 192-set L2: also outside them.
+    skylake_machine(
+        scaled=True,
+        caches=(
+            CacheConfig("L1D", 16 << 10, 8, hit_latency=4),
+            CacheConfig("L2", 192 << 10, 16, hit_latency=44),
+        ),
+    ),
+)
+_BATCH_SCHEMES = (
+    baseline(), cwsp(), capri(), psp_ideal(), replace(cwsp(), pb_entries_override=4),
+)
+
+
+def test_batch_machines_cover_both_loops():
+    fast = {TimingSimulator(m, cwsp())._packed_fast for m in _BATCH_MACHINES}
+    assert fast == {True, False}
+    assert not all(s.dram_cache_enabled for s in _BATCH_SCHEMES)
+
+
+@st.composite
+def batch_misses(draw):
+    # Few values per field, so batches repeat trace and prime keys.
+    def few(values):
+        return st.sampled_from(draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)))
+
+    points = draw(
+        st.lists(
+            st.builds(
+                SimPoint,
+                app=few(sorted(PROFILES)),
+                scheme=st.sampled_from(_BATCH_SCHEMES),
+                machine=few(_BATCH_MACHINES),
+                instrument=few([None, "unpruned", "pruned"]),
+                n_insts=few([0, 40, 300]),
+                seed=few([1, 2]),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return [(f"key-{i}", point) for i, point in enumerate(dict.fromkeys(points))]
+
+
+def _stats_json(stats):
+    return json.dumps(stats.to_dict(), sort_keys=True)
+
+
+def _assert_batched_equals_per_point(misses, jobs):
+    resolved, n_simulated = resolve_points(misses, NullCache(), jobs=jobs)
+    assert n_simulated == len(misses)
+    for _key, point in misses:
+        assert _stats_json(resolved[point]) == _stats_json(compute_point(point))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(misses=batch_misses())
+def test_batched_resolve_matches_per_point_compute(misses):
+    _assert_batched_equals_per_point(misses, jobs=1)
+
+
+def test_batched_resolve_matches_per_point_compute_two_jobs():
+    machine = _BATCH_MACHINES[0]
+    misses = [
+        (f"key-{i}", SimPoint(app, scheme, machine, instrument, 300, seed))
+        for i, (app, scheme, instrument, seed) in enumerate(
+            (app, scheme, instrument, seed)
+            for app in ("astar", "lbm")
+            for scheme in _BATCH_SCHEMES
+            for instrument in (None, "pruned")
+            for seed in (1, 2)
+        )
+    ]
+    _assert_batched_equals_per_point(misses, jobs=2)

@@ -109,6 +109,26 @@ class TestResultsServer:
             tmp_path / "out" / "artifacts" / "tiny.json"
         ).read_bytes() == artifact
 
+    def test_each_generation_reads_each_entry_once(self, tmp_path, tiny_specs):
+        server = _server(tmp_path, tiny_specs)
+        inner = server.cache
+        gets = []
+
+        class CountingCache:
+            def get(self, key):
+                gets.append(key)
+                return inner.get(key)
+
+            def put(self, key, point, stats):
+                inner.put(key, point, stats)
+
+        server.cache = CountingCache()
+        for reason in ("initial", "edit"):
+            gets.clear()
+            entry = server.run_generation(reason, [])
+            assert len(gets) == len(set(gets)) == entry["planned"]
+        assert entry["dirty"] == 0
+
     def test_generation_numbering_survives_restart(self, tmp_path, tiny_specs):
         _server(tmp_path, tiny_specs).run_generation("initial", [])
         reborn = _server(tmp_path, tiny_specs)
