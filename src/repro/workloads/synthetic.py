@@ -30,10 +30,20 @@ runs), or cut-and-resumed (the stream's :meth:`~SyntheticStream
 .snapshot`/:meth:`~SyntheticStream.restore` capture the carried state
 plus both PRNG states at block boundaries -- the checkpoint layer's
 trace descriptor).
+
+Computation.  A block is built with NumPy array operations rather than
+one Python iteration per instruction: op kinds are element-wise
+compares of the drawn arrays, each sweep class is a segmented scan
+over its accesses, the stream pointer is one ``cumsum``, and Python
+loops run only over burst starts and region boundaries.  The draws,
+their order, and every carried value are those of the per-instruction
+walk kept in ``tests/trace_oracle.py``, which is the specification:
+the emitted stream and the carried state are bit-identical to it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -66,6 +76,13 @@ _BURST_MEAN_WORDS = 12
 #: generator this replaced.
 _GEN_BLOCK = 131072
 
+#: Sweep classes by id; ``_STREAM_ID`` marks stream-class accesses and
+#: ``_BURST_ID`` burst starts, the events that advance ``stream_ptr``.
+_SWEEP_CLASSES = tuple(CLASS_SIZES)
+_STREAM_ID = len(_SWEEP_CLASSES)
+_BURST_ID = _STREAM_ID + 1
+_A, _B, _C, _L, _S, _X = b"abclsx"
+
 
 def _app_base(name: str) -> int:
     # Stable (PYTHONHASHSEED-independent) app id.
@@ -86,11 +103,30 @@ def prime_ranges(profile: AppProfile) -> List[Tuple[int, int]]:
     return [(base + _CLASS_OFFSETS[c], CLASS_SIZES[c]) for c in sorted(used)]
 
 
-def _class_sampler(weights, rng: np.random.Generator, n: int):
+def _class_sampler(weights, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw the class ids of *n* accesses with probabilities *weights*.
+
+    The sampled index is bit-identical to ``rng.choice(len(weights),
+    size=n, p=probs)``, which normalises ``probs.cumsum()`` into a cdf,
+    draws one ``random()`` per sample and returns the count of cdf
+    entries at or below it (``searchsorted(side="right")``).  One
+    compare per class counts the same thing several times faster than
+    a binary search per sample.
+    """
     names = [w[0] for w in weights]
+    ids = np.array(
+        [_STREAM_ID if c == "stream" else _SWEEP_CLASSES.index(c) for c in names],
+        dtype=np.int8,
+    )
     probs = np.array([w[1] for w in weights])
     probs = probs / probs.sum()
-    return names, rng.choice(len(names), size=n, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    choice = np.zeros(n, dtype=np.int8)
+    for edge in cdf[:-1]:  # u < 1.0 == cdf[-1]
+        choice += u >= edge
+    return ids[choice]
 
 
 class SyntheticStream:
@@ -115,6 +151,8 @@ class SyntheticStream:
     ) -> None:
         if instrument not in (None, "unpruned", "pruned"):
             raise ValueError(f"bad instrument mode {instrument!r}")
+        if block < 1:
+            raise ValueError(f"bad generation block {block!r}: must be >= 1")
         self.profile = profile
         self.n_insts = n_insts
         self.seed = seed
@@ -160,135 +198,213 @@ class SyntheticStream:
         remaining = self.n_insts - self.emitted
         if remaining <= 0:
             return None
-        block_n = min(self.block, remaining)
+        n = min(self.block, remaining)
         rng = self.rng
 
-        # Pre-drawn arrays, converted to Python lists once: per-index
-        # access in the hot loop then never touches numpy scalars (the
-        # float values are bit-identical either way).  The draw order
-        # per block is the contract the stream's determinism rests on.
-        op_r = rng.random(block_n).tolist()
-        load_cut = profile.load_frac
-        store_cut = profile.load_frac + profile.store_frac
+        # The draw order per block is the contract the stream's
+        # determinism rests on.
+        op_r = rng.random(n)
         atomic_p = profile.atomics_per_kinst / 1000.0
-        atomic_r = rng.random(block_n).tolist() if atomic_p > 0 else None
-        lnames, lchoice = _class_sampler(profile.load_classes, rng, block_n)
-        snames, schoice = _class_sampler(profile.store_classes, rng, block_n)
-        lchoice = lchoice.tolist()
-        schoice = schoice.tolist()
-        off_r = rng.random(block_n).tolist()
-        jump_r = rng.random(block_n).tolist()
-        burst_r = rng.random(block_n).tolist() if profile.store_burst > 0 else None
-        burst_len_r = rng.geometric(
-            1.0 / _BURST_MEAN_WORDS, size=max(1, block_n // 4)
-        ).tolist()
+        atomic_r = rng.random(n) if atomic_p > 0 else None
+        load_cls = _class_sampler(profile.load_classes, rng, n)
+        store_cls = _class_sampler(profile.store_classes, rng, n)
+        off_r = rng.random(n)
+        jump_r = rng.random(n)
+        burst_r = rng.random(n) if profile.store_burst > 0 else None
+        burst_len_r = rng.geometric(1.0 / _BURST_MEAN_WORDS, size=max(1, n // 4))
 
-        sweep = self.sweep
-        words = self._words
-        class_base = self._class_base
-        jump_frac = profile.jump_frac
-        store_burst = profile.store_burst
-        hot_base = class_base["hot"]
-        hot_words = words["hot"]
+        # Op kinds: element-wise, atomics taking precedence.
+        is_load = op_r < profile.load_frac
+        is_store = ~is_load & (op_r < profile.load_frac + profile.store_frac)
+        codes = np.full(n, _A, dtype=np.uint8)
+        addrs = np.zeros(n, dtype=np.int64)
+        if atomic_r is not None:
+            is_atomic = atomic_r < atomic_p
+            is_load &= ~is_atomic
+            is_store &= ~is_atomic
+            atomic_idx = np.flatnonzero(is_atomic)
+            codes[atomic_idx] = _X
+            addrs[atomic_idx] = self._class_base["hot"] + (
+                (off_r[atomic_idx] * self._words["hot"]).astype(np.int64) << 3
+            )
+        else:
+            atomic_idx = np.empty(0, dtype=np.int64)
+        load_idx = np.flatnonzero(is_load)
+        store_idx = np.flatnonzero(is_store)
+        codes[load_idx] = _L
+        codes[store_idx] = _S
 
-        stream_ptr = self.stream_ptr
+        # Store bursts, in store order: the carried burst continues
+        # over the first stores, then each candidate store outside a
+        # burst starts one of the next pre-drawn length, covering the
+        # stores after it.  Only burst starts are iterated.
+        n_stores = len(store_idx)
         burst_left = self.burst_left
-        burst_ptr = self.burst_ptr
-        burst_idx = 0
-        n_burst_lens = len(burst_len_r)
+        starts: List[int] = []
+        lens: List[int] = []
+        pos = burst_left
+        if burst_r is not None:
+            cand = np.flatnonzero(burst_r[store_idx] < profile.store_burst).tolist()
+            if cand:
+                n_lens = len(burst_len_r)
+                # At most one start per candidate.
+                blens = burst_len_r[: len(cand)].tolist()
+                k = bisect_left(cand, pos)
+                while k < len(cand):
+                    s = cand[k]
+                    length = blens[len(starts) % n_lens]
+                    starts.append(s)
+                    lens.append(length)
+                    pos = s + 1 + length
+                    k = bisect_left(cand, pos, k + 1)
+        self.burst_left = max(pos - n_stores, 0)
+        in_burst = np.zeros(n_stores + 1, dtype=np.int64)
+        in_burst[0] = 1
+        in_burst[min(burst_left, n_stores)] -= 1
+        if starts:
+            start_s = np.array(starts, dtype=np.int64)
+            len_s = np.array(lens, dtype=np.int64)
+            in_burst[start_s] += 1
+            in_burst[np.minimum(start_s + 1 + len_s, n_stores)] -= 1
+        burst_s = np.cumsum(in_burst[:n_stores]) > 0  # starts included
 
-        # Instrumentation state: an independent RNG stream, modelling
-        # the compiled-with-cWSP binary.  Fused into the generation
-        # loop -- each boundary decision happens just before its core
-        # event is appended, exactly where the old rewrite pass
-        # inserted it.
-        instrumenting = self._instrumenting
-        if instrumenting:
-            geometric = self.irng.geometric
-            ckpts_per_region = self._ckpts_per_region
-            ckpt_base = self._ckpt_base
-            region_p = self._region_p
-            region_left = self.region_left
-            ckpt_accum = self.ckpt_accum
-            slot = self.slot
+        # Class accesses: loads, and stores outside bursts.
+        cls = np.full(n, -1, dtype=np.int8)
+        cls[load_idx] = load_cls[load_idx]
+        reg_idx = store_idx[~burst_s]
+        cls[reg_idx] = store_cls[reg_idx]
+        if starts:
+            start_idx = store_idx[start_s]
+            cls[start_idx] = _BURST_ID
 
-        codes: List[str] = []
-        addrs: List[int] = []
-        cappend = codes.append
-        aappend = addrs.append
+        # Stream pointer: one cumsum over the events that advance it,
+        # by 8 per stream access and by 8 + (L << 3) per burst start
+        # (which itself takes the first of its L + 1 words).
+        moves = np.flatnonzero(cls >= _STREAM_ID)
+        if len(moves):
+            incr = np.full(len(moves), 8, dtype=np.int64)
+            if starts:
+                incr[cls[moves] == _BURST_ID] += len_s << 3
+            ptr = self.stream_ptr + np.cumsum(incr)
+            addrs[moves] = ptr
+            if starts:
+                addrs[start_idx] -= len_s << 3
+            self.stream_ptr = int(ptr[-1])
 
-        for i in range(block_n):
-            if atomic_r is not None and atomic_r[i] < atomic_p:
-                code = "x"
-                a = hot_base + (int(off_r[i] * hot_words) << 3)
-            else:
-                r = op_r[i]
-                if r < load_cut:
-                    code = "l"
-                    cname = lnames[lchoice[i]]
-                    if cname == "stream":
-                        stream_ptr += 8
-                        a = stream_ptr
-                    elif jump_r[i] < jump_frac:
-                        off = int(off_r[i] * words[cname])
-                        sweep[cname] = off
-                        a = class_base[cname] + (off << 3)
-                    else:
-                        off = sweep[cname] = (sweep[cname] + 1) % words[cname]
-                        a = class_base[cname] + (off << 3)
-                elif r < store_cut:
-                    code = "s"
-                    if burst_left > 0:
-                        burst_left -= 1
-                        burst_ptr += 8
-                        a = burst_ptr
-                    elif burst_r is not None and burst_r[i] < store_burst:
-                        burst_left = burst_len_r[burst_idx % n_burst_lens]
-                        burst_idx += 1
-                        stream_ptr += 8
-                        burst_ptr = stream_ptr
-                        stream_ptr += burst_left << 3
-                        a = burst_ptr
-                    else:
-                        cname = snames[schoice[i]]
-                        if cname == "stream":
-                            stream_ptr += 8
-                            a = stream_ptr
-                        elif jump_r[i] < jump_frac:
-                            off = int(off_r[i] * words[cname])
-                            sweep[cname] = off
-                            a = class_base[cname] + (off << 3)
-                        else:
-                            off = sweep[cname] = (sweep[cname] + 1) % words[cname]
-                            a = class_base[cname] + (off << 3)
-                else:
-                    code = "a"
-                    a = 0
-            if instrumenting:
-                if region_left <= 0 or code == "x":
-                    # Synchronization points are region boundaries too.
-                    cappend("b")
-                    aappend(0)
-                    ckpt_accum += ckpts_per_region
-                    while ckpt_accum >= 1.0:
-                        ckpt_accum -= 1.0
-                        slot = (slot + 1) % _CKPT_SLOTS
-                        cappend("c")
-                        aappend(ckpt_base + slot * 8)
-                    region_left = int(geometric(region_p))
-                region_left -= 1
-            cappend(code)
-            aappend(a)
+        # Burst continuations: each walks on from its burst's start
+        # (or from the carried ``burst_ptr`` before the first start).
+        burst_idx = store_idx[burst_s]
+        if len(burst_idx):
+            anchor = np.full(n_stores, -1, dtype=np.int64)
+            if starts:
+                anchor[start_s] = start_s
+            anchor = np.maximum.accumulate(anchor)[burst_s]
+            steps = np.flatnonzero(burst_s) - anchor
+            anchor_addr = np.where(
+                anchor >= 0, addrs[store_idx[anchor]], self.burst_ptr
+            )
+            addrs[burst_idx] = anchor_addr + (steps << 3)
+            self.burst_ptr = int(addrs[burst_idx[-1]])
 
-        self.stream_ptr = stream_ptr
-        self.burst_left = burst_left
-        self.burst_ptr = burst_ptr
-        if instrumenting:
-            self.region_left = region_left
-            self.ckpt_accum = ckpt_accum
-            self.slot = slot
-        self.emitted += block_n
-        return PackedTrace("".join(codes), addrs)
+        # Sweep pointers: a segmented scan per class, restarted at
+        # each jump (whose offset is stored unreduced, as the
+        # sequential walk stores it).
+        jump_frac = profile.jump_frac
+        for cid, cname in enumerate(_SWEEP_CLASSES):
+            idx = np.flatnonzero(cls == cid)
+            if not len(idx):
+                continue
+            words = self._words[cname]
+            jumps = jump_r[idx] < jump_frac
+            jump_off = (off_r[idx] * words).astype(np.int64)
+            ar = np.arange(len(idx))
+            last = np.maximum.accumulate(np.where(jumps, ar, -1))
+            base = np.where(last >= 0, jump_off[last], self.sweep[cname])
+            off = np.where(jumps, jump_off, (base + ar - last) % words)
+            addrs[idx] = self._class_base[cname] + (off << 3)
+            self.sweep[cname] = int(off[-1])
+
+        self.emitted += n
+        if self._instrumenting:
+            codes, addrs = self._instrument(codes, addrs, atomic_idx)
+        return PackedTrace(codes.tobytes().decode("ascii"), addrs.tolist())
+
+    def _instrument(
+        self, codes: np.ndarray, addrs: np.ndarray, atomic_idx: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Insert region boundaries and checkpoint stores into a block.
+
+        Loops over boundaries only: the next one falls at ``min(pos +
+        region_left, next atomic)`` (synchronization points are region
+        boundaries too).  Each boundary draws one region length, and
+        the ``ckpt_accum`` float adds keep their per-boundary order, so
+        the carried state is the per-instruction walk's exactly.
+        """
+        n = len(codes)
+        atomics = atomic_idx.tolist()
+        atomics.append(n)  # sentinel
+        # Region lengths are drawn in bulk (a bulk geometric draw equals
+        # the same count of scalar draws, generator state included),
+        # then the generator is rewound and advanced by the count used.
+        irng = self.irng
+        region_p = self._region_p
+        state = irng.bit_generator.state
+        batch = (n + (n >> 3)) // max(1, int(self.profile.region_len))
+        batch += len(atomics) + 16
+        draws = irng.geometric(region_p, size=batch).tolist()
+        n_draws = batch
+        next_atomic = atomics[0]
+        ai = 0
+        bounds: List[int] = []
+        nb = 0
+        nxt = self.region_left  # next boundary unless an atomic comes first
+        while True:
+            b = nxt if nxt < next_atomic else next_atomic
+            if b >= n:
+                break
+            if b == next_atomic:
+                ai += 1
+                next_atomic = atomics[ai]
+            bounds.append(b)
+            if nb == n_draws:
+                draws.extend(irng.geometric(region_p, size=batch).tolist())
+                n_draws += batch
+            nxt = b + draws[nb]
+            nb += 1
+        self.region_left = nxt - n
+        if nb != n_draws:
+            irng.bit_generator.state = state
+            irng.geometric(region_p, size=nb)
+
+        cpr = self._ckpts_per_region
+        accum = self.ckpt_accum
+        n_ckpts: List[int] = []
+        for _ in range(nb):
+            accum += cpr
+            c = 0
+            while accum >= 1.0:
+                accum -= 1.0
+                c += 1
+            n_ckpts.append(c)
+        self.ckpt_accum = accum
+        if not bounds:
+            return codes, addrs
+
+        # Scatter: each boundary inserts its ``b`` and then its
+        # checkpoint stores before its core event.
+        inserts = np.array(n_ckpts, dtype=np.int64) + 1
+        at_b = np.cumsum(inserts) - inserts
+        n_ins = int(at_b[-1] + inserts[-1])
+        is_b = np.zeros(n_ins, dtype=bool)
+        is_b[at_b] = True
+        slots = (self.slot + 1 + np.arange(n_ins - nb)) % _CKPT_SLOTS
+        self.slot = (self.slot + n_ins - nb) % _CKPT_SLOTS
+        ins_addrs = np.zeros(n_ins, dtype=np.int64)
+        ins_addrs[~is_b] = self._ckpt_base + (slots << 3)
+        at = np.repeat(np.array(bounds, dtype=np.int64), inserts)
+        codes = np.insert(codes, at, np.where(is_b, _B, _C))
+        addrs = np.insert(addrs, at, ins_addrs)
+        return codes, addrs
 
     # -- checkpoint protocol -------------------------------------------
     def spec(self) -> Dict[str, object]:

@@ -37,7 +37,13 @@ from repro.ir.values import Reg, to_s64
 from repro.recovery import PersistenceConfig, check_crash_consistency
 from repro.schemes.catalog import baseline, capri, cwsp, ido, psp_ideal, replaycache
 from repro.workloads.profiles import PROFILES
-from repro.workloads.synthetic import generate_trace, prime_ranges
+from repro.workloads.synthetic import (
+    _GEN_BLOCK,
+    SyntheticStream,
+    generate_trace,
+    prime_ranges,
+)
+from tests.trace_oracle import OracleStream
 
 # ----------------------------------------------------------------------
 # eval_binop matches a Python reference model
@@ -572,3 +578,49 @@ def test_batched_resolve_matches_per_point_compute_two_jobs():
         )
     ]
     _assert_batched_equals_per_point(misses, jobs=2)
+
+
+# ----------------------------------------------------------------------
+# Vectorised trace generation matches the per-instruction oracle
+# ----------------------------------------------------------------------
+
+
+def _assert_stream_matches_oracle(stream, oracle):
+    """Drain both streams: every block and every carried state agree."""
+    while True:
+        got, want = stream.next_chunk(), oracle.next_chunk()
+        assert json.dumps(stream.snapshot()) == json.dumps(oracle.snapshot())
+        if got is None or want is None:
+            assert got is want
+            return
+        assert got.codes == want.codes
+        assert got.addrs == want.addrs
+
+
+# Small blocks carry burst and region state across block edges.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    app=st.sampled_from(sorted(PROFILES)),
+    instrument=st.sampled_from([None, "unpruned", "pruned"]),
+    n_insts=st.integers(min_value=0, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32),
+    block=st.sampled_from([1, 2, 7, 257, 1000, _GEN_BLOCK]),
+    cut=st.integers(min_value=0, max_value=3000),
+)
+def test_stream_matches_per_instruction_oracle(app, instrument, n_insts, seed, block, cut):
+    args = (PROFILES[app], n_insts, seed, instrument, block)
+    _assert_stream_matches_oracle(SyntheticStream(*args), OracleStream(*args))
+
+    # Cut the oracle at a block boundary; a restored stream emits the rest.
+    oracle = OracleStream(*args)
+    for _ in range(cut % (-(-n_insts // block) + 1)):
+        oracle.next_chunk()
+    resumed = SyntheticStream(*args)
+    resumed.restore(json.loads(json.dumps(oracle.snapshot())))
+    _assert_stream_matches_oracle(resumed, oracle)
+
+
+@pytest.mark.parametrize("app", sorted(PROFILES))
+def test_pruned_stream_matches_per_instruction_oracle(app):
+    args = (PROFILES[app], 20_000, 7, "pruned")
+    _assert_stream_matches_oracle(SyntheticStream(*args), OracleStream(*args))

@@ -13,7 +13,7 @@ from repro.workloads import (
     generate_trace,
     trace_ir_program,
 )
-from repro.workloads.synthetic import prime_ranges
+from repro.workloads.synthetic import SyntheticStream, prime_ranges
 from tests.conftest import build_rmw_loop
 
 
@@ -121,6 +121,17 @@ class TestGenerator:
     def test_bad_instrument_mode_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(PROFILES["namd"], 100, instrument="bogus")
+
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_nonpositive_block_rejected(self, block):
+        # A block below 1 would emit empty chunks forever.
+        with pytest.raises(ValueError, match=f"block {block}"):
+            SyntheticStream(PROFILES["namd"], 100, block=block)
+
+    def test_nonpositive_block_rejected_from_spec(self):
+        spec = dict(SyntheticStream(PROFILES["namd"], 100).spec(), block=0)
+        with pytest.raises(ValueError, match="block 0"):
+            SyntheticStream.from_spec(spec)
 
     def test_prime_ranges_cover_used_classes(self):
         ranges = prime_ranges(PROFILES["xsbench"])
