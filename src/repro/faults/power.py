@@ -29,6 +29,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+# Module-level on purpose: the harness imports this module only inside
+# the ``intermittent`` reducer, so numpy stays off its start-up path.
 import numpy as np
 
 from repro.arch.config import MachineConfig, skylake_machine

@@ -642,6 +642,9 @@ def compute_points(
     keeps every completed batch and loses only the batches in flight.
     Returns ``{point: stats}`` in the order of *misses*.
     """
+    if misses:  # load NumPy once, before the pool forks workers that inherit it
+        import numpy  # noqa: F401
+
     batches = form_batches(misses, jobs, checkpoint)
     work = [([misses[i] for i in batch], checkpoint) for batch in batches]
     computed: Dict[int, SimStats] = {}

@@ -39,17 +39,21 @@ loops run only over burst starts and region boundaries.  The draws,
 their order, and every carried value are those of the per-instruction
 walk kept in ``tests/trace_oracle.py``, which is the specification:
 the emitted stream and the carried state are bit-identical to it.
+NumPy is imported inside the functions that build arrays, so a
+process that imports this module but builds no trace -- a fully
+cached harness run -- never loads it (DESIGN.md section 7e).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.arch.trace import EventView, PackedTrace
 from repro.workloads.profiles import AppProfile, CLASS_SIZES, PROFILES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Event = Tuple
 
@@ -113,6 +117,7 @@ def _class_sampler(weights, rng: np.random.Generator, n: int) -> np.ndarray:
     compare per class counts the same thing several times faster than
     a binary search per sample.
     """
+    import numpy as np
     names = [w[0] for w in weights]
     ids = np.array(
         [_STREAM_ID if c == "stream" else _SWEEP_CLASSES.index(c) for c in names],
@@ -164,6 +169,7 @@ class SyntheticStream:
         self._words = {c: s >> 3 for c, s in CLASS_SIZES.items()}
         self._class_base = {c: base + off for c, off in _CLASS_OFFSETS.items()}
 
+        import numpy as np
         self.rng = np.random.default_rng(seed * 1_000_003 + 17)
         self.emitted = 0
         self.sweep = {c: 0 for c in CLASS_SIZES}
@@ -194,6 +200,7 @@ class SyntheticStream:
 
     def next_chunk(self) -> Optional[PackedTrace]:
         """Generate and return the next block, or ``None`` at the end."""
+        import numpy as np
         profile = self.profile
         remaining = self.n_insts - self.emitted
         if remaining <= 0:
@@ -340,6 +347,7 @@ class SyntheticStream:
         the ``ckpt_accum`` float adds keep their per-boundary order, so
         the carried state is the per-instruction walk's exactly.
         """
+        import numpy as np
         n = len(codes)
         atomics = atomic_idx.tolist()
         atomics.append(n)  # sentinel

@@ -362,8 +362,10 @@ class TestSaltRecipe:
         from repro.harness.engine import salt_recipe
 
         modules = set(salt_recipe()["modules"])
-        # Everything a simulation point executes...
-        assert {
+        # Exactly what a simulation point executes: a superset check
+        # would let an import moved into a function (invisible to the
+        # module-level AST walk) silently drop a module from the key.
+        assert modules == {
             "repro.arch.machine",
             "repro.arch.multicore",
             "repro.arch.caches",
@@ -375,7 +377,7 @@ class TestSaltRecipe:
             "repro.schemes.catalog",
             "repro.workloads.profiles",
             "repro.workloads.synthetic",
-        } <= modules
+        }
         # ...and nothing a point never touches: the harness itself,
         # the compiler/IR stack, the fault engine, and the
         # contract-pinned checkpoint drivers.

@@ -1,0 +1,82 @@
+"""Start-up cost: numpy loads only when a run builds traces.
+
+numpy is over half of ``import repro.harness.cli``, and only trace
+generation (``repro.workloads.synthetic``) needs it, so it is imported
+inside the functions that build arrays.  A warm figure run, which
+simulates nothing, must never load it.  A cold run loads it once in the
+parent before the worker pool forks, so forked workers inherit that
+copy instead of each importing their own (DESIGN.md section 7e).
+
+Each check runs in a fresh interpreter: the test process itself has
+long since imported numpy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUN_ARGS = ["--jobs", "2", "--n-insts", "1000", "fig13", "multicore", "hw", "fig18"]
+
+
+def _python(code: str, cwd: Path) -> str:
+    """Run *code* in a fresh interpreter; return its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.harness.cli", "repro.explore.cli", "repro.harness.serve"]
+)
+def test_cli_import_does_not_load_numpy(module, tmp_path):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    assert _python(code, tmp_path) == "False"
+
+
+def test_warm_run_does_not_load_numpy(tmp_path):
+    cold = ["--cache-dir", "cache", "--out", "cold"]
+    warm = ["--cache-dir", "cache", "--out", "warm"]
+    run = "import sys; from repro.harness.cli import main; main({!r}); "
+    _python(run.format(RUN_ARGS + cold), tmp_path)
+    code = run.format(RUN_ARGS + warm) + "print('numpy' in sys.modules)"
+    assert _python(code, tmp_path) == "False"
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        cold_bytes = (tmp_path / "cold" / name).read_bytes()
+        assert (tmp_path / "warm" / name).read_bytes() == cold_bytes, name
+
+
+def test_compute_points_imports_numpy_before_forking(tmp_path):
+    # Two apps make two batches, so both run in pool workers and the
+    # parent never builds a trace itself: numpy in the parent's
+    # sys.modules can only come from the pre-fork import.
+    code = """
+import sys
+from repro.arch import skylake_machine
+from repro.harness.engine import NullCache, compute_points
+from repro.harness.spec import SimPoint
+from repro.schemes import cwsp
+machine = skylake_machine(scaled=True)
+misses = [
+    (f"key-{app}", SimPoint(app, cwsp(), machine, None, 200, 1))
+    for app in ("namd", "lbm")
+]
+assert "numpy" not in sys.modules
+resolved = compute_points(misses, NullCache(), jobs=2)
+assert len(resolved) == 2
+print("numpy" in sys.modules)
+"""
+    assert _python(code, tmp_path) == "True"
