@@ -13,7 +13,7 @@ from repro.arch import simulate, skylake_machine
 from repro.compiler import check_idempotence_static, compile_module
 from repro.ir import IRBuilder, Interpreter, Reg, print_module
 from repro.schemes import baseline, cwsp
-from repro.workloads import trace_ir_program
+from repro.workloads.adapter import trace_ir_program
 
 
 def build_program():

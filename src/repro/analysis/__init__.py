@@ -7,27 +7,7 @@ support region-boundary placement at loop headers.
 
 ``pareto`` is the odd one out: generic multi-objective dominance used
 by the design-space exploration frontier (:mod:`repro.explore`).
+
+The package re-exports nothing: import the submodule you use, so that
+loading ``pareto`` does not load the IR analyses.
 """
-
-from repro.analysis.cfg import CFG
-from repro.analysis.dominators import DominatorTree
-from repro.analysis.loops import Loop, find_loops
-from repro.analysis.liveness import Liveness
-from repro.analysis.alias import AliasAnalysis, Location, TOP_SITE
-from repro.analysis.pareto import dominates, front_indices, pareto_front
-from repro.analysis.reaching import ReachingDefs
-
-__all__ = [
-    "AliasAnalysis",
-    "CFG",
-    "DominatorTree",
-    "Liveness",
-    "Location",
-    "Loop",
-    "ReachingDefs",
-    "TOP_SITE",
-    "dominates",
-    "find_loops",
-    "front_indices",
-    "pareto_front",
-]

@@ -7,6 +7,9 @@ controllers' write-pending queues, and the NVM devices are modelled as
 queues of completion timestamps.  Absolute cycle counts are
 approximate; the paper's comparisons are all *normalized slowdowns*,
 which this model reproduces in shape.
+
+The cut-and-resume drivers live in :mod:`repro.arch.checkpoint`, which
+this package does not import: only checkpointed runs load it.
 """
 
 from repro.arch.config import (
@@ -26,19 +29,11 @@ from repro.arch.caches import CacheHierarchy, DirectMappedCache, SetAssocCache
 from repro.arch.trace import EventView, PackedTrace, unpack_events
 from repro.arch.machine import SimStats, TimingSimulator, simulate
 from repro.arch.multicore import MulticoreSimulator, MulticoreStats, simulate_multicore
-from repro.arch.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointableRun,
-    MulticoreCheckpointableRun,
-    SimCheckpoint,
-)
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "CXL_DEVICES",
     "CacheConfig",
     "CacheHierarchy",
-    "CheckpointableRun",
     "CompletionQueue",
     "Counter",
     "DRAMCacheConfig",
@@ -47,7 +42,6 @@ __all__ = [
     "Gauge",
     "MachineConfig",
     "MetricSet",
-    "MulticoreCheckpointableRun",
     "Ratio",
     "TimeWeighted",
     "MulticoreSimulator",
@@ -56,7 +50,6 @@ __all__ = [
     "NVM_TECHS",
     "PackedTrace",
     "Scheme",
-    "SimCheckpoint",
     "simulate_multicore",
     "SetAssocCache",
     "SimStats",

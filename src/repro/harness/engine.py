@@ -33,11 +33,8 @@ import ast
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -116,9 +113,12 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     return False
 
 
-def _module_level_imports(path: Path) -> List[str]:
-    """Dotted ``repro.*`` module names imported at module level.
+def _import_candidates(source: bytes) -> List[Tuple[str, Optional[str]]]:
+    """``repro.*`` imports at module level, as ``(module, name)`` pairs.
 
+    ``import repro.x`` gives ``("repro.x", None)``; ``from repro.pkg
+    import name`` gives ``("repro.pkg", "name")``, which
+    :func:`compute_salt_recipe` resolves against the tree.
     Walks only module-level statements (recursing through top-level
     ``if``/``try`` blocks), so lazy function-level imports -- the
     checkpoint drivers -- stay out of the salt.
@@ -133,25 +133,19 @@ def _module_level_imports(path: Path) -> List[str]:
       optional import is a real runtime dependency whenever the module
       is present, and silently dropping it would leave stale caches
       live after an edit.
-
-    ``from pkg.mod import name`` resolves to ``pkg.mod.name`` when that
-    is itself a module, else to ``pkg.mod`` (e.g. a package
-    ``__init__`` re-export, whose own imports are then followed).
     """
-    tree = ast.parse(path.read_bytes())
-    found: List[str] = []
+    found: List[Tuple[str, Optional[str]]] = []
 
     def visit(stmts) -> None:
         for node in stmts:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.startswith("repro."):
-                        found.append(alias.name)
+                        found.append((alias.name, None))
             elif isinstance(node, ast.ImportFrom):
                 if node.level == 0 and node.module and node.module.startswith("repro"):
                     for alias in node.names:
-                        sub = f"{node.module}.{alias.name}"
-                        found.append(sub if module_file(sub) else node.module)
+                        found.append((node.module, alias.name))
             elif isinstance(node, ast.If):
                 if not _is_type_checking_test(node.test):
                     visit(node.body)
@@ -163,8 +157,14 @@ def _module_level_imports(path: Path) -> List[str]:
                 visit(node.orelse)
                 visit(node.finalbody)
 
-    visit(tree.body)
+    visit(ast.parse(source).body)
     return found
+
+
+#: File sha256 -> :func:`_import_candidates` of those bytes: a process
+#: parses each version of a file once, however often the recipe is
+#: recomputed (the serve loop does so on every poll).
+_CANDIDATES_BY_DIGEST: Dict[str, List[Tuple[str, Optional[str]]]] = {}
 
 
 def compute_salt_recipe(
@@ -177,6 +177,11 @@ def compute_salt_recipe(
     service (:mod:`repro.harness.serve`) calls this on every poll tick
     to re-derive the closure from what is on disk *now* -- the cached
     :func:`salt_recipe` would keep serving the boot-time tree forever.
+    Only the parse is memoised, by content; resolution is not, because
+    whether ``from pkg.mod import name`` names a module depends on other
+    files: it resolves to ``pkg.mod.name`` when that is itself a module,
+    else to ``pkg.mod`` (e.g. a package ``__init__`` re-export, whose
+    own imports are then followed).
     *entries*/*excluded* are parameterized so tests can plant fixture
     modules and assert exactly which import styles land in the recipe.
     """
@@ -189,8 +194,14 @@ def compute_salt_recipe(
         path = module_file(name)
         if path is None:
             continue
-        modules[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        queue.extend(_module_level_imports(path))
+        source = path.read_bytes()
+        digest = modules[name] = hashlib.sha256(source).hexdigest()
+        candidates = _CANDIDATES_BY_DIGEST.get(digest)
+        if candidates is None:
+            candidates = _CANDIDATES_BY_DIGEST[digest] = _import_candidates(source)
+        for module, attr in candidates:
+            sub = f"{module}.{attr}"
+            queue.append(sub if attr and module_file(sub) else module)
     return {
         "entries": sorted(entries),
         "excluded": sorted(excluded),
@@ -237,11 +248,38 @@ def code_salt(refresh: bool = False) -> str:
     return _code_salt
 
 
+#: ``repr`` of a ``Scheme`` or ``MachineConfig`` -> its ``asdict``.
+_CONFIG_DICTS: Dict[str, dict] = {}
+
+
+def _point_dict(point: Point) -> dict:
+    """``dataclasses.asdict(point)``, with one ``asdict`` per distinct config.
+
+    A point's ``Scheme`` and ``MachineConfig`` dicts are memoised by the
+    config's ``repr``, which shows every field and tells ``1``, ``1.0``
+    and ``True`` apart: configs that compare equal can still serialise
+    differently, so the config itself is not an exact key.  The other
+    fields are immutable (strings, ints, tuples of strings) and go in
+    as they are.  The dicts are shared: callers may only read them.
+    """
+    out = {}
+    for field in dataclasses.fields(point):
+        value = getattr(point, field.name)
+        if dataclasses.is_dataclass(value):
+            rendering = repr(value)
+            cached = _CONFIG_DICTS.get(rendering)
+            if cached is None:
+                cached = _CONFIG_DICTS[rendering] = dataclasses.asdict(value)
+            value = cached
+        out[field.name] = value
+    return out
+
+
 def point_cache_key(point: Point, salt: Optional[str] = None) -> str:
     """Stable content hash of a point plus the code-version salt."""
     payload = {
         "kind": type(point).__name__,
-        "point": dataclasses.asdict(point),
+        "point": _point_dict(point),
         "salt": code_salt() if salt is None else salt,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -473,14 +511,17 @@ def _apply_chunk(fn: Callable, chunk: List) -> List:
     return [fn(task) for task in chunk]
 
 
-def _shutdown_hard(executor: ProcessPoolExecutor) -> None:
+def _shutdown_hard(executor) -> None:
     """Cancel queued work, terminate live workers, and reap them all."""
     # Snapshot the worker processes first: shutdown() clears the dict.
     procs = list((getattr(executor, "_processes", None) or {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         if proc.is_alive():
             proc.terminate()
+    # Wait for the executor's manager thread, which reaps the workers
+    # too: a join racing its waitpid can return with the worker still
+    # counted alive, so ours run only once it has exited.
+    executor.shutdown(wait=True, cancel_futures=True)
     for proc in procs:
         proc.join(timeout=5.0)
 
@@ -527,6 +568,12 @@ def parallel_map(
             if on_result is not None:
                 on_result(index, result)
         return results
+    # The pool stack loads here, in the parent and before any fork, so
+    # runs that never pool (a warm cache, --jobs 1) never import it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     ctx = multiprocessing.get_context(mp_context) if mp_context else None
     executor = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
     results: List = []
@@ -731,7 +778,7 @@ class ResultCache:
         payload = {
             "key": key,
             "kind": type(point).__name__,
-            "point": dataclasses.asdict(point),
+            "point": _point_dict(point),
             "stats": stats.to_dict(),
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}")

@@ -11,7 +11,9 @@ sequential-write burstiness, and synchronization rate.
 Separately, :mod:`repro.workloads.programs` provides real IR kernels
 (linked list, b-tree, hash map, kmeans, ...) that are compiled by the
 cWSP passes and interpreted -- used for correctness, recovery testing,
-and the examples.
+and the examples; :mod:`repro.workloads.adapter` turns their IR
+interpreter traces into simulator events.  It is not re-exported here,
+so importing the package does not load the IR stack.
 """
 
 from repro.workloads.profiles import (
@@ -23,7 +25,6 @@ from repro.workloads.profiles import (
     apps_in_suite,
 )
 from repro.workloads.synthetic import SyntheticStream, generate_trace
-from repro.workloads.adapter import events_from_ir_trace, trace_ir_program
 
 __all__ = [
     "ALL_APPS",
@@ -33,7 +34,5 @@ __all__ = [
     "SUITES",
     "SyntheticStream",
     "apps_in_suite",
-    "events_from_ir_trace",
     "generate_trace",
-    "trace_ir_program",
 ]

@@ -1,10 +1,14 @@
 """The experiment engine: planning, dedup, caching, parallel fan-out."""
 
+import copy
+import dataclasses
+import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.arch import skylake_machine
+from repro.arch import SimStats, skylake_machine
 from repro.harness.engine import (
     BATCHES_PER_JOB,
     CheckpointPolicy,
@@ -84,6 +88,134 @@ class TestCacheKey:
         p = SimPoint("namd", cwsp(), skylake_machine(scaled=True), "pruned", N, 1)
         assert point_cache_key(p, salt="a") != point_cache_key(p, salt="b")
         assert point_cache_key(p) == point_cache_key(p, salt=code_salt())
+
+
+def _oracle_payload(point):
+    """What the keys and cache entries serialise: a plain deep ``asdict``."""
+    return {"kind": type(point).__name__, "point": dataclasses.asdict(point)}
+
+
+def _oracle_key(point, salt):
+    payload = dict(_oracle_payload(point), salt=salt)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _numbers():
+    """Small numbers as int or float, so equal values of both types occur."""
+    return st.integers(0, 4).flatmap(lambda n: st.sampled_from([n, float(n)]))
+
+
+def _like(value):
+    """A strategy for values shaped like *value*, types mixed where they
+    compare equal (``1`` / ``1.0`` / ``True``)."""
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: _like(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return st.fixed_dictionaries(fields).map(lambda kw: type(value)(**kw))
+    if isinstance(value, tuple):
+        return st.tuples(*map(_like, value))
+    if isinstance(value, bool):
+        return st.sampled_from([True, False, 1, 0])
+    if isinstance(value, (int, float)):
+        return _numbers()
+    if isinstance(value, str):
+        return st.sampled_from(["PMEM", "L1D", "x"])
+    return st.none() | _numbers()
+
+
+def _replaced(base):
+    """``dataclasses.replace(base, ...)`` over a random subset of fields."""
+    optional = {f.name: _like(getattr(base, f.name)) for f in dataclasses.fields(base)}
+    return st.fixed_dictionaries({}, optional=optional).map(
+        lambda kw: dataclasses.replace(base, **kw)
+    )
+
+
+class TestKeyIdentity:
+    """Keys and cache entries equal a plain ``dataclasses.asdict`` oracle,
+    though the engine builds one ``asdict`` per distinct config."""
+
+    SALT = "pinned-salt"
+
+    def _grid(self):
+        from repro.explore.spec import PRESETS, expand
+        from repro.harness.figures import SPECS
+
+        points = [p for _key, p in Engine(salt=self.SALT).plan(list(SPECS.values()))]
+        return points + expand(PRESETS["smoke"]).points
+
+    def test_default_grid_and_smoke_preset_keys_match_oracle(self):
+        points = self._grid()
+        assert len(points) == 1457 + 21
+        for point in points:
+            assert point_cache_key(point, self.SALT) == _oracle_key(point, self.SALT)
+
+    def test_cache_entry_bytes_match_oracle(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        stats = SimStats("cwsp")
+        for point in self._grid():
+            key = point_cache_key(point, self.SALT)
+            cache.put(key, point, stats)
+            expected = dict(_oracle_payload(point), key=key, stats=stats.to_dict())
+            written = cache._path(key).read_text()
+            assert written == json.dumps(expected, sort_keys=True), key
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        scheme=_replaced(cwsp()),
+        machine=_replaced(skylake_machine(scaled=True)),
+        multicore=st.booleans(),
+    )
+    def test_replaced_configs_match_oracle(self, scheme, machine, multicore):
+        if multicore:
+            point = MulticorePoint(("lbm", "namd"), ("lbm",), scheme, machine, None, N, 2)
+        else:
+            point = SimPoint("namd", scheme, machine, "pruned", N, 1)
+        assert point_cache_key(point, self.SALT) == _oracle_key(point, self.SALT)
+
+    def test_equal_configs_that_serialise_differently_get_their_own_keys(self):
+        # Equal and equally hashed, but 0 and 0.0 (True and 1) print
+        # differently: a memo keyed by the config would reuse the first.
+        for twins in ([0.0, 0], [0, 0.0], [True, 1], [1, True]):
+            schemes = [dataclasses.replace(cwsp(), ckpt_stores_per_region=v) for v in twins]
+            assert schemes[0] == schemes[1] and hash(schemes[0]) == hash(schemes[1])
+            points = [SimPoint("namd", s, skylake_machine(scaled=True), None, N, 1) for s in schemes]
+            keys = [point_cache_key(p, self.SALT) for p in points]
+            assert keys == [_oracle_key(p, self.SALT) for p in points]
+            assert keys[0] != keys[1]
+
+    def test_configs_freed_and_rebuilt_match_oracle(self):
+        # Each machine dies before the next is built, so CPython hands
+        # the next one the same id(): a memo keyed by id() would serve
+        # the previous machine's dict.
+        for pb in range(10, 40):
+            point = SimPoint("namd", cwsp(), skylake_machine(scaled=True, pb_entries=pb), None, N, 1)
+            assert point_cache_key(point, self.SALT) == _oracle_key(point, self.SALT)
+
+    def test_literal_keys(self):
+        machine = skylake_machine(scaled=True)
+        single = SimPoint("namd", cwsp(), machine, "pruned", 2000, 1)
+        multi = MulticorePoint(("lbm", "namd"), ("lbm", "namd", "milc"), baseline(), machine, None, 1000, 3)
+        assert point_cache_key(single, self.SALT) == (
+            "00a2231bbca6b10f0f2b6e5b4c492e1a50cb5b1b7d055420571e50ef161cbc6b"
+        )
+        assert point_cache_key(multi, self.SALT) == (
+            "0d2c6ffff3a70499f41e6a5c92f9a3d3f077dd5063662fc97b800c126310b9a1"
+        )
+
+    def test_puts_leave_the_shared_config_dicts_unchanged(self, tmp_path):
+        import repro.harness.engine as engine_mod
+
+        machine = skylake_machine(scaled=True)
+        points = [SimPoint(app, cwsp(), machine, None, N, 1) for app in ("namd", "lbm")]
+        cache = ResultCache(str(tmp_path))
+        cache.put(point_cache_key(points[0]), points[0], SimStats("cwsp"))
+        shared = engine_mod._CONFIG_DICTS[repr(machine)]
+        before = copy.deepcopy(shared)
+        for point in points:
+            cache.put(point_cache_key(point), point, SimStats("cwsp"))
+        assert engine_mod._CONFIG_DICTS[repr(machine)] is shared
+        assert shared == before == dataclasses.asdict(machine)
 
 
 class TestDedupAndCache:
@@ -516,6 +648,71 @@ class TestSaltImportStyles:
         with open(fixture_tree / "fx_plain.py", "a") as fh:
             fh.write("# edited\n")
         assert recipe_salt(self._recipe(excluded=excluded)) == before
+
+
+class TestSaltParseMemo:
+    """Each file version is parsed once per process; resolution of
+    ``from pkg import name`` still runs on every recipe."""
+
+    ENTRIES = ("repro.fx_entry",)
+
+    @pytest.fixture
+    def parses(self, fixture_tree, monkeypatch):
+        """The sources ``ast.parse`` sees, starting from an empty memo."""
+        import ast
+
+        import repro.harness.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_CANDIDATES_BY_DIGEST", {})
+        seen = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            seen.append(source)
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        return seen
+
+    def _recipe(self):
+        from repro.harness.engine import compute_salt_recipe
+
+        return compute_salt_recipe(entries=self.ENTRIES, excluded=frozenset())
+
+    def test_second_recipe_parses_nothing(self, fixture_tree, parses):
+        first = self._recipe()
+        assert len(parses) == len(first["modules"])
+        parses.clear()
+        assert self._recipe() == first
+        assert parses == []
+
+    def test_an_edit_reparses_exactly_that_file(self, fixture_tree, parses):
+        first = self._recipe()
+        parses.clear()
+        edited = fixture_tree / "fx_pkg" / "mod.py"
+        edited.write_text("thing = 2  # edited\n")
+        second = self._recipe()
+        assert parses == [edited.read_bytes()]
+        changed = {n for n in first["modules"] if first["modules"][n] != second["modules"][n]}
+        assert changed == {"repro.fx_pkg.mod"}
+
+    def test_resolution_follows_the_tree_not_the_memo(self, fixture_tree, parses):
+        module = fixture_tree / "fx_from.py"
+        saved = module.read_bytes()
+        module.unlink()
+        # `from repro import fx_from` names no module yet...
+        assert "repro.fx_from" not in self._recipe()["modules"]
+        parses.clear()
+        module.write_bytes(saved)
+        # ...and does once the file exists, though fx_entry.py's bytes,
+        # and so its memoised parse, are unchanged.
+        assert "repro.fx_from" in self._recipe()["modules"]
+        assert parses == [saved]
+        module.unlink()
+        assert "repro.fx_from" not in self._recipe()["modules"]
+        module.write_bytes(saved)
+        assert "repro.fx_from" in self._recipe()["modules"]
+        assert parses == [saved]
 
 
 # ----------------------------------------------------------------------

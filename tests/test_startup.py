@@ -1,4 +1,4 @@
-"""Start-up cost: numpy loads only when a run builds traces.
+"""Start-up cost: a process imports only what it runs.
 
 numpy is over half of ``import repro.harness.cli``, and only trace
 generation (``repro.workloads.synthetic``) needs it, so it is imported
@@ -7,8 +7,13 @@ simulates nothing, must never load it.  A cold run loads it once in the
 parent before the worker pool forks, so forked workers inherit that
 copy instead of each importing their own (DESIGN.md section 7e).
 
+The same holds for the rest of the tree: the IR stack (through
+``repro.workloads.adapter``), the checkpoint drivers and the IR
+analyses are not re-exported by their packages, and the process-pool
+stack loads inside ``parallel_map``.
+
 Each check runs in a fresh interpreter: the test process itself has
-long since imported numpy.
+long since imported all of these.
 """
 
 import os
@@ -37,21 +42,45 @@ def _python(code: str, cwd: Path) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-@pytest.mark.parametrize(
-    "module", ["repro.harness.cli", "repro.explore.cli", "repro.harness.serve"]
-)
+#: Modules a process must not load before it simulates, besides numpy.
+#: The explorer also skips the IR analyses: it uses only
+#: ``repro.analysis.pareto``.
+UNUSED = {
+    "repro.harness.cli": [
+        "repro.ir",
+        "repro.workloads.adapter",
+        "repro.arch.checkpoint",
+        "multiprocessing",
+        "concurrent.futures",
+    ],
+}
+UNUSED["repro.harness.serve"] = UNUSED["repro.harness.cli"]
+UNUSED["repro.explore.cli"] = UNUSED["repro.harness.cli"] + ["repro.analysis.alias"]
+
+LOADED = "print(sorted(set({!r}) & set(sys.modules)))"
+
+
+@pytest.mark.parametrize("module", sorted(UNUSED))
 def test_cli_import_does_not_load_numpy(module, tmp_path):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
     assert _python(code, tmp_path) == "False"
 
 
+@pytest.mark.parametrize("module", sorted(UNUSED))
+def test_cli_import_leaves_unused_modules_out(module, tmp_path):
+    code = f"import sys, {module}; " + LOADED.format(UNUSED[module])
+    assert _python(code, tmp_path) == "[]"
+
+
 def test_warm_run_does_not_load_numpy(tmp_path):
+    """Nor anything else a fully cached run never uses."""
     cold = ["--cache-dir", "cache", "--out", "cold"]
     warm = ["--cache-dir", "cache", "--out", "warm"]
     run = "import sys; from repro.harness.cli import main; main({!r}); "
     _python(run.format(RUN_ARGS + cold), tmp_path)
-    code = run.format(RUN_ARGS + warm) + "print('numpy' in sys.modules)"
-    assert _python(code, tmp_path) == "False"
+    unused = ["numpy"] + UNUSED["repro.harness.cli"]
+    code = run.format(RUN_ARGS + warm) + LOADED.format(unused)
+    assert _python(code, tmp_path) == "[]"
     names = sorted(p.name for p in (tmp_path / "cold").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
     for name in names:

@@ -9,10 +9,9 @@ from repro.workloads import (
     PROFILES,
     SUITES,
     apps_in_suite,
-    events_from_ir_trace,
     generate_trace,
-    trace_ir_program,
 )
+from repro.workloads.adapter import events_from_ir_trace, trace_ir_program
 from repro.workloads.synthetic import SyntheticStream, prime_ranges
 from tests.conftest import build_rmw_loop
 
