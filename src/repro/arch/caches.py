@@ -251,9 +251,9 @@ class CacheHierarchy:
 
         Returns ``(latency, reached_nvm, llc_evicted)`` with the same
         meanings as :meth:`access` (the caller tracks the L1 victim).
-        The simulator's fused loop probes L1 -- and L2, when the
-        geometry allows -- inline and enters the walk at the first
-        level it did not unroll.
+        The simulator's fused loop probes L1 -- and L2, when there is
+        one -- inline and enters the walk at the first level it did not
+        unroll.
         """
         levels = self.levels
         latency = levels[start - 1].hit_latency

@@ -23,6 +23,10 @@ composes them into whole-run checkpoints:
   :class:`~repro.arch.multicore.MulticoreSimulator`, with per-core
   trace cursors.
 
+Both drive the simulators' one event loop: every cut, whole run and
+resume goes through ``run_until``, the same fused loop an
+uninterrupted run takes.
+
 The identity contract: *cut + checkpoint + JSON round trip + resume +
 run to end* must produce stats byte-identical to the uninterrupted
 run.  ``python -m repro.arch.checkpoint --selftest`` sweeps cut
@@ -34,15 +38,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
-from repro.arch.machine import SimStats, TimingSimulator
+from repro.arch.machine import INF, SimStats, TimingSimulator
 from repro.arch.multicore import MulticoreSimulator, MulticoreStats
 from repro.arch.scheme import Scheme
-from repro.arch.trace import PackedTrace, unpack_events
+from repro.arch.trace import PackedTrace, as_packed
 
 if TYPE_CHECKING:  # runtime import is deferred: workloads imports arch
     from repro.workloads.synthetic import SyntheticStream
@@ -94,7 +99,15 @@ class SimCheckpoint:
         return cls(payload)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="ascii")
+        """Write atomically: a sibling temp file replaces *path*, so a
+        writer killed mid-save leaves the previous checkpoint intact."""
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(self.to_json() + "\n", encoding="ascii")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "SimCheckpoint":
@@ -155,9 +168,7 @@ class CheckpointableRun:
         self._chunk_state: Optional[Dict[str, object]] = None
         self._pos = 0
         if trace is not None:
-            trace = unpack_events(trace)
-            if not isinstance(trace, PackedTrace):
-                trace = PackedTrace.from_events(trace)
+            trace = as_packed(trace)
             self._chunk: Optional[PackedTrace] = trace
             self._trace_digest = trace.digest()
         else:
@@ -193,69 +204,43 @@ class CheckpointableRun:
         return self._exhausted and (chunk is None or self._pos >= len(chunk))
 
     # -- driving -------------------------------------------------------
-    def run_to_cycle(self, cycle_limit: float) -> float:
-        """Reference-step until the clock reaches *cycle_limit* (or the
-        trace ends); returns the clock.  The cut falls between
-        committed events -- see :meth:`TimingSimulator.run_until`."""
-        sim = self.sim
-        while sim.cycle < cycle_limit:
-            chunk = self._ensure_chunk()
-            if chunk is None or self._pos >= len(chunk):
-                break
-            start = self._pos
-            self._pos = sim.run_until(chunk, cycle_limit, start=start)
-            self.events_done += self._pos - start
-            if self._pos >= len(chunk):
-                self._retire_chunk()
-        return sim.cycle
-
-    def run_for_events(self, budget: int) -> int:
-        """Execute up to *budget* events; returns the number executed.
-        Whole chunks go through the simulator's chunk dispatch; the
-        partial tail chunk is reference-stepped (value-identical by
-        contract)."""
+    def _advance(self, cycle_limit: float = INF, budget: Optional[int] = None) -> int:
+        """Commit events chunk by chunk until the clock reaches
+        *cycle_limit*, *budget* events have run, or the trace ends;
+        returns the number executed.  The cut falls between committed
+        events -- see :meth:`TimingSimulator.run_until`."""
         sim = self.sim
         executed = 0
-        while budget > 0:
+        while (budget is None or executed < budget) and sim.cycle < cycle_limit:
             chunk = self._ensure_chunk()
-            if chunk is None or self._pos >= len(chunk):
+            if chunk is None:
                 break
-            take = len(chunk) - self._pos
-            if take <= budget:
-                part = chunk[self._pos :] if self._pos else chunk
-                sim._run_trace(part)
-                self._pos += take
-            else:
-                take = min(take, budget)
-                stop = self._pos + take
-                new = sim.run_until(chunk, float("inf"), start=self._pos, stop=stop)
-                take = new - self._pos
-                self._pos = new
-            executed += take
-            budget -= take
-            self.events_done += take
+            start = self._pos
+            if start < len(chunk):
+                stop = None if budget is None else start + budget - executed
+                self._pos = sim.run_until(chunk, cycle_limit, start, stop)
+                executed += self._pos - start
             if self._pos >= len(chunk):
+                if self.stream is None:
+                    break
                 self._retire_chunk()
+        self.events_done += executed
         return executed
+
+    def run_to_cycle(self, cycle_limit: float) -> float:
+        """Run until the clock reaches *cycle_limit* (or the trace
+        ends); returns the clock."""
+        self._advance(cycle_limit=cycle_limit)
+        return self.sim.cycle
+
+    def run_for_events(self, budget: int) -> int:
+        """Execute up to *budget* events; returns the number executed."""
+        return self._advance(budget=budget)
 
     def run_to_end(self) -> SimStats:
         """Consume everything that remains and finalize the stats."""
-        sim = self.sim
-        while True:
-            chunk = self._ensure_chunk()
-            if chunk is None or self._pos >= len(chunk):
-                if chunk is not None and self.stream is not None:
-                    self._retire_chunk()
-                    continue
-                break
-            part = chunk[self._pos :] if self._pos else chunk
-            sim._run_trace(part)
-            self.events_done += len(part)
-            self._pos = len(chunk)
-            self._retire_chunk()
-            if self.stream is None:
-                break
-        return sim.finalize()
+        self._advance()
+        return self.sim.finalize()
 
     # -- checkpoint / resume -------------------------------------------
     def checkpoint(self) -> SimCheckpoint:
@@ -336,9 +321,7 @@ class MulticoreCheckpointableRun:
     Traces are externally supplied (one per core); the checkpoint
     records their content digests plus per-core cursors and the cores'
     snapshots (shared structures captured once, by core 0).  All
-    driving goes through the reference min-clock stepper
-    (:meth:`MulticoreSimulator.run_until`), which is value-identical
-    to the fused scheduling loop by the pinned contract.
+    driving goes through :meth:`MulticoreSimulator.run_until`.
     """
 
     def __init__(
@@ -351,12 +334,7 @@ class MulticoreCheckpointableRun:
     ) -> None:
         self.machine = machine
         self.scheme = scheme
-        self.traces: List[PackedTrace] = []
-        for t in traces:
-            t = unpack_events(t)
-            if not isinstance(t, PackedTrace):
-                t = PackedTrace.from_events(t)
-            self.traces.append(t)
+        self.traces: List[PackedTrace] = [as_packed(t) for t in traces]
         self.sim = MulticoreSimulator(machine, scheme, n_cores or len(self.traces))
         if prime is not None:
             self.sim.prime(list(prime))
@@ -372,12 +350,12 @@ class MulticoreCheckpointableRun:
 
     def run_for_events(self, budget: int) -> List[int]:
         self.cursors = self.sim.run_until(
-            self.traces, float("inf"), self.cursors, max_events=budget
+            self.traces, INF, self.cursors, max_events=budget
         )
         return self.cursors
 
     def run_to_end(self) -> MulticoreStats:
-        self.cursors = self.sim.run_until(self.traces, float("inf"), self.cursors)
+        self.cursors = self.sim.run_until(self.traces, INF, self.cursors)
         return self.sim._finalize()
 
     def checkpoint(self) -> SimCheckpoint:
@@ -430,12 +408,12 @@ def selftest(
 ) -> Dict[str, object]:
     """Sweep checkpoint cuts across schemes, unicore and multicore.
 
-    For every scheme: run uninterrupted (fused fast path) for the
-    golden stats, then cut at each fraction of the golden cycle count,
-    checkpoint, round-trip through canonical JSON, resume into a fresh
-    simulator, run to completion, and demand byte-identical metric
-    dicts.  One event-budget cut per scheme exercises the second cut
-    mode.  Returns a report artifact; ``divergences`` must be 0.
+    For every scheme: run uninterrupted for the golden stats, then cut
+    at each fraction of the golden cycle count, checkpoint, round-trip
+    through canonical JSON, resume into a fresh simulator, run to
+    completion, and demand byte-identical metric dicts.  One
+    event-budget cut per scheme exercises the second cut mode.  Returns
+    a report artifact; ``divergences`` must be 0.
     """
     from repro.arch.config import skylake_machine
     from repro.arch.machine import simulate

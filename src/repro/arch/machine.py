@@ -19,10 +19,19 @@ code  meaning                  payload
 'f'   fence                    --
 'x'   atomic RMW               address
 ====  =======================  =========================
+
+Every entry point -- :meth:`TimingSimulator.run`, ``run_stream``,
+``run_until``, the multicore scheduler and the checkpoint drivers --
+commits events through one loop, the fused coroutine
+:meth:`TimingSimulator._packed_gen`.  The per-event reference loop it
+was hand-inlined from is kept in ``tests/sim_oracle.py`` as the
+specification the tests diff it against.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import length_hint
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arch.caches import CacheHierarchy
@@ -30,11 +39,12 @@ from repro.arch.config import MachineConfig
 from repro.arch.metrics import MetricSet
 from repro.arch.queues import CompletionQueue
 from repro.arch.scheme import Scheme
-from repro.arch.trace import PackedTrace, unpack_events
+from repro.arch.trace import PackedTrace, as_packed
 
 Event = Tuple  # (code,) or (code, addr)
 
 _CKPT_SYNTH_BASE = 0x0F80_0000
+INF = float("inf")
 
 
 def _count_view(name: str):
@@ -141,12 +151,9 @@ class SimStats:
 class TimingSimulator:
     """One core's commit stream against the shared memory system.
 
-    Packed traces run through the fused loop (:meth:`_run_packed`)
-    whenever the machine geometry admits it (``_packed_fast``);
-    anything else -- plain event lists, or packed traces on a
-    non-power-of-two geometry -- runs through the per-event reference
-    loop (:meth:`_run_events`), which is also the oracle the tests
-    diff the fused loop against.
+    Every stream runs through the fused loop (:meth:`_packed_gen`):
+    plain event lists are packed once at entry, and any cache geometry
+    is accepted.
     """
 
     def __init__(self, machine: MachineConfig, scheme: Scheme) -> None:
@@ -154,6 +161,8 @@ class TimingSimulator:
         self.scheme = scheme
         self.hier = CacheHierarchy(machine.caches, machine.dram_cache if scheme.dram_cache_enabled else None)
         self.cycle = 0.0
+        #: Index of the first unexecuted event of the last trace run.
+        self.cursor = 0
         self.wb = CompletionQueue(machine.wb_entries)
         self.pb = CompletionQueue(scheme.pb_entries_override or machine.pb_entries)
         self.rbt = CompletionQueue(scheme.rbt_entries_override or machine.rbt_entries)
@@ -184,36 +193,18 @@ class TimingSimulator:
         self._line_bits = self.hier.line_bits
         self._extra_store_cost = scheme.extra_insts_per_store * self._commit_cost
         self._extra_region_cost = scheme.extra_insts_per_region * self._commit_cost
-        # Derived constants shared by the per-event methods and the
-        # fused packed-trace loop (same multiplications, done once).
+        # Derived constants shared by the rare-path methods and the
+        # fused loop (same multiplications, done once).
         self._media_cost = self._nvm_write_bytes * self._nvm_cpb
         self._llc_wb_cost = 64 * self._nvm_cpb
         self._l2_lat = machine.caches[min(1, len(machine.caches) - 1)].hit_latency
         self._interleave = machine.interleave
         self._mc_count = machine.mc_count
-        # The fused packed loop replaces //, % with shifts and masks,
-        # which is only exact when the geometry is a power of two (it
-        # always is for the shipped configs); otherwise packed traces
-        # fall back to the per-event reference loop.
+        # Pre-create the L1 set dicts so the hot loop indexes them
+        # directly (presence of empty sets is invisible to results).
         l1 = self.hier.levels[0]
-        levels = self.hier.levels
-        self._packed_fast = (
-            l1.n_sets & (l1.n_sets - 1) == 0
-            and l1.n_sets <= 65536
-            and machine.interleave & (machine.interleave - 1) == 0
-            and machine.mc_count & (machine.mc_count - 1) == 0
-            and (len(levels) < 2 or levels[1].n_sets & (levels[1].n_sets - 1) == 0)
-        )
-        if self._packed_fast:
-            self._l1_idx_mask = l1.n_sets - 1
-            self._l1_tag_shift = l1.n_sets.bit_length() - 1
-            self._mc_shift = machine.interleave.bit_length() - 1
-            self._mc_mask = machine.mc_count - 1
-            # Pre-create the L1 set dicts so the hot loop indexes them
-            # directly (presence of empty sets is invisible to
-            # results; the reference path creates them lazily).
-            for i in range(l1.n_sets):
-                l1.sets.setdefault(i, {})
+        for i in range(l1.n_sets):
+            l1.sets.setdefault(i, {})
         self.stats = SimStats(scheme=scheme.name)
         # Core-owned records, bound once for the hot loop.
         m = self.stats.metrics
@@ -238,17 +229,11 @@ class TimingSimulator:
     def run(self, events: Iterable[Event]) -> SimStats:
         """Commit an event stream and finalize the stats.
 
-        Packed traces take the fused hot loop; anything iterable of
-        legacy tuples takes the per-event reference loop.  Both paths
-        are value-identical by contract (tests/test_golden_identity.py
-        pins the byte-for-byte stats; test_arch_trace pins packed ==
-        legacy on the same stream).
+        A stream that is not a :class:`PackedTrace` is packed once
+        (``as_packed``); tests/test_golden_identity.py pins the stats
+        byte for byte.
         """
-        events = unpack_events(events)
-        if isinstance(events, PackedTrace):
-            self._run_trace(events)
-        else:
-            self._run_events(events)
+        self.run_until(events, INF)
         return self.finalize()
 
     def run_stream(self, stream) -> SimStats:
@@ -266,21 +251,8 @@ class TimingSimulator:
             chunk = stream.next_chunk()
             if chunk is None:
                 break
-            if isinstance(chunk, PackedTrace):
-                self._run_trace(chunk)
-            else:
-                self._run_events(chunk)
+            self.run_until(chunk, INF)
         return self.finalize()
-
-    def _run_trace(self, trace: PackedTrace) -> None:
-        """Commit one packed chunk (no finalize).  The single dispatch
-        point every whole-chunk path (``run``, ``run_stream``, the
-        checkpoint drivers) routes through, so loop selection cannot
-        drift between them."""
-        if self._packed_fast:
-            self._run_packed(trace)
-        else:
-            self._run_events(trace)
 
     def run_until(
         self,
@@ -290,7 +262,7 @@ class TimingSimulator:
         stop: Optional[int] = None,
         boundary_log: Optional[list] = None,
     ) -> int:
-        """Reference-step ``events[start:stop]`` until the clock reaches
+        """Commit ``events[start:stop]`` until the clock reaches
         *cycle_limit*; returns the index of the first unexecuted event.
 
         The cut lands *between* committed events: an event whose
@@ -299,25 +271,25 @@ class TimingSimulator:
         is the cut-at-an-arbitrary-cycle primitive the checkpoint and
         intermittent-power layers compose -- state after
         ``run_until(t, c, 0)`` plus the remaining events is identical
-        to an uninterrupted run by the packed/reference value contract.
+        to an uninterrupted run.  ``run`` and ``run_stream`` are this
+        call with an infinite limit.
 
         ``boundary_log``, when given, collects ``(next_index,
         prev_region_complete)`` after every region boundary: the event
         cursor a power-failure recovery can durably resume from, and
         the cycle by which everything before it had persisted.
         """
-        step = self._step
-        n = len(events) if stop is None else min(stop, len(events))
-        i = start
-        while i < n:
-            if self.cycle >= cycle_limit:
-                return i
-            ev = events[i]
-            step(ev)
-            i += 1
-            if boundary_log is not None and ev[0] == "b":
-                boundary_log.append((i, self.prev_region_complete))
-        return i
+        gen = self._packed_gen(
+            as_packed(events), 0, start, stop, cycle_limit, boundary_log
+        )
+        next(gen)  # run the locals setup, park before the first event
+        try:
+            gen.send((INF, 0))
+        except StopIteration:
+            return self.cursor
+        raise RuntimeError(  # pragma: no cover - scheduling bug guard
+            "packed loop yielded under an infinite limit"
+        )
 
     # -- checkpoint protocol -------------------------------------------
     def snapshot(self, include_shared: bool = True) -> Dict[str, object]:
@@ -385,81 +357,42 @@ class TimingSimulator:
             for mc, words in enumerate(state["wpq_word_done"]):
                 self.wpq_word_done[mc] = {word: t for word, t in words}
         self.stats.metrics.restore_state(state["metrics"])
-        if self._packed_fast:
-            # The fused loop indexes a dense list of pre-created L1
-            # sets; restore_state rebuilt the tag dict from the
-            # snapshot, so re-create any sets it did not mention.
-            # (Outer set-dict order is never observed -- only the
-            # per-set way order matters, and that was restored.)
-            l1 = self.hier.levels[0]
-            for i in range(l1.n_sets):
-                l1.sets.setdefault(i, {})
+        # The fused loop indexes a dense list of pre-created L1 sets;
+        # restore_state rebuilt the tag dict from the snapshot, so
+        # re-create any sets it did not mention.  (Outer set-dict order
+        # is never observed -- only the per-set way order matters, and
+        # that was restored.)
+        l1 = self.hier.levels[0]
+        for i in range(l1.n_sets):
+            l1.sets.setdefault(i, {})
 
-    def _run_events(self, events: Iterable[Event]) -> None:
-        """Reference loop: one dispatch per legacy event tuple.
+    def _packed_gen(
+        self,
+        trace: PackedTrace,
+        idx: int = 0,
+        start: int = 0,
+        stop: Optional[int] = None,
+        cut: float = INF,
+        boundary_log: Optional[list] = None,
+    ):
+        """The event loop, as a coroutine: commits ``trace[start:stop]``.
 
-        This is the semantic definition the fused loop must match.
-        """
-        step = self._step
-        for ev in events:
-            step(ev)
+        Every committed event in the simulator goes through here.  The
+        ``a``/``l``/``s``/``c`` cases (the bulk of every stream) are
+        inlined with all hot state held in locals; the rare
+        ``b``/``f``/``x`` cases sync state back to ``self``, call
+        :meth:`_boundary`/:meth:`_sync`/:meth:`_store`, and reload.
+        See DESIGN.md ("Hot-loop optimization invariants") for what
+        this loop may and may not reorder -- every float operation
+        below happens in the same order, on the same values, as in the
+        reference loop of tests/sim_oracle.py.
 
-    def _step(self, ev: Event) -> None:
-        """Commit one legacy event tuple: the shared reference dispatch.
-
-        Every reference path -- :meth:`_run_events` and the multicore
-        min-clock stepper -- routes through this one dispatch, so the
-        per-event semantics cannot drift between them.
-        """
-        self.cycle += self._commit_cost
-        self._c_insts.value += 1
-        code = ev[0]
-        if code == "a":
-            return
-        if code == "l":
-            self._load(ev[1])
-        elif code == "s":
-            self._store(ev[1], is_ckpt=False)
-        elif code == "c":
-            self._store(ev[1], is_ckpt=True)
-        elif code == "b":
-            self._boundary()
-        elif code == "f":
-            self._sync()
-        elif code == "x":
-            self._store(ev[1], is_ckpt=False)
-            self._sync()
-        else:  # pragma: no cover - generator bug guard
-            raise ValueError(f"unknown event code {code!r}")
-
-    def _run_packed(self, trace: PackedTrace) -> None:
-        """Fused hot loop over a :class:`PackedTrace` (single core).
-
-        Drives :meth:`_packed_gen` with an infinite scheduling limit:
-        a lone core is always the min-clock core, so the generator
-        runs straight through without ever yielding.
-        """
-        gen = self._packed_gen(trace)
-        next(gen)  # run the locals setup, park before the first event
-        try:
-            gen.send((float("inf"), 0))
-        except StopIteration:
-            return
-        raise RuntimeError(  # pragma: no cover - scheduling bug guard
-            "packed loop yielded under an infinite limit"
-        )
-
-    def _packed_gen(self, trace: PackedTrace, idx: int = 0):
-        """Fused hot loop over a :class:`PackedTrace`, as a coroutine.
-
-        The ``a``/``l``/``s``/``c`` cases (the bulk of every stream)
-        are inlined from :meth:`_load`/:meth:`_store`/:meth:`_persist`/
-        :meth:`_evictions` with all hot state held in locals; the rare
-        ``b``/``f``/``x`` cases sync state back to ``self``, call the
-        reference methods, and reload.  See DESIGN.md ("Hot-loop
-        optimization invariants") for what this loop may and may not
-        reorder -- every float operation below happens in the same
-        order, on the same values, as in the reference methods.
+        The loop stops before the first event whose pre-commit clock is
+        at or past *cut*.  Whatever ends it -- the slice runs out, the
+        cut, or ``close()`` while parked at a scheduling point -- the
+        ``finally`` block writes the localized state back and sets
+        ``self.cursor`` to the index of the first unexecuted event.
+        ``boundary_log`` is the :meth:`run_until` boundary log.
 
         Multi-core scheduling protocol (see DESIGN.md section 7c): the
         caller primes the generator with ``next()``, then ``send()``s
@@ -499,10 +432,8 @@ class TimingSimulator:
         l1_sets = l1.sets
         l1_nsets = l1.n_sets
         l1_ways_cap = l1.ways
-        l1_idx_mask = self._l1_idx_mask
-        l1_tag_shift = self._l1_tag_shift
-        # Sets are pre-created when _packed_fast, so a list view gives
-        # C-array indexing; the dicts themselves are never replaced.
+        # Sets are pre-created (__init__, restore_state), so a list
+        # view gives C-array indexing; the dicts are never replaced.
         l1_setlist = [l1_sets[i] for i in range(l1_nsets)]
         levels = self.hier.levels
         multi_level = len(levels) > 1
@@ -512,11 +443,9 @@ class TimingSimulator:
             l2_nsets = l2.n_sets
             l2_ways_cap = l2.ways
             l2_hit_lat = l2.hit_latency
-            l2_idx_mask = l2_nsets - 1
-            l2_tag_shift = l2_nsets.bit_length() - 1
             llc_from_l2 = len(levels) == 2 and self.hier.dram is None
-        mc_shift = self._mc_shift
-        mc_mask = self._mc_mask
+        interleave = self._interleave
+        mc_count = self._mc_count
         wb = self.wb
         wb_entries = wb.entries
         wb_capacity = wb.capacity
@@ -545,166 +474,62 @@ class TimingSimulator:
         n_wpq_hits = 0
         n_df_stale = 0.0
 
+        # -- the event slice --------------------------------------------
+        # The stop index rides on islice and the start on the
+        # itertools "consume" recipe, both at C speed; the position is
+        # never counted per event but read back from the code
+        # iterator's length hint (rare path and exit only).
+        codes = trace.codes
+        n = len(codes)
+        start = min(start, n)
+        codes_iter = iter(codes)
+        addrs_iter = iter(trace.addrs)
+        if start:
+            next(islice(codes_iter, start, start), None)
+            next(islice(addrs_iter, start, start), None)
+        events = zip(
+            codes_iter if stop is None else islice(codes_iter, max(0, stop - start)),
+            addrs_iter,
+        )
+        self.cursor = start
+
         # Scheduling handshake: park until the caller sends the first
         # (limit_cycle, limit_idx) pair.
         limit_c, limit_i = yield
 
-        for code, addr in zip(trace.codes, trace.addrs):
-            if code == "a":
-                cycle += commit_cost
-                continue
-            if code == "l":
-                # ---- inlined _load (L1 probe unrolled) --------------
-                # The L1 probe is a pure read of private state, so it
-                # doubles as the shared/private classification: a hit
-                # never leaves the core.
-                l1_line = addr >> line_bits
-                index = l1_line & l1_idx_mask
-                tag = l1_line >> l1_tag_shift
-                ways = l1_setlist[index]
-                entry = ways.get(tag)
-                if entry is not None:
-                    # L1 hit: zero penalty, no evictions, next event.
+        # The zip pulls an event before the body runs, so every exit
+        # but running out (the cut, or close() while parked) leaves
+        # one pulled event unexecuted.
+        pulled = 1
+        try:
+            for code, addr in events:
+                if cycle >= cut:
+                    break
+                if code == "a":
                     cycle += commit_cost
-                    l1_tick += 1
-                    l1_hits += 1
-                    entry[0] = l1_tick
                     continue
-                # L1 miss: L2+/DRAM tags and NVM state are shared.
-                while cycle > limit_c or (cycle == limit_c and idx > limit_i):
-                    limit_c, limit_i = yield cycle
-                cycle += commit_cost
-                l1_tick += 1
-                l1_misses += 1
-                if len(ways) >= l1_ways_cap:
-                    victim_tag = None
-                    victim_tick = l1_tick
-                    for t, e in ways.items():
-                        et = e[0]
-                        if et < victim_tick:
-                            victim_tick = et
-                            victim_tag = t
-                    victim = ways.pop(victim_tag)
-                    l1_ev = victim_tag * l1_nsets + index if victim[1] else None
-                else:
-                    l1_ev = None
-                ways[tag] = [l1_tick, False]
-                # ---- inlined L2 probe (walk resumes at level 2) -----
-                if multi_level:
-                    l2._tick = l2_tick = l2._tick + 1
-                    index2 = l1_line & l2_idx_mask
-                    tag2 = l1_line >> l2_tag_shift
-                    ways2 = l2_sets.get(index2)
-                    if ways2 is None:
-                        ways2 = l2_sets[index2] = {}
-                    entry2 = ways2.get(tag2)
-                    if entry2 is not None:
-                        l2.hits += 1
-                        entry2[0] = l2_tick
-                        latency = l2_hit_lat
-                        to_nvm = False
-                        llc_ev = None
-                    else:
-                        l2.misses += 1
-                        if len(ways2) >= l2_ways_cap:
-                            victim_tag = None
-                            victim_tick = l2_tick
-                            for t, e in ways2.items():
-                                et = e[0]
-                                if et < victim_tick:
-                                    victim_tick = et
-                                    victim_tag = t
-                            victim = ways2.pop(victim_tag)
-                            llc2 = (
-                                victim_tag * l2_nsets + index2
-                                if llc_from_l2 and victim[1]
-                                else None
-                            )
-                        else:
-                            llc2 = None
-                        ways2[tag2] = [l2_tick, False]
-                        latency, to_nvm, llc_ev = hier_miss(l1_line, False, 2)
-                        if llc_from_l2:
-                            llc_ev = llc2
-                else:
-                    latency, to_nvm, llc_ev = hier_miss(l1_line, False)
-                penalty = latency - l1_lat
-                if to_nvm:
-                    mc = (addr >> mc_shift) & mc_mask
-                    penalty += nvm_read_cyc + mc_extra[mc]
-                    n_nvm_reads += 1
-                    if penalty > 0:
-                        cycle += penalty * mlp
-                    if wpq_delay_on:
-                        # Ordering wait, not memory latency: no MLP
-                        # discount (see _load).
-                        done = wpq_word_done[mc].get(addr >> 3)
-                        if done is not None and done > cycle:
-                            n_wpq_hits += 1
-                            n_df_stale += done - cycle
-                            cycle = done
-                elif penalty > 0:
-                    cycle += penalty * mlp
-                # ---- inlined _evictions (load path) -----------------
-                if l1_ev is not None:
-                    # wb.admit(cycle), advance unrolled (full WB is
-                    # rare and delegates to the reference method).
-                    last = wb._last_t
-                    occ = wb.occ_integral
-                    while wb_entries and wb_entries[0] <= cycle:
-                        t = wb_entries.popleft()
-                        if t > last:
-                            occ += (len(wb_entries) + 1) * (t - last)
-                            last = t
-                    if cycle > last:
-                        occ += len(wb_entries) * (cycle - last)
-                        last = cycle
-                    wb._last_t = last
-                    wb.occ_integral = occ
-                    if len(wb_entries) >= wb_capacity:
-                        cycle = wb_admit(cycle)
-                    drain = cycle + l2_lat
-                    if wb_delay_on:
-                        persist = line_persist_time.get(l1_ev, 0.0)
-                        if persist > drain:
-                            drain = persist
-                            n_wb_delays += 1
-                    wb.pushes += 1
-                    if wb_entries and drain < wb_entries[-1]:
-                        wb_entries.append(wb_entries[-1])
-                    else:
-                        wb_entries.append(drain)
-                if llc_ev is not None and not persist_stores:
-                    mc = ((llc_ev << line_bits) >> mc_shift) & mc_mask
-                    free = nvm_free[mc]
-                    start = cycle if cycle > free else free
-                    nvm_free[mc] = start + llc_wb_cost
-                    n_nvm_writes += 1
-            elif code == "s" or code == "c":
-                # ---- inlined _store ('c' is a store: is_ckpt is
-                # latency-neutral in the reference method) ------------
-                # Shared iff the L1 probe misses (L2+/DRAM tags) or the
-                # persist path engages (WPQ/NVM); a store merged into
-                # an already-buffered dirty line never leaves the core.
-                l1_line = addr >> line_bits
-                index = l1_line & l1_idx_mask
-                tag = l1_line >> l1_tag_shift
-                ways = l1_setlist[index]
-                entry = ways.get(tag)
-                if entry is None or (
-                    persist_stores and not (coalesce and l1_line in region_lines)
-                ):
+                if code == "l":
+                    # ---- load (L1 probe unrolled) -----------------------
+                    # The L1 probe is a pure read of private state, so it
+                    # doubles as the shared/private classification: a hit
+                    # never leaves the core.
+                    l1_line = addr >> line_bits
+                    index = l1_line % l1_nsets
+                    tag = l1_line // l1_nsets
+                    ways = l1_setlist[index]
+                    entry = ways.get(tag)
+                    if entry is not None:
+                        # L1 hit: zero penalty, no evictions, next event.
+                        cycle += commit_cost
+                        l1_tick += 1
+                        l1_hits += 1
+                        entry[0] = l1_tick
+                        continue
+                    # L1 miss: L2+/DRAM tags and NVM state are shared.
                     while cycle > limit_c or (cycle == limit_c and idx > limit_i):
                         limit_c, limit_i = yield cycle
-                cycle += commit_cost
-                if extra_store_cost:
-                    cycle += extra_store_cost
-                l1_tick += 1
-                if entry is not None:
-                    l1_hits += 1
-                    entry[0] = l1_tick
-                    entry[1] = True
-                else:
+                    cycle += commit_cost
+                    l1_tick += 1
                     l1_misses += 1
                     if len(ways) >= l1_ways_cap:
                         victim_tag = None
@@ -718,12 +543,12 @@ class TimingSimulator:
                         l1_ev = victim_tag * l1_nsets + index if victim[1] else None
                     else:
                         l1_ev = None
-                    ways[tag] = [l1_tick, True]
-                    # ---- inlined L2 probe (store miss) --------------
+                    ways[tag] = [l1_tick, False]
+                    # ---- inlined L2 probe (walk resumes at level 2) -----
                     if multi_level:
                         l2._tick = l2_tick = l2._tick + 1
-                        index2 = l1_line & l2_idx_mask
-                        tag2 = l1_line >> l2_tag_shift
+                        index2 = l1_line % l2_nsets
+                        tag2 = l1_line // l2_nsets
                         ways2 = l2_sets.get(index2)
                         if ways2 is None:
                             ways2 = l2_sets[index2] = {}
@@ -731,7 +556,8 @@ class TimingSimulator:
                         if entry2 is not None:
                             l2.hits += 1
                             entry2[0] = l2_tick
-                            entry2[1] = True
+                            latency = l2_hit_lat
+                            to_nvm = False
                             llc_ev = None
                         else:
                             l2.misses += 1
@@ -751,14 +577,33 @@ class TimingSimulator:
                                 )
                             else:
                                 llc2 = None
-                            ways2[tag2] = [l2_tick, True]
-                            _, _, llc_ev = hier_miss(l1_line, True, 2)
+                            ways2[tag2] = [l2_tick, False]
+                            latency, to_nvm, llc_ev = hier_miss(l1_line, False, 2)
                             if llc_from_l2:
                                 llc_ev = llc2
                     else:
-                        _, _, llc_ev = hier_miss(l1_line, True)
-                    # ---- inlined _evictions (store-miss path) -------
+                        latency, to_nvm, llc_ev = hier_miss(l1_line, False)
+                    penalty = latency - l1_lat
+                    if to_nvm:
+                        mc = (addr // interleave) % mc_count
+                        penalty += nvm_read_cyc + mc_extra[mc]
+                        n_nvm_reads += 1
+                        if penalty > 0:
+                            cycle += penalty * mlp
+                        if wpq_delay_on:
+                            # Ordering wait, not memory latency: no MLP
+                            # discount.
+                            done = wpq_word_done[mc].get(addr >> 3)
+                            if done is not None and done > cycle:
+                                n_wpq_hits += 1
+                                n_df_stale += done - cycle
+                                cycle = done
+                    elif penalty > 0:
+                        cycle += penalty * mlp
+                    # ---- inlined _evictions (load path) -----------------
                     if l1_ev is not None:
+                        # wb.admit(cycle), advance unrolled (full WB is
+                        # rare and delegates to the reference method).
                         last = wb._last_t
                         occ = wb.occ_integral
                         while wb_entries and wb_entries[0] <= cycle:
@@ -785,136 +630,256 @@ class TimingSimulator:
                         else:
                             wb_entries.append(drain)
                     if llc_ev is not None and not persist_stores:
-                        mc = ((llc_ev << line_bits) >> mc_shift) & mc_mask
+                        mc = ((llc_ev << line_bits) // interleave) % mc_count
                         free = nvm_free[mc]
-                        start = cycle if cycle > free else free
-                        nvm_free[mc] = start + llc_wb_cost
+                        begin = cycle if cycle > free else free
+                        nvm_free[mc] = begin + llc_wb_cost
                         n_nvm_writes += 1
-                if not persist_stores:
-                    continue
-                # ---- inlined _persist -------------------------------
-                if coalesce:
-                    if l1_line in region_lines:
-                        continue  # merged into the buffered dirty line
-                    region_lines.add(l1_line)
-                # pb.admit(cycle), advance unrolled (full PB is rare
-                # and delegates to the reference method).
-                last = pb._last_t
-                occ = pb.occ_integral
-                while pb_entries and pb_entries[0] <= cycle:
-                    t = pb_entries.popleft()
-                    if t > last:
-                        occ += (len(pb_entries) + 1) * (t - last)
-                        last = t
-                if cycle > last:
-                    occ += len(pb_entries) * (cycle - last)
-                    last = cycle
-                pb._last_t = last
-                pb.occ_integral = occ
-                if len(pb_entries) >= pb_capacity:
-                    cycle = pb_admit(cycle)
-                send = cycle if cycle > path_free else path_free
-                path_free = send + path_send
-                mc = (addr >> mc_shift) & mc_mask
-                arrive = send + path_lat + mc_extra[mc]
-                # wpq[mc].admit(arrive), same unrolling.
-                q = wpq[mc]
-                we = q.entries
-                last = q._last_t
-                occ = q.occ_integral
-                while we and we[0] <= arrive:
-                    t = we.popleft()
-                    if t > last:
-                        occ += (len(we) + 1) * (t - last)
-                        last = t
-                if arrive > last:
-                    occ += len(we) * (arrive - last)
-                    last = arrive
-                q._last_t = last
-                q.occ_integral = occ
-                if len(we) >= wpq_capacity:
-                    admitted = q.admit(arrive)
-                else:
-                    admitted = arrive
-                free = nvm_free[mc]
-                start = admitted if admitted > free else free
-                nvm_free[mc] = start + media
-                drain_done = start + media + wpq_drain
-                # wpq[mc].push(drain_done) / pb.push(admitted): FIFO
-                # completion clamp, counted on the queue objects.
-                q.pushes += 1
-                if we and drain_done < we[-1]:
-                    we.append(we[-1])
-                else:
-                    we.append(drain_done)
-                pb.pushes += 1
-                if pb_entries and admitted < pb_entries[-1]:
-                    pb_entries.append(pb_entries[-1])
-                else:
-                    pb_entries.append(admitted)
-                if admitted > region_last_persist:
-                    region_last_persist = admitted
-                if admitted > line_persist_time.get(l1_line, 0.0):
-                    line_persist_time[l1_line] = admitted
-                words = wpq_word_done[mc]
-                words[addr >> 3] = drain_done
-                if len(words) > 8192:
-                    wpq_word_done[mc] = {w: t for w, t in words.items() if t > cycle}
-                n_path_bytes += persist_bytes
-                n_nvm_writes += 1
-            elif code == "b" or code == "f" or code == "x":
-                # Rare events: run through the reference methods.  A
-                # fence orders only this core's stream (private); a
-                # boundary can synthesize checkpoint stores and an
-                # atomic is store+fence, so both are gated as shared.
-                if code != "f":
-                    while cycle > limit_c or (cycle == limit_c and idx > limit_i):
-                        limit_c, limit_i = yield cycle
-                cycle += commit_cost
-                self.cycle = cycle
-                self.path_free = path_free
-                self.region_last_persist = region_last_persist
-                l1._tick = l1_tick
-                l1.hits = l1_hits
-                l1.misses = l1_misses
-                if code == "b":
-                    self._boundary()
-                elif code == "f":
-                    self._sync()
-                else:
-                    self._store(addr, is_ckpt=False)
-                    self._sync()
-                cycle = self.cycle
-                path_free = self.path_free
-                region_last_persist = self.region_last_persist
-                l1_tick = l1._tick
-                l1_hits = l1.hits
-                l1_misses = l1.misses
-            else:  # pragma: no cover - generator bug guard
-                raise ValueError(f"unknown event code {code!r}")
-
-        # -- write the localized state back ---------------------------
-        self.cycle = cycle
-        self.path_free = path_free
-        self.region_last_persist = region_last_persist
-        l1._tick = l1_tick
-        l1.hits = l1_hits
-        l1.misses = l1_misses
-        # Counter flushes are integer-valued additions: exact in float
-        # (well below 2^53), so batching them preserves value identity.
-        # Event-class totals come from C-speed counts over the code
-        # string -- the loop never increments them (rare-path methods
-        # update their own counters directly and are not re-counted).
-        codes = trace.codes
-        self._c_insts.value += len(codes)
-        self._c_loads.value += codes.count("l")
-        self._c_stores.value += codes.count("s") + codes.count("c")
-        self._c_nvm_reads.value += n_nvm_reads
-        self._c_nvm_writes.value += n_nvm_writes
-        self._c_path_bytes.value += n_path_bytes
-        self._c_wb_delays.value += n_wb_delays
-        self._c_wpq_hits.value += n_wpq_hits
-        self._c_df_stale.value += n_df_stale
+                elif code == "s" or code == "c":
+                    # ---- inlined _store ('c' is a store: is_ckpt is
+                    # latency-neutral in the reference method) ------------
+                    # Shared iff the L1 probe misses (L2+/DRAM tags) or the
+                    # persist path engages (WPQ/NVM); a store merged into
+                    # an already-buffered dirty line never leaves the core.
+                    l1_line = addr >> line_bits
+                    index = l1_line % l1_nsets
+                    tag = l1_line // l1_nsets
+                    ways = l1_setlist[index]
+                    entry = ways.get(tag)
+                    if entry is None or (
+                        persist_stores and not (coalesce and l1_line in region_lines)
+                    ):
+                        while cycle > limit_c or (cycle == limit_c and idx > limit_i):
+                            limit_c, limit_i = yield cycle
+                    cycle += commit_cost
+                    if extra_store_cost:
+                        cycle += extra_store_cost
+                    l1_tick += 1
+                    if entry is not None:
+                        l1_hits += 1
+                        entry[0] = l1_tick
+                        entry[1] = True
+                    else:
+                        l1_misses += 1
+                        if len(ways) >= l1_ways_cap:
+                            victim_tag = None
+                            victim_tick = l1_tick
+                            for t, e in ways.items():
+                                et = e[0]
+                                if et < victim_tick:
+                                    victim_tick = et
+                                    victim_tag = t
+                            victim = ways.pop(victim_tag)
+                            l1_ev = victim_tag * l1_nsets + index if victim[1] else None
+                        else:
+                            l1_ev = None
+                        ways[tag] = [l1_tick, True]
+                        # ---- inlined L2 probe (store miss) --------------
+                        if multi_level:
+                            l2._tick = l2_tick = l2._tick + 1
+                            index2 = l1_line % l2_nsets
+                            tag2 = l1_line // l2_nsets
+                            ways2 = l2_sets.get(index2)
+                            if ways2 is None:
+                                ways2 = l2_sets[index2] = {}
+                            entry2 = ways2.get(tag2)
+                            if entry2 is not None:
+                                l2.hits += 1
+                                entry2[0] = l2_tick
+                                entry2[1] = True
+                                llc_ev = None
+                            else:
+                                l2.misses += 1
+                                if len(ways2) >= l2_ways_cap:
+                                    victim_tag = None
+                                    victim_tick = l2_tick
+                                    for t, e in ways2.items():
+                                        et = e[0]
+                                        if et < victim_tick:
+                                            victim_tick = et
+                                            victim_tag = t
+                                    victim = ways2.pop(victim_tag)
+                                    llc2 = (
+                                        victim_tag * l2_nsets + index2
+                                        if llc_from_l2 and victim[1]
+                                        else None
+                                    )
+                                else:
+                                    llc2 = None
+                                ways2[tag2] = [l2_tick, True]
+                                _, _, llc_ev = hier_miss(l1_line, True, 2)
+                                if llc_from_l2:
+                                    llc_ev = llc2
+                        else:
+                            _, _, llc_ev = hier_miss(l1_line, True)
+                        # ---- inlined _evictions (store-miss path) -------
+                        if l1_ev is not None:
+                            last = wb._last_t
+                            occ = wb.occ_integral
+                            while wb_entries and wb_entries[0] <= cycle:
+                                t = wb_entries.popleft()
+                                if t > last:
+                                    occ += (len(wb_entries) + 1) * (t - last)
+                                    last = t
+                            if cycle > last:
+                                occ += len(wb_entries) * (cycle - last)
+                                last = cycle
+                            wb._last_t = last
+                            wb.occ_integral = occ
+                            if len(wb_entries) >= wb_capacity:
+                                cycle = wb_admit(cycle)
+                            drain = cycle + l2_lat
+                            if wb_delay_on:
+                                persist = line_persist_time.get(l1_ev, 0.0)
+                                if persist > drain:
+                                    drain = persist
+                                    n_wb_delays += 1
+                            wb.pushes += 1
+                            if wb_entries and drain < wb_entries[-1]:
+                                wb_entries.append(wb_entries[-1])
+                            else:
+                                wb_entries.append(drain)
+                        if llc_ev is not None and not persist_stores:
+                            mc = ((llc_ev << line_bits) // interleave) % mc_count
+                            free = nvm_free[mc]
+                            begin = cycle if cycle > free else free
+                            nvm_free[mc] = begin + llc_wb_cost
+                            n_nvm_writes += 1
+                    if not persist_stores:
+                        continue
+                    # ---- inlined _persist -------------------------------
+                    if coalesce:
+                        if l1_line in region_lines:
+                            continue  # merged into the buffered dirty line
+                        region_lines.add(l1_line)
+                    # pb.admit(cycle), advance unrolled (full PB is rare
+                    # and delegates to the reference method).
+                    last = pb._last_t
+                    occ = pb.occ_integral
+                    while pb_entries and pb_entries[0] <= cycle:
+                        t = pb_entries.popleft()
+                        if t > last:
+                            occ += (len(pb_entries) + 1) * (t - last)
+                            last = t
+                    if cycle > last:
+                        occ += len(pb_entries) * (cycle - last)
+                        last = cycle
+                    pb._last_t = last
+                    pb.occ_integral = occ
+                    if len(pb_entries) >= pb_capacity:
+                        cycle = pb_admit(cycle)
+                    send = cycle if cycle > path_free else path_free
+                    path_free = send + path_send
+                    mc = (addr // interleave) % mc_count
+                    arrive = send + path_lat + mc_extra[mc]
+                    # wpq[mc].admit(arrive), same unrolling.
+                    q = wpq[mc]
+                    we = q.entries
+                    last = q._last_t
+                    occ = q.occ_integral
+                    while we and we[0] <= arrive:
+                        t = we.popleft()
+                        if t > last:
+                            occ += (len(we) + 1) * (t - last)
+                            last = t
+                    if arrive > last:
+                        occ += len(we) * (arrive - last)
+                        last = arrive
+                    q._last_t = last
+                    q.occ_integral = occ
+                    if len(we) >= wpq_capacity:
+                        admitted = q.admit(arrive)
+                    else:
+                        admitted = arrive
+                    free = nvm_free[mc]
+                    begin = admitted if admitted > free else free
+                    nvm_free[mc] = begin + media
+                    drain_done = begin + media + wpq_drain
+                    # wpq[mc].push(drain_done) / pb.push(admitted): FIFO
+                    # completion clamp, counted on the queue objects.
+                    q.pushes += 1
+                    if we and drain_done < we[-1]:
+                        we.append(we[-1])
+                    else:
+                        we.append(drain_done)
+                    pb.pushes += 1
+                    if pb_entries and admitted < pb_entries[-1]:
+                        pb_entries.append(pb_entries[-1])
+                    else:
+                        pb_entries.append(admitted)
+                    if admitted > region_last_persist:
+                        region_last_persist = admitted
+                    if admitted > line_persist_time.get(l1_line, 0.0):
+                        line_persist_time[l1_line] = admitted
+                    words = wpq_word_done[mc]
+                    words[addr >> 3] = drain_done
+                    if len(words) > 8192:
+                        wpq_word_done[mc] = {w: t for w, t in words.items() if t > cycle}
+                    n_path_bytes += persist_bytes
+                    n_nvm_writes += 1
+                elif code == "b" or code == "f" or code == "x":
+                    # Rare events: run through the reference methods.  A
+                    # fence orders only this core's stream (private); a
+                    # boundary can synthesize checkpoint stores and an
+                    # atomic is store+fence, so both are gated as shared.
+                    if code != "f":
+                        while cycle > limit_c or (cycle == limit_c and idx > limit_i):
+                            limit_c, limit_i = yield cycle
+                    cycle += commit_cost
+                    self.cycle = cycle
+                    self.path_free = path_free
+                    self.region_last_persist = region_last_persist
+                    l1._tick = l1_tick
+                    l1.hits = l1_hits
+                    l1.misses = l1_misses
+                    if code == "b":
+                        self._boundary()
+                        if boundary_log is not None:
+                            boundary_log.append(
+                                (n - length_hint(codes_iter), self.prev_region_complete)
+                            )
+                    elif code == "f":
+                        self._sync()
+                    else:
+                        self._store(addr, is_ckpt=False)
+                        self._sync()
+                    cycle = self.cycle
+                    path_free = self.path_free
+                    region_last_persist = self.region_last_persist
+                    l1_tick = l1._tick
+                    l1_hits = l1.hits
+                    l1_misses = l1.misses
+                else:  # pragma: no cover - generator bug guard
+                    raise ValueError(f"unknown event code {code!r}")
+            else:
+                pulled = 0
+        finally:
+            # -- write the localized state back -----------------------
+            end = n - length_hint(codes_iter) - pulled
+            self.cursor = end
+            self.cycle = cycle
+            self.path_free = path_free
+            self.region_last_persist = region_last_persist
+            l1._tick = l1_tick
+            l1.hits = l1_hits
+            l1.misses = l1_misses
+            # Counter flushes are integer-valued additions: exact in
+            # float (well below 2^53), so batching them preserves value
+            # identity.  Event-class totals come from C-speed counts
+            # over the executed codes -- the loop never increments them
+            # (rare-path methods update their own counters directly and
+            # are not re-counted).
+            self._c_insts.value += end - start
+            self._c_loads.value += codes.count("l", start, end)
+            self._c_stores.value += codes.count("s", start, end) + codes.count(
+                "c", start, end
+            )
+            self._c_nvm_reads.value += n_nvm_reads
+            self._c_nvm_writes.value += n_nvm_writes
+            self._c_path_bytes.value += n_path_bytes
+            self._c_wb_delays.value += n_wb_delays
+            self._c_wpq_hits.value += n_wpq_hits
+            self._c_df_stale.value += n_df_stale
 
     def finalize(self, shared_owner: bool = True) -> SimStats:
         """Drain outstanding persists and collect component metrics.
@@ -938,30 +903,6 @@ class TimingSimulator:
         return self.stats
 
     # ------------------------------------------------------------------
-    def _load(self, addr: int) -> None:
-        self._c_loads.value += 1
-        latency, to_nvm, l1_ev, llc_ev = self.hier.access(addr, False)
-        penalty = latency - self._l1_lat
-        if to_nvm:
-            mc = (addr // self._interleave) % self._mc_count
-            penalty += self._nvm_read_cyc + self._mc_extra[mc]
-            self._c_nvm_reads.value += 1
-            if penalty > 0:
-                self.cycle += penalty * self._mlp
-            if self.scheme.persist_stores and self.scheme.wpq_load_delay:
-                # Stale-read avoidance (Section V-C): a load that hits
-                # an in-flight WPQ word waits until that entry persists
-                # -- an ordering wait, not an overlappable memory
-                # latency, so the MLP discount must not apply to it.
-                done = self.wpq_word_done[mc].get(addr >> 3)
-                if done is not None and done > self.cycle:
-                    self._c_wpq_hits.value += 1
-                    self._c_df_stale.value += done - self.cycle
-                    self.cycle = done
-        elif penalty > 0:
-            self.cycle += penalty * self._mlp
-        self._evictions(l1_ev, llc_ev)
-
     def _store(self, addr: int, is_ckpt: bool) -> None:
         self._c_stores.value += 1
         if self._extra_store_cost:

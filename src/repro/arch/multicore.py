@@ -16,22 +16,17 @@ state:
 
 Cores are advanced in min-clock order: the core with the smallest
 local clock consumes its next event, so shared-queue contention is
-observed in approximately global time order.  Two implementations of
-that schedule exist:
-
-- the *reference stepper* (:meth:`MulticoreSimulator._run_events`): a
-  heap pop, one :meth:`TimingSimulator._step` dispatch, a heap push --
-  per event;
-- the *fused loop* (:meth:`MulticoreSimulator._run_packed`): one
-  packed-trace coroutine per core
-  (:meth:`TimingSimulator._packed_gen`), scheduled only at events that
-  touch shared state.  Each core runs ahead through its core-private
-  events (ALU, L1 hits, fences, coalesced persists) without consulting
-  the scheduler -- private events commute -- and blocks before a
-  shared event until it holds the minimum ``(clock, core)`` pair, so
-  every shared interaction happens in exactly the reference stepper's
-  order.  The two paths are value-identical by contract (golden- and
-  differentially-pinned in the test suite).
+observed in approximately global time order.  One scheduler
+(:meth:`MulticoreSimulator._schedule`) implements that order for
+whole runs and cuts alike, over one packed-trace coroutine per core
+(:meth:`TimingSimulator._packed_gen`), consulted only at events that
+touch shared state.  Each core runs ahead through its core-private
+events (ALU, L1 hits, fences, coalesced persists) without consulting
+the scheduler -- private events commute -- and blocks before a shared
+event until it holds the minimum ``(clock, core)`` pair, so every
+shared interaction happens in exactly the order of a per-event
+min-clock stepper.  That stepper is kept in ``tests/sim_oracle.py``
+as the oracle the tests diff the scheduler against.
 """
 
 from __future__ import annotations
@@ -42,10 +37,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.caches import CacheHierarchy
 from repro.arch.config import MachineConfig
-from repro.arch.machine import Event, SimStats, TimingSimulator
+from repro.arch.machine import INF, Event, SimStats, TimingSimulator
 from repro.arch.metrics import MetricSet
 from repro.arch.scheme import Scheme
-from repro.arch.trace import PackedTrace, unpack_events
+from repro.arch.trace import PackedTrace, as_packed
 
 
 @dataclass
@@ -142,23 +137,9 @@ class MulticoreSimulator:
     def run(self, traces: Sequence[List[Event]]) -> MulticoreStats:
         """Run one event stream per core; returns aggregate stats.
 
-        Fewer traces than cores leaves the extra cores idle.  All-
-        packed traces take the fused scheduling loop when the cache
-        geometry supports it (see ``TimingSimulator._packed_fast``);
-        anything else takes the reference min-clock stepper.  Both
-        paths are value-identical by contract.
+        Fewer traces than cores leaves the extra cores idle.
         """
-        if len(traces) > self.n_cores:
-            raise ValueError(f"{len(traces)} traces for {self.n_cores} cores")
-        traces = [unpack_events(t) for t in traces]
-        if (
-            traces
-            and self.cores[0]._packed_fast
-            and all(isinstance(t, PackedTrace) for t in traces)
-        ):
-            self._run_packed(traces)
-        else:
-            self._run_events(traces)
+        self.run_until(traces, INF)
         return self._finalize()
 
     def _finalize(self) -> MulticoreStats:
@@ -176,47 +157,39 @@ class MulticoreSimulator:
         cursors: Optional[List[int]] = None,
         max_events: Optional[int] = None,
     ) -> List[int]:
-        """Reference-step all cores in min-clock order until every
-        unexhausted core's clock reaches *cycle_limit*; returns the
-        per-core cursors (index of each core's first unexecuted event).
+        """Advance all cores in min-clock order until every unexhausted
+        core's clock reaches *cycle_limit*; returns the per-core cursors
+        (index of each core's first unexecuted event).
 
         Like :meth:`TimingSimulator.run_until`, the cut falls between
-        committed events: a core is dispatched only while its clock is
-        below the limit, so the event that pushes it past the limit
-        completes and nothing after it runs.  The heap is rebuilt from
-        ``(core.cycle, idx)`` pairs on entry -- the pushed key always
-        equals the core's clock at pop time, so a run cut here and
-        resumed reconstructs the reference stepper's order exactly.
-        ``max_events`` additionally bounds the total number of
-        dispatches (the checkpoint layer's event-budget cuts).
+        committed events: each core stops at its first event whose
+        pre-commit clock is at or past the limit, so it executes exactly
+        the events a per-event min-clock stepper would.  ``max_events``
+        bounds an event-budget cut instead (the checkpoint layer's
+        relays): the budget is split into per-core shares, the remainder
+        going to the cores with the earliest clocks, so the first core
+        scheduled always runs.  At most ``max_events`` events run, and
+        the run ends at a consistent cut as soon as one core has used
+        its share (DESIGN.md §7c).
         """
         if len(traces) > self.n_cores:
             raise ValueError(f"{len(traces)} traces for {self.n_cores} cores")
-        traces = [unpack_events(t) for t in traces]
-        if cursors is None:
-            cursors = [0] * len(traces)
-        else:
-            cursors = list(cursors)
-        heap: List[Tuple[float, int]] = [
-            (self.cores[idx].cycle, idx)
-            for idx in range(len(traces))
-            if cursors[idx] < len(traces[idx])
-        ]
-        heapq.heapify(heap)
-        dispatched = 0
-        while heap:
-            clock, idx = heapq.heappop(heap)
-            if clock >= cycle_limit:
-                break
-            if max_events is not None and dispatched >= max_events:
-                break
-            core = self.cores[idx]
-            core._step(traces[idx][cursors[idx]])
-            cursors[idx] += 1
-            dispatched += 1
-            if cursors[idx] < len(traces[idx]):
-                heapq.heappush(heap, (core.cycle, idx))
-        return cursors
+        traces = [as_packed(t) for t in traces]
+        cursors = [0] * len(traces) if cursors is None else list(cursors)
+        stops = None
+        if max_events is not None:
+            if max_events <= 0:
+                return cursors
+            active = sorted(
+                (self.cores[idx].cycle, idx)
+                for idx, trace in enumerate(traces)
+                if cursors[idx] < len(trace)
+            )
+            share, extra = divmod(max_events, len(active) or 1)
+            stops = list(cursors)
+            for rank, (_, idx) in enumerate(active):
+                stops[idx] += share + (rank < extra)
+        return self._schedule(traces, cursors, cycle_limit, stops)
 
     # -- checkpoint protocol -------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -244,63 +217,67 @@ class MulticoreSimulator:
         for core, core_state in zip(self.cores, state["cores"]):
             core.restore_state(core_state)
 
-    def _run_events(self, traces: Sequence[List[Event]]) -> None:
-        """Reference min-clock stepper: one event dispatch per heap pop."""
-        iters = [iter(t) for t in traces]
-        # Min-heap on local core time: approximately global time order.
-        heap: List[Tuple[float, int]] = []
-        for idx, it in enumerate(iters):
-            heap.append((0.0, idx))
-        heapq.heapify(heap)
-        pending: Dict[int, Optional[Event]] = {}
-        for idx, it in enumerate(iters):
-            pending[idx] = next(it, None)
-        while heap:
-            _, idx = heapq.heappop(heap)
-            ev = pending[idx]
-            if ev is None:
-                continue
-            core = self.cores[idx]
-            core._step(ev)
-            pending[idx] = next(iters[idx], None)
-            if pending[idx] is not None:
-                heapq.heappush(heap, (core.cycle, idx))
-
-    def _run_packed(self, traces: Sequence[PackedTrace]) -> None:
+    def _schedule(
+        self,
+        traces: Sequence[PackedTrace],
+        cursors: List[int],
+        cycle_limit: float,
+        stops: Optional[List[int]],
+    ) -> List[int]:
         """Fused scheduling loop over per-core packed coroutines.
 
         Each core's :meth:`TimingSimulator._packed_gen` executes runs
         of core-private events without scheduler involvement and yields
         its pre-event clock when blocked at a shared event while some
         other core's pending ``(clock, core)`` pair is smaller.  The
-        heap holds exactly those pending pairs -- the same keys the
-        reference stepper orders by -- so shared-state interactions
-        happen in the identical global order, and the per-event
-        heap-pop/dispatch/heap-push of the reference stepper is paid
-        only at actual cross-core scheduling points.
+        heap holds exactly those pending pairs, so shared-state
+        interactions happen in min-clock order, and the per-event
+        heap-pop/dispatch/heap-push of a min-clock stepper is paid only
+        at actual cross-core scheduling points.  A popped generator's
+        pending key is the heap minimum, so each ``send`` executes at
+        least one event: the loop always makes progress.
 
-        A popped generator's pending key is the heap minimum, so each
-        ``send`` executes at least one event: the loop always makes
-        progress.  The initial ``(0.0, idx)`` entries are conservative
-        placeholders for cores that have not run yet.
+        A core that stops before its trace ends (the cycle cut or its
+        stop index) leaves its pending key in the heap as a wall.  When
+        the wall is popped, every other pending key is larger, so every
+        shared event executed so far precedes every one not executed:
+        the cut is consistent.  The parked generators are then closed,
+        which writes their state back.  Returns the per-core cursors.
         """
-        sends = []
+        gens: Dict[int, object] = {}
+        heap: List[Tuple[float, int]] = []
         for idx, trace in enumerate(traces):
-            gen = self.cores[idx]._packed_gen(trace, idx)
-            next(gen)  # run the locals setup, park before the first event
-            sends.append(gen.send)
-        heap: List[Tuple[float, int]] = [(0.0, idx) for idx in range(len(sends))]
+            if cursors[idx] < len(trace):
+                core = self.cores[idx]
+                stop = None if stops is None else stops[idx]
+                gen = core._packed_gen(trace, idx, cursors[idx], stop, cycle_limit)
+                next(gen)  # run the locals setup, park before the first event
+                gens[idx] = gen
+                heap.append((core.cycle, idx))
         heapq.heapify(heap)
-        last = (float("inf"), -1)
+        last = (INF, -1)
         heappop = heapq.heappop
         heappush = heapq.heappush
         while heap:
-            _, idx = heappop(heap)
+            idx = heappop(heap)[1]
+            gen = gens.get(idx)
+            if gen is None:
+                break  # a wall: the run stops here
             try:
-                clock = sends[idx](heap[0] if heap else last)
+                clock = gen.send(heap[0] if heap else last)
             except StopIteration:
-                continue  # this core's trace is exhausted
+                del gens[idx]
+                core = self.cores[idx]
+                if core.cursor < len(traces[idx]):
+                    heappush(heap, (core.cycle, idx))
+                continue
             heappush(heap, (clock, idx))
+        for gen in gens.values():
+            gen.close()
+        for idx in range(len(traces)):
+            if cursors[idx] < len(traces[idx]):
+                cursors[idx] = self.cores[idx].cursor
+        return cursors
 
 
 def simulate_multicore(

@@ -8,10 +8,12 @@ two parallel batches: a ``str`` of event codes and a list of operand
 addresses (0 for code-only events).  ``TimingSimulator.run`` consumes
 it with a fused ``zip`` loop (CPython reuses the result tuple, so the
 per-event allocation disappears), and the workload generators emit it
-directly without materializing per-instruction objects.
+directly without materializing per-instruction objects.  The
+simulators pack any other event iterable once at entry
+(:func:`as_packed`), so a packed trace is the only form they run.
 
 A packed trace iterates as the legacy tuples, so every consumer that
-only walks events (fault injectors, the multicore stepper, tests)
+only walks events (fault injectors, the test oracles)
 accepts either representation; :meth:`to_events`/:meth:`from_events`
 convert explicitly.  The two representations are *value-identical* by
 contract: simulating either form of the same stream must produce
@@ -129,8 +131,8 @@ class EventView:
     falls back to the view's reflected comparison) -- while storing
     only a reference to the packed batches.  This is the single
     unpacked representation the IR adapter and workload generator hand
-    to consumers that walk tuples; the simulator unwraps it back to
-    the packed trace for the fused fast path.
+    to consumers that walk tuples; the simulators unwrap it back to
+    the packed trace.
     """
 
     __slots__ = ("packed",)
@@ -168,5 +170,15 @@ class EventView:
 
 def unpack_events(events) -> Union[PackedTrace, Iterable[Event]]:
     """Unwrap an :class:`EventView` to its packed trace, pass through
-    everything else -- the simulators' entry normalization."""
+    everything else."""
     return events.packed if isinstance(events, EventView) else events
+
+
+def as_packed(events) -> PackedTrace:
+    """The simulators' entry normalization: an :class:`EventView`
+    unwraps to its packed trace, a packed trace passes through, and
+    any other iterable of event tuples is packed once."""
+    events = unpack_events(events)
+    if isinstance(events, PackedTrace):
+        return events
+    return PackedTrace.from_events(events)

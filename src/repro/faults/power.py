@@ -9,11 +9,11 @@ dies at every failure, and a scheme resumes from its last durable
 region boundary after paying a fixed recovery cost *in cycles*.
 
 Built directly on the checkpoint layer's cut primitive
-(:meth:`TimingSimulator.run_until` with a boundary log): each
-on-interval reference-steps the trace from the durable cursor with a
-cycle budget, and the boundary log -- ``(next_event_index,
-prev_region_complete)`` pairs -- tells exactly which prefix of the
-stream had persisted when the power died.  Schemes that persist
+(:meth:`TimingSimulator.run_until` with a boundary log, the same fused
+event loop every simulation runs): each on-interval commits the trace
+from the durable cursor with a cycle budget, and the boundary log --
+``(next_event_index, prev_region_complete)`` pairs -- tells exactly
+which prefix of the stream had persisted when the power died.  Schemes that persist
 nothing (the baseline) never advance the durable cursor, so they make
 forward progress only if the whole run fits one interval: the
 paper's motivation, measured.
@@ -36,7 +36,7 @@ import numpy as np
 from repro.arch.config import MachineConfig, skylake_machine
 from repro.arch.machine import TimingSimulator, simulate
 from repro.arch.scheme import Scheme
-from repro.arch.trace import PackedTrace, unpack_events
+from repro.arch.trace import as_packed
 
 #: Consecutive no-progress intervals before a run is declared stalled.
 STALL_LIMIT = 8
@@ -121,14 +121,14 @@ def run_intermittent(
 
     Every interval starts a fresh :class:`TimingSimulator` (volatile
     state is lost; the first interval inherits the primed hierarchy,
-    later ones restart cold -- the cost of dying) and reference-steps
-    from the durable cursor with the interval's cycle budget.  Durable
+    later ones restart cold -- the cost of dying) and runs from the
+    durable cursor with the interval's cycle budget.  Durable
     progress advances to the last region boundary whose persists had
     completed within the budget; non-persisting schemes never advance
     it.  A run that makes no progress for :data:`STALL_LIMIT`
     consecutive intervals is reported stalled.
     """
-    trace = unpack_events(trace)
+    trace = as_packed(trace)
     n = len(trace)
     durable = 0
     attempted = 0

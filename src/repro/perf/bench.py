@@ -267,6 +267,7 @@ def bench_machine_checkpointed(config: BenchConfig) -> BenchResult:
 @bench("machine.run_multicore")
 def bench_machine_multicore(config: BenchConfig) -> BenchResult:
     """Fused multicore loop: 8 cwsp cores over packed SPLASH traces."""
+    from repro.arch.checkpoint import MulticoreCheckpointableRun, SimCheckpoint
     from repro.arch.multicore import MulticoreSimulator
     from repro.perf.timers import Stopwatch
     from repro.schemes import cwsp
@@ -287,30 +288,29 @@ def bench_machine_multicore(config: BenchConfig) -> BenchResult:
     prime = [r for a in apps for r in prime_ranges(PROFILES[a])]
     n_events = sum(len(t) for t in traces)
 
-    def measure(streams, n_reps):
-        # Best-of-N seconds of the scheduling loop alone: simulator
-        # construction and cache priming are identical setup for both
-        # representations, so they stay outside the stopwatch.
-        best = None
-        stats = None
-        for _ in range(n_reps):
-            sim = MulticoreSimulator(machine, cwsp(), n_cores)
-            sim.prime(prime)
-            with Stopwatch() as sw:
-                stats = sim.run(streams)
-            if best is None or sw.seconds < best:
-                best = sw.seconds
-        return best, stats
-
-    seconds, stats = measure(traces, reps)
-    # Reference A/B: the same streams through the min-clock tuple
-    # stepper.  Doubles as a value-identity guard at benchmark scale:
-    # a fused/reference divergence fails the perf job, not just the
-    # unit suite.
-    ref_seconds, ref_stats = measure([t.to_events() for t in traces], max(2, reps // 2))
-    if stats.merged().to_dict() != ref_stats.merged().to_dict():
+    # Best-of-N seconds of the scheduling loop alone: simulator
+    # construction and cache priming stay outside the stopwatch.
+    seconds = None
+    stats = None
+    for _ in range(reps):
+        sim = MulticoreSimulator(machine, cwsp(), n_cores)
+        sim.prime(prime)
+        with Stopwatch() as sw:
+            stats = sim.run(traces)
+        if seconds is None or sw.seconds < seconds:
+            seconds = sw.seconds
+    # Value-identity guard at benchmark scale: cut at half the
+    # makespan, JSON round trip, resume.  A divergence fails the perf
+    # job, not just the unit suite.
+    run = MulticoreCheckpointableRun(machine, cwsp(), traces, prime=prime)
+    run.run_to_cycle(stats.cycles / 2)
+    resumed = MulticoreCheckpointableRun.resume(
+        SimCheckpoint.from_json(run.checkpoint().to_json()), machine, cwsp(), traces
+    )
+    if resumed.run_to_end().merged().to_dict() != stats.merged().to_dict():
         raise AssertionError(
-            "fused multicore loop diverged from the reference stepper"
+            "multicore run cut at half its makespan and resumed diverged "
+            "from the uninterrupted run"
         )
     return BenchResult(
         name="machine.run_multicore",
@@ -327,8 +327,6 @@ def bench_machine_multicore(config: BenchConfig) -> BenchResult:
             "seed0": 0,
             "scheme": "cWSP",
             "cycles": stats.cycles,
-            "reference_events_per_sec": n_events / ref_seconds,
-            "speedup_vs_reference": ref_seconds / seconds,
         },
     )
 

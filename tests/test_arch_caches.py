@@ -194,7 +194,6 @@ class TestCopyTagsFrom:
         direct = TimingSimulator(machine, cwsp())
         direct.hier.prime(self.RANGES)
         copied = TimingSimulator(machine, cwsp())
-        assert copied._packed_fast
         l1_sets = copied.hier.levels[0].sets
         pre_created = {i: ways for i, ways in l1_sets.items()}
         copied.hier.copy_tags_from(self._template(machine))

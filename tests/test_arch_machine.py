@@ -126,9 +126,9 @@ class TestStaleReadMachinery:
         # Section V-C: a load hitting an in-flight WPQ word waits until
         # that entry persists -- exactly, with no mlp_factor discount
         # (an ordering wait is not an overlappable memory latency).
-        from repro.arch.machine import TimingSimulator
+        from tests.sim_oracle import OracleSimulator
 
-        sim = TimingSimulator(machine, cwsp())
+        sim = OracleSimulator(machine, cwsp())
         addr = 0x7000_0040  # cold caches: the load reads from NVM
         mc = machine.mc_of(addr)
         done = 1.0e6  # far beyond the load's own latency
@@ -142,12 +142,11 @@ class TestStaleReadMachinery:
         from repro.arch.trace import PackedTrace
 
         sim = TimingSimulator(machine, cwsp())
-        assert sim._packed_fast
         addr = 0x7000_0040
         mc = machine.mc_of(addr)
         done = 1.0e6
         sim.wpq_word_done[mc][addr >> 3] = done
-        sim._run_packed(PackedTrace("l", [addr]))
+        sim.run_until(PackedTrace("l", [addr]), float("inf"))
         assert sim.cycle == done
         assert sim.stats.wpq_load_hits == 1
 
@@ -238,9 +237,9 @@ class TestDelayFreeAccounting:
         assert 0.0 <= stats.delay_free_stall_frac < 1.0
 
     def test_stale_read_wait_counted_reference_path(self, machine):
-        from repro.arch.machine import TimingSimulator
+        from tests.sim_oracle import OracleSimulator
 
-        sim = TimingSimulator(machine, cwsp())
+        sim = OracleSimulator(machine, cwsp())
         addr = 0x7000_0040
         done = 1.0e6
         sim.wpq_word_done[machine.mc_of(addr)][addr >> 3] = done
@@ -256,12 +255,11 @@ class TestDelayFreeAccounting:
         from repro.arch.trace import PackedTrace
 
         sim = TimingSimulator(machine, cwsp())
-        assert sim._packed_fast
         addr = 0x7000_0040
         done = 1.0e6
         sim.wpq_word_done[machine.mc_of(addr)][addr >> 3] = done
         before = sim.cycle
-        sim._run_packed(PackedTrace("l", [addr]))
+        sim.run_until(PackedTrace("l", [addr]), float("inf"))
         assert 0 < sim.stats.delayfree_stale_wait_cycles <= done - before
         assert sim.cycle == done
 

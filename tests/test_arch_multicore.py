@@ -7,6 +7,7 @@ from repro.arch.multicore import MulticoreSimulator, simulate_multicore
 from repro.schemes import baseline, cwsp
 from repro.workloads import PROFILES, generate_trace
 from repro.workloads.synthetic import prime_ranges
+from tests.sim_oracle import OracleMulticore
 
 
 def traces(n_cores, n=4000):
@@ -63,9 +64,10 @@ def catalog_cases():
 
 
 class TestFusedLoopIdentity:
-    """The fused packed loop must be bit-identical to the reference
-    min-clock stepper -- and, degenerately, to the single-core
-    simulator -- for every scheme the catalog defines."""
+    """The fused scheduler must be bit-identical to the per-event
+    min-clock stepper of tests/sim_oracle.py -- and, degenerately, to
+    the single-core simulator -- for every scheme the catalog
+    defines."""
 
     @pytest.mark.parametrize("packed", [False, True], ids=["legacy", "packed"])
     @pytest.mark.parametrize(
@@ -102,7 +104,7 @@ class TestFusedLoopIdentity:
         fused = MulticoreSimulator(machine, scheme, 4)
         fused.prime(prime)
         fstats = fused.run(packed)
-        ref = MulticoreSimulator(machine, scheme, 4)
+        ref = OracleMulticore(machine, scheme, 4)
         ref.prime(prime)
         rstats = ref.run([t.to_events() for t in packed])
         assert [s.to_dict() for s in fstats.per_core] == [
@@ -110,13 +112,21 @@ class TestFusedLoopIdentity:
         ]
         assert fstats.merged().to_dict() == rstats.merged().to_dict()
 
+    def _spy(self, sim, monkeypatch):
+        """Record the trace types every ``_schedule`` call receives."""
+        calls = []
+        orig = sim._schedule
+
+        def spy(traces, *args):
+            calls.append([type(t).__name__ for t in traces])
+            return orig(traces, *args)
+
+        monkeypatch.setattr(sim, "_schedule", spy)
+        return calls
+
     def test_packed_traces_take_the_fused_path(self, machine, monkeypatch):
         sim = MulticoreSimulator(machine, cwsp(), 2)
-        calls = []
-        orig = sim._run_packed
-        monkeypatch.setattr(
-            sim, "_run_packed", lambda tr: (calls.append(len(tr)), orig(tr))[1]
-        )
+        calls = self._spy(sim, monkeypatch)
         tr = [
             generate_trace(
                 PROFILES["radix"], 500, seed=i, instrument="pruned", packed=True
@@ -124,17 +134,13 @@ class TestFusedLoopIdentity:
             for i in range(2)
         ]
         sim.run(tr)
-        assert calls == [2]
+        assert calls == [["PackedTrace", "PackedTrace"]]
 
-    def test_mixed_traces_take_the_reference_stepper(self, machine, monkeypatch):
-        """Genuine tuple lists (e.g. IR-derived) fall back to the
-        reference stepper; an EventView unwraps to its packed columns
-        and stays on the fused path."""
+    def test_mixed_traces_take_the_fused_path(self, machine, monkeypatch):
+        """Genuine tuple lists (e.g. IR-derived) are packed once at
+        entry and share the fused scheduler with packed traces."""
         sim = MulticoreSimulator(machine, cwsp(), 2)
-        monkeypatch.setattr(
-            sim, "_run_packed",
-            lambda tr: (_ for _ in ()).throw(AssertionError("fused path taken")),
-        )
+        calls = self._spy(sim, monkeypatch)
         packed = generate_trace(
             PROFILES["radix"], 500, seed=0, instrument="pruned", packed=True
         )
@@ -143,20 +149,17 @@ class TestFusedLoopIdentity:
         )
         stats = sim.run([packed, legacy])
         assert stats.insts > 0
+        assert calls == [["PackedTrace", "PackedTrace"]]
 
     def test_view_traces_take_the_fused_path(self, machine, monkeypatch):
         sim = MulticoreSimulator(machine, cwsp(), 2)
-        calls = []
-        orig = sim._run_packed
-        monkeypatch.setattr(
-            sim, "_run_packed", lambda tr: (calls.append(len(tr)), orig(tr))[1]
-        )
+        calls = self._spy(sim, monkeypatch)
         packed = generate_trace(
             PROFILES["radix"], 500, seed=0, instrument="pruned", packed=True
         )
         view = generate_trace(PROFILES["fft"], 500, seed=1, instrument="pruned")
         sim.run([packed, view])
-        assert calls == [2]
+        assert calls == [["PackedTrace", "PackedTrace"]]
 
 
 class TestBehaviour:

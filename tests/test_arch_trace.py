@@ -21,6 +21,7 @@ from repro.arch.trace import (
 from repro.schemes.catalog import baseline, capri, cwsp, ido, psp_ideal, replaycache
 from repro.workloads.profiles import PROFILES
 from repro.workloads.synthetic import generate_trace, prime_ranges
+from tests.sim_oracle import oracle_simulate
 
 SCHEME_FACTORIES = {
     "baseline": baseline,
@@ -143,11 +144,8 @@ class TestPackedTrace:
 class TestSimulatorValueIdentity:
     @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
     def test_packed_equals_legacy_stats(self, scheme_name):
-        """run(PackedTrace) and run(list) agree to the last bit.
-
-        The reference side must be a plain list: an ``EventView`` would
-        be unwrapped back to the packed trace and take the fused loop
-        too, making the comparison vacuous."""
+        """run(PackedTrace), run(list) and the per-event oracle on the
+        list agree to the last bit."""
         profile = PROFILES["xsbench"]
         machine = skylake_machine(scaled=True)
         prime = prime_ranges(profile)
@@ -159,10 +157,12 @@ class TestSimulatorValueIdentity:
         factory = SCHEME_FACTORIES[scheme_name]
         s_legacy = simulate(legacy, machine, factory(), prime=prime)
         s_packed = simulate(packed, machine, factory(), prime=prime)
-        assert s_packed.to_dict() == s_legacy.to_dict()
+        s_oracle = oracle_simulate(legacy, machine, factory(), prime=prime)
+        assert s_packed.to_dict() == s_legacy.to_dict() == s_oracle.to_dict()
 
     def test_packed_equals_legacy_on_nonconforming_geometry(self):
-        """Configs outside the fast-path gate fall back and still agree."""
+        """A three-level hierarchy: the fused loop enters the
+        ``CacheHierarchy.miss`` walk below L2 and still agrees."""
         profile = PROFILES["astar"]
         machine = machine_with_cache_levels(3)
         prime = prime_ranges(profile)
@@ -171,17 +171,28 @@ class TestSimulatorValueIdentity:
         )
         legacy = packed.to_events()
         assert type(legacy) is list
-        s_legacy = simulate(legacy, machine, cwsp(), prime=prime)
+        s_legacy = oracle_simulate(legacy, machine, cwsp(), prime=prime)
         s_packed = simulate(packed, machine, cwsp(), prime=prime)
         assert s_packed.to_dict() == s_legacy.to_dict()
 
-    def test_fast_path_actually_engaged(self):
-        """The default bench machine must qualify for the fused loop."""
-        sim = TimingSimulator(skylake_machine(scaled=True), cwsp())
-        assert sim._packed_fast
+    def test_fast_path_actually_engaged(self, monkeypatch):
+        """Packed traces and plain lists alike run the fused loop."""
+        calls = []
+        orig = TimingSimulator._packed_gen
+
+        def spy(self, trace, *args):
+            calls.append(type(trace))
+            return orig(self, trace, *args)
+
+        monkeypatch.setattr(TimingSimulator, "_packed_gen", spy)
+        machine = skylake_machine(scaled=True)
+        events = [("l", 64), ("a",), ("s", 128), ("b",)]
+        for trace in (events, PackedTrace.from_events(events)):
+            simulate(trace, machine, cwsp())
+        assert calls == [PackedTrace, PackedTrace]
 
     def test_run_accepts_iterables(self):
-        """Generators (no len) still simulate via the reference loop."""
+        """Generators (no len) are packed at entry like any stream."""
         profile = PROFILES["astar"]
         machine = skylake_machine(scaled=True)
         legacy = generate_trace(profile, 3_000, seed=9, instrument="pruned")

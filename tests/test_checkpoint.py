@@ -9,6 +9,7 @@ resumable :class:`SyntheticStream`) or is re-supplied externally.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +346,32 @@ class TestHarnessCheckpoint:
         via = compute_point(point, checkpoint=policy, key="k2")
         assert via.to_dict() == direct.to_dict()
         assert not policy.path_for("k2").exists()
+
+    def test_failed_save_keeps_previous_checkpoint(
+        self, machine, tmp_path, monkeypatch
+    ):
+        """A save that dies partway (a killed worker, a full disk)
+        leaves the previous checkpoint's bytes in place."""
+        path = tmp_path / "k4.ckpt.json"
+        run = CheckpointableRun(
+            machine, cwsp(), stream=_fresh_stream(),
+            prime=prime_ranges(PROFILES[APP]),
+        )
+        run.run_for_events(500)
+        run.checkpoint().save(path)
+        good = path.read_bytes()
+        run.run_for_events(500)
+
+        def torn_write(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as f:
+                f.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            run.checkpoint().save(path)
+        assert path.read_bytes() == good
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_multicore_point_matches_direct(self, machine, tmp_path):
         point = MulticorePoint(

@@ -16,8 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch.caches import CacheHierarchy
+from repro.arch.checkpoint import (
+    CheckpointableRun,
+    MulticoreCheckpointableRun,
+    SimCheckpoint,
+)
 from repro.arch.config import CacheConfig, DRAMCacheConfig, skylake_machine
 from repro.arch.machine import TimingSimulator, simulate
+from repro.arch.multicore import MulticoreSimulator, simulate_multicore
 from repro.arch.queues import CompletionQueue
 from repro.arch.scheme import Scheme
 from repro.arch.trace import PackedTrace
@@ -43,6 +49,7 @@ from repro.workloads.synthetic import (
     generate_trace,
     prime_ranges,
 )
+from tests.sim_oracle import OracleMulticore, OracleSimulator, oracle_simulate
 from tests.trace_oracle import OracleStream
 
 # ----------------------------------------------------------------------
@@ -249,10 +256,10 @@ def test_printer_parser_roundtrip_random_programs(spec):
 # The fused packed loop matches the per-event reference loop
 # ----------------------------------------------------------------------
 #
-# ``simulate(packed_trace)`` takes ``TimingSimulator._run_packed`` on
-# every machine below (all satisfy ``_packed_fast``); the same stream as
-# a plain list of event tuples takes ``_run_events``, the reference
-# oracle.  The two must agree byte for byte on ``SimStats.to_dict()``.
+# ``simulate`` runs every stream, packed or a plain list of event
+# tuples, through the fused ``TimingSimulator._packed_gen``; the
+# per-event reference loop of tests/sim_oracle.py is the oracle.  All
+# three must agree byte for byte on ``SimStats.to_dict()``.
 
 #: Code alphabets to draw events from: the first is dense in rare
 #: events (boundaries, fences, atomics, checkpoint stores); the second
@@ -311,14 +318,16 @@ def _schemes():
 
 def _assert_packed_equals_reference(trace, machine, scheme, prime=None):
     events = trace.to_events()
-    # A plain list: an EventView would be unwrapped back to the packed
-    # trace and take the fused loop too, making the check vacuous.
     assert type(events) is list
-    packed = simulate(trace, machine, scheme, prime=prime).to_dict()
-    reference = simulate(events, machine, scheme, prime=prime).to_dict()
-    assert json.dumps(packed, sort_keys=True) == json.dumps(
-        reference, sort_keys=True
-    )
+    results = [
+        _stats_json(run(stream, machine, scheme, prime=prime))
+        for run, stream in (
+            (simulate, trace),
+            (simulate, events),
+            (oracle_simulate, events),
+        )
+    ]
+    assert results[0] == results[1] == results[2]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -416,7 +425,6 @@ class TestPackedVsReference:
         """The golden config (astar, 4000 insts, seed 3), every scheme."""
         machine = skylake_machine(scaled=True)
         scheme = _CATALOG[scheme_name]()
-        assert TimingSimulator(machine, scheme)._packed_fast
         profile = PROFILES["astar"]
         trace = generate_trace(profile, 4_000, seed=3, instrument="pruned", packed=True)
         _assert_packed_equals_reference(trace, machine, scheme, prime_ranges(profile))
@@ -475,9 +483,9 @@ class TestPackedVsReference:
         _assert_packed_equals_reference(trace, machine, scheme)
 
     def test_non_power_of_two_commit_width(self):
-        """A commit width of 3 still takes the packed loop."""
+        """A commit width of 3: a commit cost that is not a power of
+        two, so every clock add rounds."""
         machine = skylake_machine(scaled=True, commit_width=3)
-        assert TimingSimulator(machine, cwsp())._packed_fast
         profile = PROFILES["astar"]
         trace = generate_trace(profile, 2_000, seed=7, instrument="pruned", packed=True)
         _assert_packed_equals_reference(trace, machine, cwsp())
@@ -493,9 +501,9 @@ class TestPackedVsReference:
 # lone ``compute_point`` call produces.
 
 _BATCH_MACHINES = (
-    # Inside the fused loop's preconditions.
+    # Power-of-two set counts throughout.
     skylake_machine(scaled=True),
-    # A 24-set L1: outside them, so the reference loop runs.
+    # A 24-set L1 over a 24,576-line DRAM cache.
     skylake_machine(
         scaled=True,
         caches=(
@@ -504,7 +512,7 @@ _BATCH_MACHINES = (
         ),
         dram_cache=DRAMCacheConfig(size_bytes=3 << 19, hit_latency=140),
     ),
-    # A power-of-two L1 over a 192-set L2: also outside them.
+    # A power-of-two L1 over a 192-set L2.
     skylake_machine(
         scaled=True,
         caches=(
@@ -519,8 +527,17 @@ _BATCH_SCHEMES = (
 
 
 def test_batch_machines_cover_both_loops():
-    fast = {TimingSimulator(m, cwsp())._packed_fast for m in _BATCH_MACHINES}
-    assert fast == {True, False}
+    """Power-of-two and other set counts, at L1 and at L2, all run the
+    one fused loop: the batch machines cover each kind."""
+
+    def pow2(n):
+        return n & (n - 1) == 0
+
+    kinds = set()
+    for machine in _BATCH_MACHINES:
+        levels = TimingSimulator(machine, cwsp()).hier.levels
+        kinds |= {(i, pow2(level.n_sets)) for i, level in enumerate(levels[:2])}
+    assert kinds == {(0, True), (0, False), (1, True), (1, False)}
     assert not all(s.dram_cache_enabled for s in _BATCH_SCHEMES)
 
 
@@ -578,6 +595,253 @@ def test_batched_resolve_matches_per_point_compute_two_jobs():
         )
     ]
     _assert_batched_equals_per_point(misses, jobs=2)
+
+
+# ----------------------------------------------------------------------
+# Random cut points match the reference cut and resume bit-identically
+# ----------------------------------------------------------------------
+#
+# A cut ends a run before the first event whose pre-commit clock is at
+# or past the limit, or at a stop index.  The fused loop must stop
+# where the per-event oracle of tests/sim_oracle.py stops, with the
+# same boundary log and the same ``snapshot()``; and a cut, serialized
+# through ``SimCheckpoint`` JSON and resumed, must finish with the
+# uninterrupted run's ``SimStats.to_dict()`` byte for byte.  Cuts are
+# drawn both as floats and as exact pre-commit clocks, where ``>=``
+# and ``>`` differ.
+
+
+@st.composite
+def cut_cases(draw):
+    machine = draw(st.sampled_from(_BATCH_MACHINES))
+    scheme = _CATALOG[draw(st.sampled_from(sorted(_CATALOG)))]()
+    if draw(st.booleans()):
+        return draw(packed_traces()), machine, scheme, ()
+    profile = PROFILES[draw(st.sampled_from(sorted(PROFILES)))]
+    n = draw(st.integers(0, 1500))
+    trace = generate_trace(
+        profile, n, seed=draw(st.integers(0, 3)), instrument="pruned", packed=True
+    )
+    return trace, machine, scheme, tuple(prime_ranges(profile))
+
+
+@st.composite
+def multicore_cases(draw):
+    machine = draw(st.sampled_from(_BATCH_MACHINES))
+    scheme = _CATALOG[draw(st.sampled_from(sorted(_CATALOG)))]()
+    apps = draw(st.lists(st.sampled_from(sorted(PROFILES)), min_size=2, max_size=4))
+    traces = [
+        generate_trace(
+            PROFILES[app],
+            draw(st.integers(0, 600)),
+            seed=i,
+            instrument="pruned",
+            packed=True,
+        )
+        for i, app in enumerate(apps)
+    ]
+    prime = tuple(r for app in apps for r in prime_ranges(PROFILES[app]))
+    return machine, scheme, traces, prime
+
+
+def _primed(cls, machine, scheme, prime):
+    sim = cls(machine, scheme)
+    sim.hier.prime(list(prime))
+    return sim
+
+
+def _cut_points(clocks):
+    """Exact pre-commit clocks, the edges, and floats in between."""
+    top = max(clocks, default=0.0) + 1.0
+    return st.one_of(
+        st.sampled_from(clocks + [0.0, float("inf")]),
+        st.floats(min_value=0.0, max_value=top),
+    )
+
+
+def _event_clocks(trace, machine, scheme, prime):
+    """Every event's pre-commit clock under the oracle, in order."""
+    sim = _primed(OracleSimulator, machine, scheme, prime)
+    clocks = []
+    for ev in trace:
+        clocks.append(sim.cycle)
+        sim._step(ev)
+    return clocks
+
+
+def _multicore_clocks(machine, scheme, traces, prime):
+    """Every dispatched event's pre-commit clock under the oracle."""
+    sim = OracleMulticore(machine, scheme, len(traces))
+    sim.prime(prime)
+    clocks = []
+    for core in sim.cores:
+
+        def step(ev, core=core, inner=core._step):
+            clocks.append(core.cycle)
+            inner(ev)
+
+        core._step = step
+    sim.run(traces)
+    return clocks
+
+
+def _single_cut(cls, trace, machine, scheme, prime, cut, start=0, stop=None):
+    sim = _primed(cls, machine, scheme, prime)
+    log = []
+    index = sim.run_until(trace, cut, start, stop, log)
+    return index, log, json.dumps(sim.snapshot(), sort_keys=True)
+
+
+def _multicore_cut(cls, machine, scheme, traces, prime, cut):
+    sim = cls(machine, scheme, len(traces))
+    sim.prime(prime)
+    cursors = sim.run_until(traces, cut)
+    return cursors, json.dumps(sim.snapshot(), sort_keys=True)
+
+
+def _round_trip(ckpt):
+    return SimCheckpoint.from_json(ckpt.to_json())
+
+
+def _merged_json(stats):
+    return _stats_json(stats.merged())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cut_cases(), data=st.data())
+def test_random_cut_matches_reference_cut(case, data):
+    trace, machine, scheme, prime = case
+    cut = data.draw(_cut_points(_event_clocks(trace, machine, scheme, prime)))
+    start = data.draw(st.integers(0, len(trace)))
+    stop = data.draw(st.one_of(st.none(), st.integers(0, len(trace))))
+    args = (trace, machine, scheme, prime, cut, start, stop)
+    assert _single_cut(TimingSimulator, *args) == _single_cut(OracleSimulator, *args)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cut_cases(), data=st.data())
+def test_random_cut_resumes_bit_identical(case, data):
+    trace, machine, scheme, prime = case
+    golden = _stats_json(simulate(trace, machine, scheme, prime=prime))
+    run = CheckpointableRun(machine, scheme, trace=trace, prime=prime)
+    if data.draw(st.booleans()):
+        clocks = _event_clocks(trace, machine, scheme, prime)
+        run.run_to_cycle(data.draw(_cut_points(clocks)))
+    else:
+        run.run_for_events(data.draw(st.integers(0, len(trace))))
+    resumed = CheckpointableRun.resume(
+        _round_trip(run.checkpoint()), machine, scheme, trace=trace
+    )
+    assert _stats_json(resumed.run_to_end()) == golden
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cut_cases(), slices=st.integers(1, 8))
+def test_budget_relay_resumes_bit_identical(case, slices):
+    """Checkpoint, JSON round trip and resume between every slice."""
+    trace, machine, scheme, prime = case
+    golden = _stats_json(simulate(trace, machine, scheme, prime=prime))
+    budget = max(1, -(-len(trace) // slices))
+    run = CheckpointableRun(machine, scheme, trace=trace, prime=prime)
+    while True:
+        run.run_for_events(budget)
+        if run.done:
+            break
+        run = CheckpointableRun.resume(
+            _round_trip(run.checkpoint()), machine, scheme, trace=trace
+        )
+    assert _stats_json(run.run_to_end()) == golden
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=multicore_cases(), data=st.data())
+def test_multicore_cut_matches_reference_and_resumes(case, data):
+    machine, scheme, traces, prime = case
+    cut = data.draw(_cut_points(_multicore_clocks(machine, scheme, traces, prime)))
+    args = (machine, scheme, traces, prime, cut)
+    assert _multicore_cut(MulticoreSimulator, *args) == _multicore_cut(
+        OracleMulticore, *args
+    )
+    golden = _merged_json(simulate_multicore(traces, machine, scheme, prime=prime))
+    run = MulticoreCheckpointableRun(machine, scheme, traces, prime=prime)
+    run.run_to_cycle(cut)
+    resumed = MulticoreCheckpointableRun.resume(
+        _round_trip(run.checkpoint()), machine, scheme, traces
+    )
+    assert _merged_json(resumed.run_to_end()) == golden
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=multicore_cases(), slices=st.integers(1, 6))
+def test_multicore_budget_relay_resumes_bit_identical(case, slices):
+    """An event budget may stop at other cursors than the oracle's
+    (private events run ahead), but always at a consistent cut."""
+    machine, scheme, traces, prime = case
+    golden = _merged_json(simulate_multicore(traces, machine, scheme, prime=prime))
+    budget = max(1, sum(len(t) for t in traces) // slices)
+    run = MulticoreCheckpointableRun(machine, scheme, traces, prime=prime)
+    while not run.done:
+        before = sum(run.cursors)
+        run.run_for_events(budget)
+        assert before < sum(run.cursors) <= before + budget
+        run = MulticoreCheckpointableRun.resume(
+            _round_trip(run.checkpoint()), machine, scheme, traces
+        )
+    assert _merged_json(run.run_to_end()) == golden
+
+
+def test_multicore_budget_below_core_count():
+    """A budget smaller than the number of cores still runs exactly
+    that many events per slice, so a relay of one-event slices makes
+    progress and finishes bit-identical."""
+    machine = skylake_machine(scaled=True)
+    traces = [
+        generate_trace(PROFILES[app], 40, seed=i, instrument="pruned", packed=True)
+        for i, app in enumerate(("astar", "lbm", "namd"))
+    ]
+    golden = _merged_json(simulate_multicore(traces, machine, cwsp()))
+    run = MulticoreCheckpointableRun(machine, cwsp(), traces)
+    while not run.done:
+        before = sum(run.cursors)
+        run.run_for_events(1)
+        assert sum(run.cursors) == before + 1
+        run = MulticoreCheckpointableRun.resume(
+            _round_trip(run.checkpoint()), machine, cwsp(), traces
+        )
+    assert _merged_json(run.run_to_end()) == golden
+
+
+class TestExactCuts:
+    """Cuts at exact pre-commit clocks, where ``>=`` and ``>`` differ,
+    on a boundary-rich stream: deterministic beside the properties."""
+
+    MACHINE = skylake_machine(scaled=True)
+    PROFILE = PROFILES["astar"]
+
+    def _trace(self, n, seed=3):
+        return generate_trace(self.PROFILE, n, seed=seed, instrument="pruned", packed=True)
+
+    @pytest.mark.parametrize("scheme_name", ["baseline", "cwsp", "capri"])
+    def test_unicore(self, scheme_name):
+        scheme = _CATALOG[scheme_name]()
+        trace = self._trace(1_500)
+        prime = tuple(prime_ranges(self.PROFILE))
+        clocks = _event_clocks(trace, self.MACHINE, scheme, prime)
+        for k in (1, 500, 1_000, 1_499):
+            args = (trace, self.MACHINE, scheme, prime, clocks[k])
+            fused = _single_cut(TimingSimulator, *args)
+            assert fused == _single_cut(OracleSimulator, *args)
+            assert fused[0] == k
+            assert len(fused[1]) == trace.codes.count("b", 0, k)
+
+    def test_multicore(self):
+        traces = [self._trace(600, seed) for seed in range(3)]
+        prime = tuple(prime_ranges(self.PROFILE))
+        clocks = _multicore_clocks(self.MACHINE, cwsp(), traces, prime)
+        for k in (1, 700, 1_500):
+            args = (self.MACHINE, cwsp(), traces, prime, clocks[k])
+            fused = _multicore_cut(MulticoreSimulator, *args)
+            assert fused == _multicore_cut(OracleMulticore, *args)
 
 
 # ----------------------------------------------------------------------
