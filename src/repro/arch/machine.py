@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arch.caches import CacheHierarchy
 from repro.arch.config import MachineConfig
-from repro.arch.metrics import MetricSet
+from repro.arch.metrics import MetricSet, SimStats
 from repro.arch.queues import CompletionQueue
 from repro.arch.scheme import Scheme
 from repro.arch.trace import PackedTrace, as_packed
@@ -45,107 +45,6 @@ Event = Tuple  # (code,) or (code, addr)
 
 _CKPT_SYNTH_BASE = 0x0F80_0000
 INF = float("inf")
-
-
-def _count_view(name: str):
-    def get(self: "SimStats") -> int:
-        return int(self.metrics.value(name))
-
-    return property(get)
-
-
-def _float_view(name: str):
-    def get(self: "SimStats") -> float:
-        return self.metrics.value(name)
-
-    return property(get)
-
-
-class SimStats:
-    """One run's metrics, with the legacy flat names as read views.
-
-    The canonical storage is a component-owned :class:`MetricSet`
-    (see :mod:`repro.arch.metrics`): the core loop owns ``core.*``,
-    ``nvm.*`` and ``path.*`` counters, each :class:`CompletionQueue`
-    contributes its ``wb.*``/``pb.*``/``rbt.*``/``wpq.*`` records, and
-    the cache hierarchy contributes ``cache.*`` ratios.  The flat
-    attribute names the figures and tests have always used
-    (``cycles``, ``nvm_writes``, ``wb_mean_occupancy``, ...) are
-    read-only properties over those records, so new structures can
-    report stats without editing this class.
-    """
-
-    __slots__ = ("scheme", "metrics")
-
-    def __init__(self, scheme: str = "", metrics: Optional[MetricSet] = None) -> None:
-        self.scheme = scheme
-        self.metrics = MetricSet() if metrics is None else metrics
-
-    # Legacy flat views over the component-owned records.
-    cycles = _float_view("core.cycles")
-    insts = _count_view("core.insts")
-    loads = _count_view("core.loads")
-    stores = _count_view("core.stores")
-    boundaries = _count_view("core.boundaries")
-    boundary_stall_cycles = _float_view("core.boundary_stall_cycles")
-    l1_miss_rate = _float_view("cache.l1.miss_rate")
-    llc_miss_rate = _float_view("cache.llc.miss_rate")
-    nvm_reads = _count_view("nvm.reads")
-    nvm_writes = _count_view("nvm.writes")
-    persist_path_bytes = _count_view("path.bytes")
-    wb_mean_occupancy = _float_view("wb.mean_occupancy")
-    wb_delays = _count_view("wb.delays")
-    pb_full_stalls = _count_view("pb.full_stalls")
-    rbt_full_stalls = _count_view("rbt.full_stalls")
-    wpq_full_stalls = _count_view("wpq.full_stalls")
-    wpq_load_hits = _count_view("wpq.load_hits")
-    delayfree_stale_wait_cycles = _float_view("delayfree.stale_wait_cycles")
-    delayfree_sync_stall_cycles = _float_view("delayfree.sync_stall_cycles")
-
-    @property
-    def ipc(self) -> float:
-        return self.insts / self.cycles if self.cycles else 0.0
-
-    @property
-    def insts_per_region(self) -> float:
-        return self.insts / self.boundaries if self.boundaries else float(self.insts)
-
-    @property
-    def wpq_hits_per_minst(self) -> float:
-        return self.wpq_load_hits / (self.insts / 1e6) if self.insts else 0.0
-
-    @property
-    def delay_free_stall_cycles(self) -> float:
-        """Cycles blocked on persistence where a Ben-David-style
-        delay-free design would not block: stale-read ordering waits
-        plus every boundary/sync stall (``boundary_stall_cycles``
-        already includes the fence/atomic slice that
-        ``delayfree_sync_stall_cycles`` breaks out separately)."""
-        return self.delayfree_stale_wait_cycles + self.boundary_stall_cycles
-
-    @property
-    def delay_free_stall_frac(self) -> float:
-        """Fraction of total cycles that are delay-free-violating waits."""
-        return self.delay_free_stall_cycles / self.cycles if self.cycles else 0.0
-
-    def merge(self, other: "SimStats") -> "SimStats":
-        """Fold another run's records in (multi-core aggregation)."""
-        self.metrics.merge(other.metrics)
-        return self
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON form (engine result cache, per-run metrics dumps)."""
-        return {"scheme": self.scheme, "metrics": self.metrics.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimStats":
-        return cls(data.get("scheme", ""), MetricSet.from_dict(data["metrics"]))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimStats(scheme={self.scheme!r}, cycles={self.cycles:.0f}, "
-            f"insts={self.insts})"
-        )
 
 
 class TimingSimulator:

@@ -24,7 +24,7 @@ import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.arch.machine import SimStats
+from repro.arch.metrics import SimStats
 from repro.explore.frontier import frontier_markdown, save_frontier, score_cells
 from repro.explore.lockfile import (
     Lockfile,
@@ -182,7 +182,7 @@ def run_campaign(
     say = progress if progress is not None else lambda _msg: None
     spec.validate()
     plan = expand(spec)
-    salt = code_salt()
+    salt = code_salt(scans=cache.scans)
     tasks = _plan_tasks(plan, salt)
     shards = _chunk(tasks, shard_size)
     shards_dir = Path(campaign_dir) / "shards"
@@ -279,7 +279,7 @@ def run_frozen(
     say = progress if progress is not None else lambda _msg: None
     lockfile_path = Path(lockfile_path)
     lock = Lockfile.load(lockfile_path)
-    salt = code_salt()
+    salt = code_salt(scans=cache.scans)
     check_frozen_preconditions(lock, salt, salt_recipe())
 
     plan = expand(lock.spec)

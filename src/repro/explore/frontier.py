@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.pareto import pareto_front
-from repro.arch.machine import SimStats
+from repro.arch.metrics import SimStats
 from repro.explore.spec import Cell, CampaignPlan, SCHEME_FACTORIES
 from repro.harness.report import format_table, gmean
 

@@ -126,7 +126,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         subscribe_main(argv[1:])
         return
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.list:
         width = max(len(name) for name in SPECS)
@@ -144,6 +145,8 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint DIR")
+    if args.checkpoint_every < 1:
+        parser.error("--checkpoint-every must be at least 1")
     checkpoint = None
     if args.checkpoint:
         checkpoint = CheckpointPolicy(

@@ -10,11 +10,12 @@ engine
    ``.repro-cache/``, keyed by a stable hash of the point, the machine
    and scheme configuration, and a code-version salt over the simulator
    sources -- a warm rerun of ``python -m repro.harness`` does zero
-   simulations;
+   simulations, and neither parses (:class:`ScanStore`) nor imports
+   the simulator;
 3. fans cache misses out over a process pool (``--jobs N``) in
    per-app batches (:func:`form_batches`); workers regenerate traces
    from the point key -- once per batch for points that share one --
-   so only compact :class:`~repro.arch.machine.SimStats` metric sets
+   so only compact :class:`~repro.arch.metrics.SimStats` metric sets
    cross process boundaries;
 4. re-runs each experiment's reducer against the resolved results and
    enforces its expected-shape assertions.
@@ -33,14 +34,13 @@ import ast
 import dataclasses
 import hashlib
 import json
+import marshal
 import os
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.caches import CacheHierarchy
-from repro.arch.machine import SimStats, TimingSimulator
-from repro.arch.multicore import simulate_multicore
+from repro.arch.metrics import SimStats
 from repro.perf.timers import PhaseTimer
 from repro.harness.report import FigureResult
 from repro.harness.spec import (
@@ -53,7 +53,6 @@ from repro.harness.spec import (
     validate_result,
 )
 from repro.workloads.profiles import PROFILES
-from repro.workloads.synthetic import generate_trace, prime_ranges
 
 #: Default on-disk cache location, relative to the working directory.
 CACHE_DIR = ".repro-cache"
@@ -166,10 +165,82 @@ def _import_candidates(source: bytes) -> List[Tuple[str, Optional[str]]]:
 #: recomputed (the serve loop does so on every poll).
 _CANDIDATES_BY_DIGEST: Dict[str, List[Tuple[str, Optional[str]]]] = {}
 
+#: Digest of the scanner's own bytecode.  A stored scan is a function of
+#: the file's bytes *and* of the code that scanned them, so an entry
+#: written by another version of the walk (or another interpreter's
+#: bytecode) reads as a miss.  Marshal format 2 writes no
+#: back-references, so the bytes do not depend on reference counts.
+_SCANNER = hashlib.sha256(
+    marshal.dumps((_is_type_checking_test.__code__, _import_candidates.__code__), 2)
+).hexdigest()
+
+
+class ScanStore:
+    """:func:`_import_candidates` results on disk, one file per file version.
+
+    Content-addressed by the scanned file's sha256, so a second process
+    on the same result cache directory parses nothing it has parsed
+    before.  Each entry records the digest and the scanner it was
+    written under, and :meth:`get` serves only an entry whose digest is
+    the one asked for and whose scanner is this one: a file copied from
+    another digest, or written by another version of the walk, is a
+    miss, as is a missing or torn file.  Writes are atomic; a write
+    that fails costs only a parse in the next process.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.root = Path(root)
+
+    def _path(self, digest: str) -> Path:
+        return self.root / f"{digest}.json"
+
+    def get(self, digest: str) -> Optional[List[Tuple[str, Optional[str]]]]:
+        try:
+            with open(self._path(digest)) as fh:
+                data = json.load(fh)
+            if data["digest"] != digest or data["scanner"] != _SCANNER:
+                return None
+            return [(module, name) for module, name in data["candidates"]]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def put(self, digest: str, candidates: List[Tuple[str, Optional[str]]]) -> None:
+        payload = {"candidates": candidates, "digest": digest, "scanner": _SCANNER}
+        try:
+            _write_json(self._path(digest), payload)
+        except OSError:
+            pass  # the store is a memo: the next process parses again
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write *payload* to *path* atomically: readers never see it torn."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    with open(tmp, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def _candidates(
+    source: bytes, digest: str, scans: Optional[ScanStore]
+) -> List[Tuple[str, Optional[str]]]:
+    """:func:`_import_candidates` of *source* (sha256 *digest*), parsed
+    only if neither the process memo nor the store *scans* holds it."""
+    found = _CANDIDATES_BY_DIGEST.get(digest)
+    if found is None:
+        found = scans.get(digest) if scans is not None else None
+        if found is None:
+            found = _import_candidates(source)
+            if scans is not None:
+                scans.put(digest, found)
+        _CANDIDATES_BY_DIGEST[digest] = found
+    return found
+
 
 def compute_salt_recipe(
     entries: Sequence[str] = _SALT_ENTRY_MODULES,
     excluded: frozenset = _SALT_CONTRACT_EXCLUDED,
+    scans: Optional[ScanStore] = None,
 ) -> Dict[str, object]:
     """Walk the module closure of *entries* and hash every file: uncached.
 
@@ -177,11 +248,13 @@ def compute_salt_recipe(
     service (:mod:`repro.harness.serve`) calls this on every poll tick
     to re-derive the closure from what is on disk *now* -- the cached
     :func:`salt_recipe` would keep serving the boot-time tree forever.
-    Only the parse is memoised, by content; resolution is not, because
-    whether ``from pkg.mod import name`` names a module depends on other
-    files: it resolves to ``pkg.mod.name`` when that is itself a module,
-    else to ``pkg.mod`` (e.g. a package ``__init__`` re-export, whose
-    own imports are then followed).
+    Only the parse is memoised, by content: in the process, and across
+    processes in *scans* when the caller owns a result cache directory.
+    Resolution is not, because whether ``from pkg.mod import name``
+    names a module depends on other files: it resolves to
+    ``pkg.mod.name`` when that is itself a module, else to ``pkg.mod``
+    (e.g. a package ``__init__`` re-export, whose own imports are then
+    followed).
     *entries*/*excluded* are parameterized so tests can plant fixture
     modules and assert exactly which import styles land in the recipe.
     """
@@ -196,10 +269,7 @@ def compute_salt_recipe(
             continue
         source = path.read_bytes()
         digest = modules[name] = hashlib.sha256(source).hexdigest()
-        candidates = _CANDIDATES_BY_DIGEST.get(digest)
-        if candidates is None:
-            candidates = _CANDIDATES_BY_DIGEST[digest] = _import_candidates(source)
-        for module, attr in candidates:
+        for module, attr in _candidates(source, digest, scans):
             sub = f"{module}.{attr}"
             queue.append(sub if attr and module_file(sub) else module)
     return {
@@ -215,7 +285,9 @@ def recipe_salt(recipe: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def salt_recipe(refresh: bool = False) -> Dict[str, object]:
+def salt_recipe(
+    refresh: bool = False, scans: Optional[ScanStore] = None
+) -> Dict[str, object]:
     """What the cache salt hashes, as data (recorded in lockfiles).
 
     ``{"entries": [...], "excluded": [...], "modules": {name: sha256}}``
@@ -223,16 +295,17 @@ def salt_recipe(refresh: bool = False) -> Dict[str, object]:
     with one content hash per module file.  Deterministic for a given
     tree; :func:`code_salt` is the digest of this recipe's canonical
     JSON form.  Cached after the first call; ``refresh=True`` re-reads
-    the tree (the serve loop's view of "the code changed").
+    the tree (the serve loop's view of "the code changed").  *scans*
+    is the caller's scan store, if it owns a result cache directory.
     """
     global _salt_recipe, _code_salt
     if _salt_recipe is None or refresh:
-        _salt_recipe = compute_salt_recipe()
+        _salt_recipe = compute_salt_recipe(scans=scans)
         _code_salt = None
     return _salt_recipe
 
 
-def code_salt(refresh: bool = False) -> str:
+def code_salt(refresh: bool = False, scans: Optional[ScanStore] = None) -> str:
     """Hash of the source modules a simulation result depends on.
 
     Editing the simulator, the workload generator, or the scheme
@@ -242,7 +315,7 @@ def code_salt(refresh: bool = False) -> str:
     :func:`salt_recipe` for exactly what is hashed.
     """
     global _code_salt
-    recipe = salt_recipe(refresh=refresh)
+    recipe = salt_recipe(refresh=refresh, scans=scans)
     if _code_salt is None:
         _code_salt = recipe_salt(recipe)
     return _code_salt
@@ -305,6 +378,10 @@ class CheckpointPolicy:
     every: int = 250_000
     resume: bool = False
 
+    def __post_init__(self) -> None:
+        if self.every < 1:  # a cut of zero events would never finish
+            raise ValueError(f"every must be at least 1 event, got {self.every}")
+
     def path_for(self, key: str) -> Path:
         return Path(self.dir) / f"{key}.ckpt.json"
 
@@ -317,7 +394,7 @@ def _checkpointed_point(
         MulticoreCheckpointableRun,
         SimCheckpoint,
     )
-    from repro.workloads.synthetic import SyntheticStream
+    from repro.workloads.synthetic import SyntheticStream, generate_trace, prime_ranges
 
     path = checkpoint.path_for(key)
     run = None
@@ -438,6 +515,13 @@ def compute_point(
     """
     if checkpoint is not None and key is not None:
         return _checkpointed_point(point, checkpoint, key)
+    # The simulator stack loads here, not with the engine, so a run
+    # that simulates nothing never compiles it (DESIGN.md section 7e).
+    from repro.arch.caches import CacheHierarchy
+    from repro.arch.machine import TimingSimulator
+    from repro.arch.multicore import simulate_multicore
+    from repro.workloads.synthetic import generate_trace, prime_ranges
+
     if isinstance(point, MulticorePoint):
         # Packed traces feed the fused multicore scheduling loop; the
         # result is value-identical to the legacy tuple lists through
@@ -689,7 +773,13 @@ def compute_points(
     keeps every completed batch and loses only the batches in flight.
     Returns ``{point: stats}`` in the order of *misses*.
     """
-    if misses:  # load NumPy once, before the pool forks workers that inherit it
+    if misses:
+        # Load the simulator stack and NumPy once, before the pool forks
+        # workers that inherit them (multicore imports machine, caches,
+        # queues and trace).  Simulator first: compiled after NumPy, it
+        # left forked workers about 0.5 MB larger (sweep-cold peak RSS).
+        import repro.arch.multicore  # noqa: F401
+        import repro.workloads.synthetic  # noqa: F401
         import numpy  # noqa: F401
 
     batches = form_batches(misses, jobs, checkpoint)
@@ -757,6 +847,8 @@ class ResultCache:
 
     def __init__(self, root: str = CACHE_DIR) -> None:
         self.root = Path(root)
+        #: The salt walk's parses, beside the results they key.
+        self.scans = ScanStore(self.root / "scan")
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -773,22 +865,19 @@ class ResultCache:
             return None  # missing or torn/corrupt entry: recompute
 
     def put(self, key: str, point: Point, stats: SimStats) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "key": key,
             "kind": type(point).__name__,
             "point": _point_dict(point),
             "stats": stats.to_dict(),
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)  # atomic: concurrent runs never tear entries
+        _write_json(self._path(key), payload)  # concurrent runs never tear entries
 
 
 class MemoryCache:
     """In-process cache (the default for direct figure-function calls)."""
+
+    scans: Optional[ScanStore] = None  # no directory: the salt walk parses
 
     def __init__(self) -> None:
         self._store: Dict[str, SimStats] = {}
@@ -802,6 +891,8 @@ class MemoryCache:
 
 class NullCache:
     """No caching (``--no-cache``)."""
+
+    scans: Optional[ScanStore] = None
 
     def get(self, key: str) -> Optional[SimStats]:
         return None
@@ -884,7 +975,8 @@ class Engine:
         for spec in specs:
             for point in spec.plan(self.context_for(spec)):
                 points.setdefault(point, None)
-        return [(point_cache_key(point, self._salt), point) for point in points]
+        salt = self._salt if self._salt is not None else code_salt(scans=self.cache.scans)
+        return [(point_cache_key(point, salt), point) for point in points]
 
     def classify(
         self, tasks: Sequence[Tuple[str, Point]]

@@ -119,6 +119,9 @@ class ResultsServer:
         self.say = progress if progress is not None else lambda _msg: None
         self.out = Path(config.out_dir)
         self.cache = ResultCache(config.cache_dir)
+        #: The salt walk's parse store, held apart from ``self.cache`` so
+        #: a wrapper swapped in for the cache need not carry it.
+        self.scans = self.cache.scans
         # Import the spec registry up front so unknown experiment names
         # fail at boot, and so the module's __file__ lands in the watch
         # set even for registries outside the repro tree.
@@ -164,7 +167,7 @@ class ResultsServer:
         dirty -- generation to prove the exclusion), and the experiment
         spec module.
         """
-        recipe = compute_salt_recipe()
+        recipe = compute_salt_recipe(scans=self.scans)
         names = set(recipe["modules"]) | set(recipe["excluded"])
         names.add(self.config.specs_module)
         paths: Dict[str, Path] = {}
@@ -193,7 +196,7 @@ class ResultsServer:
         """One incremental recomputation; returns the ledger entry."""
         timer = PhaseTimer()
         with timer.phase("plan"):
-            recipe = compute_salt_recipe()
+            recipe = compute_salt_recipe(scans=self.scans)
             salt = recipe_salt(recipe)
             specs, names = self._load_specs(
                 reload=self.config.specs_module in changed

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import MachineConfig
-from repro.arch.machine import SimStats
+from repro.arch.metrics import SimStats
 from repro.arch.scheme import Scheme
 from repro.harness.report import FigureResult
 from repro.schemes import baseline

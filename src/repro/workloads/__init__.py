@@ -13,8 +13,13 @@ Separately, :mod:`repro.workloads.programs` provides real IR kernels
 cWSP passes and interpreted -- used for correctness, recovery testing,
 and the examples; :mod:`repro.workloads.adapter` turns their IR
 interpreter traces into simulator events.  It is not re-exported here,
-so importing the package does not load the IR stack.
+so importing the package does not load the IR stack.  The trace
+generator (:mod:`repro.workloads.synthetic`) loads on first use of a
+name it defines (PEP 562), so a process that only reads cached results
+never compiles it.
 """
+
+import importlib
 
 from repro.workloads.profiles import (
     ALL_APPS,
@@ -24,7 +29,21 @@ from repro.workloads.profiles import (
     SUITES,
     apps_in_suite,
 )
-from repro.workloads.synthetic import SyntheticStream, generate_trace
+
+#: Re-exported name -> the module that defines it.
+_LAZY = {
+    "SyntheticStream": "repro.workloads.synthetic",
+    "generate_trace": "repro.workloads.synthetic",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
 
 __all__ = [
     "ALL_APPS",

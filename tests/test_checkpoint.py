@@ -320,6 +320,12 @@ class TestHarnessCheckpoint:
             instrument="pruned", n_insts=2_000, seed=SEED,
         )
 
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_policy_rejects_cuts_below_one_event(self, tmp_path, every):
+        # A cut of zero events executes nothing, so the point never ends.
+        with pytest.raises(ValueError, match="at least 1"):
+            CheckpointPolicy(dir=str(tmp_path), every=every)
+
     def test_checkpointed_point_matches_direct(self, machine, tmp_path):
         point = self._point(machine)
         direct = compute_point(point)

@@ -1,6 +1,10 @@
 """The ``python -m repro.harness`` command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +62,18 @@ class TestCli:
         a = json.loads((tmp_path / "s1" / "fig13.json").read_text())
         b = json.loads((tmp_path / "s2" / "fig13.json").read_text())
         assert a["rows"] != b["rows"]  # the seed is not hard-coded
+
+    @pytest.mark.parametrize("every", ["0", "-5"])
+    def test_checkpoint_every_below_one_is_a_usage_error(self, tmp_path, every):
+        # In a child process, so that a regression hangs only until the
+        # timeout: a cut of zero events never finishes a point.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.harness", "--jobs", "1",
+             "--n-insts", "500", "--no-cache", "--checkpoint", str(tmp_path),
+             "--checkpoint-every", every, "fig08"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "--checkpoint-every must be at least 1" in proc.stderr

@@ -384,9 +384,10 @@ class TestBatchFormation:
         geometry once; a point that shares nothing takes the direct path."""
         from repro.arch.caches import CacheHierarchy
         from repro.harness import engine as engine_mod
+        from repro.workloads import synthetic
 
         calls = {"trace": 0, "prime": 0}
-        real_trace, real_prime = engine_mod.generate_trace, CacheHierarchy.prime
+        real_trace, real_prime = synthetic.generate_trace, CacheHierarchy.prime
 
         def counting_trace(*args, **kwargs):
             calls["trace"] += 1
@@ -396,7 +397,7 @@ class TestBatchFormation:
             calls["prime"] += 1
             return real_prime(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "generate_trace", counting_trace)
+        monkeypatch.setattr(synthetic, "generate_trace", counting_trace)
         monkeypatch.setattr(CacheHierarchy, "prime", counting_prime)
         machine = skylake_machine(scaled=True)
         batch = [
@@ -650,29 +651,30 @@ class TestSaltImportStyles:
         assert recipe_salt(self._recipe(excluded=excluded)) == before
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources ``ast.parse`` sees, starting from an empty memo."""
+    import ast
+
+    import repro.harness.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_CANDIDATES_BY_DIGEST", {})
+    seen = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        seen.append(source)
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    return seen
+
+
 class TestSaltParseMemo:
     """Each file version is parsed once per process; resolution of
     ``from pkg import name`` still runs on every recipe."""
 
     ENTRIES = ("repro.fx_entry",)
-
-    @pytest.fixture
-    def parses(self, fixture_tree, monkeypatch):
-        """The sources ``ast.parse`` sees, starting from an empty memo."""
-        import ast
-
-        import repro.harness.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "_CANDIDATES_BY_DIGEST", {})
-        seen = []
-        real_parse = ast.parse
-
-        def counting_parse(source, *args, **kwargs):
-            seen.append(source)
-            return real_parse(source, *args, **kwargs)
-
-        monkeypatch.setattr(ast, "parse", counting_parse)
-        return seen
 
     def _recipe(self):
         from repro.harness.engine import compute_salt_recipe
@@ -713,6 +715,110 @@ class TestSaltParseMemo:
         module.write_bytes(saved)
         assert "repro.fx_from" in self._recipe()["modules"]
         assert parses == [saved]
+
+
+class TestScanStore:
+    """The salt walk's parses on disk, one entry per file version: a
+    second process on the same cache directory parses nothing, and no
+    state of the store can change a recipe."""
+
+    ENTRIES = ("repro.fx_entry",)
+
+    def _recipe(self, scans=None):
+        import repro.harness.engine as engine_mod
+
+        engine_mod._CANDIDATES_BY_DIGEST.clear()  # a fresh process
+        return engine_mod.compute_salt_recipe(
+            entries=self.ENTRIES, excluded=frozenset(), scans=scans
+        )
+
+    def _store(self, tmp_path):
+        from repro.harness.engine import ResultCache
+
+        return ResultCache(str(tmp_path / "cache")).scans
+
+    @staticmethod
+    def _entry(store, tree, rel):
+        return store.root / f"{hashlib.sha256((tree / rel).read_bytes()).hexdigest()}.json"
+
+    def test_no_store_state_changes_the_recipe(self, fixture_tree, parses, tmp_path):
+        from repro.harness.engine import recipe_salt
+
+        expected = self._recipe()
+        store = self._store(tmp_path)
+        assert self._recipe(store) == expected  # empty store: parse, fill
+        assert len(list(store.root.iterdir())) == len(expected["modules"])
+        parses.clear()
+        assert self._recipe(store) == expected  # filled store: no parse
+        assert parses == []
+        torn = self._entry(store, fixture_tree, "fx_entry.py")
+        torn.write_text(torn.read_text()[:20])
+        assert self._recipe(store) == expected
+        assert parses == [(fixture_tree / "fx_entry.py").read_bytes()]
+        # An entry copied under another file's digest: fx_plain imports
+        # nothing, so serving it for fx_entry would drop the closure.
+        torn.write_bytes(self._entry(store, fixture_tree, "fx_plain.py").read_bytes())
+        parses.clear()
+        assert self._recipe(store) == expected
+        assert parses == [(fixture_tree / "fx_entry.py").read_bytes()]
+        parses.clear()
+        assert self._recipe(store) == expected  # both rewritten whole
+        assert parses == []
+        assert recipe_salt(self._recipe(store)) == recipe_salt(expected)
+
+    def test_code_salt_is_the_same_through_the_store(self, parses, tmp_path, monkeypatch):
+        import repro.harness.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_salt_recipe", None)
+        monkeypatch.setattr(engine_mod, "_code_salt", None)
+        plain = engine_mod.code_salt(refresh=True)
+        store = self._store(tmp_path)
+        engine_mod._CANDIDATES_BY_DIGEST.clear()
+        assert engine_mod.code_salt(refresh=True, scans=store) == plain
+        engine_mod._CANDIDATES_BY_DIGEST.clear()
+        parses.clear()
+        assert engine_mod.code_salt(refresh=True, scans=store) == plain
+        assert parses == []
+        assert len(list(store.root.iterdir())) == 11
+
+    def test_an_edit_reparses_that_file_and_adds_one_entry(
+        self, fixture_tree, parses, tmp_path
+    ):
+        store = self._store(tmp_path)
+        self._recipe(store)
+        before = set(store.root.iterdir())
+        edited = fixture_tree / "fx_entry.py"
+        edited.write_text(edited.read_text().replace("import repro.fx_plain\n", ""))
+        parses.clear()
+        recipe = self._recipe(store)
+        assert parses == [edited.read_bytes()]
+        assert "repro.fx_plain" not in recipe["modules"]  # the dropped import
+        after = set(store.root.iterdir())
+        assert after - before == {self._entry(store, fixture_tree, "fx_entry.py")}
+        assert len(after) == len(before) + 1
+
+    def test_an_entry_from_another_scanner_is_a_miss(self, fixture_tree, parses, tmp_path):
+        store = self._store(tmp_path)
+        expected = self._recipe(store)
+        entry = self._entry(store, fixture_tree, "fx_entry.py")
+        data = json.loads(entry.read_text())
+        data["scanner"], data["candidates"] = "0" * 64, []
+        entry.write_text(json.dumps(data))
+        parses.clear()
+        assert self._recipe(store) == expected
+        assert parses == [(fixture_tree / "fx_entry.py").read_bytes()]
+
+    def test_no_cache_run_writes_no_entry(self, tmp_path, monkeypatch, capsys):
+        import repro.harness.engine as engine_mod
+        from repro.harness import cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(engine_mod, "_salt_recipe", None)
+        monkeypatch.setattr(engine_mod, "_code_salt", None)
+        monkeypatch.setattr(engine_mod, "_CANDIDATES_BY_DIGEST", {})
+        cli.main(["tab01", "--no-cache", "--cache-dir", str(tmp_path / "cache")])
+        assert engine_mod._salt_recipe is not None  # the walk did run
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

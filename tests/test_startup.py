@@ -10,12 +10,17 @@ copy instead of each importing their own (DESIGN.md section 7e).
 The same holds for the rest of the tree: the IR stack (through
 ``repro.workloads.adapter``), the checkpoint drivers and the IR
 analyses are not re-exported by their packages, and the process-pool
-stack loads inside ``parallel_map``.
+stack loads inside ``parallel_map``.  The simulator itself (machine,
+caches, multicore, queues, trace and the trace generator) loads where a
+point simulates, and ``compute_points`` imports it before the fork as
+it does numpy.  A warm run also parses no salted module: the salt
+walk's parses are stored beside the results.
 
 Each check runs in a fresh interpreter: the test process itself has
 long since imported all of these.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -28,8 +33,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_ARGS = ["--jobs", "2", "--n-insts", "1000", "fig13", "multicore", "hw", "fig18"]
 
 
-def _python(code: str, cwd: Path) -> str:
-    """Run *code* in a fresh interpreter; return its last stdout line."""
+def _python(code: str, cwd: Path, lines: int = 1) -> str:
+    """Run *code* in a fresh interpreter; return its last stdout *lines*."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
@@ -39,8 +44,19 @@ def _python(code: str, cwd: Path) -> str:
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return "\n".join(proc.stdout.strip().splitlines()[-lines:])
 
+
+#: The simulator stack: loaded where points simulate, never by a run
+#: that only reads cached results.
+SIMULATOR = [
+    "repro.arch.machine",
+    "repro.arch.caches",
+    "repro.arch.multicore",
+    "repro.arch.queues",
+    "repro.arch.trace",
+    "repro.workloads.synthetic",
+]
 
 #: Modules a process must not load before it simulates, besides numpy.
 #: The explorer also skips the IR analyses: it uses only
@@ -52,7 +68,7 @@ UNUSED = {
         "repro.arch.checkpoint",
         "multiprocessing",
         "concurrent.futures",
-    ],
+    ] + SIMULATOR,
 }
 UNUSED["repro.harness.serve"] = UNUSED["repro.harness.cli"]
 UNUSED["repro.explore.cli"] = UNUSED["repro.harness.cli"] + ["repro.analysis.alias"]
@@ -73,14 +89,22 @@ def test_cli_import_leaves_unused_modules_out(module, tmp_path):
 
 
 def test_warm_run_does_not_load_numpy(tmp_path):
-    """Nor anything else a fully cached run never uses."""
+    """Nor anything else a fully cached run never uses, and it parses
+    no source: the salt walk finds every parse in the cache directory."""
     cold = ["--cache-dir", "cache", "--out", "cold"]
     warm = ["--cache-dir", "cache", "--out", "warm"]
     run = "import sys; from repro.harness.cli import main; main({!r}); "
     _python(run.format(RUN_ARGS + cold), tmp_path)
     unused = ["numpy"] + UNUSED["repro.harness.cli"]
-    code = run.format(RUN_ARGS + warm) + LOADED.format(unused)
-    assert _python(code, tmp_path) == "[]"
+    count_parses = (
+        "import ast; parses = []; real_parse = ast.parse; "
+        "ast.parse = lambda *a, **k: parses.append(a) or real_parse(*a, **k); "
+    )
+    code = (
+        count_parses + run.format(RUN_ARGS + warm) + "print(len(parses)); "
+        + LOADED.format(unused)
+    )
+    assert _python(code, tmp_path, lines=2) == "0\n[]"
     names = sorted(p.name for p in (tmp_path / "cold").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
     for name in names:
@@ -90,8 +114,8 @@ def test_warm_run_does_not_load_numpy(tmp_path):
 
 def test_compute_points_imports_numpy_before_forking(tmp_path):
     # Two apps make two batches, so both run in pool workers and the
-    # parent never builds a trace itself: numpy in the parent's
-    # sys.modules can only come from the pre-fork import.
+    # parent never builds a trace itself: numpy and the simulator in
+    # the parent's sys.modules can only come from the pre-fork import.
     code = """
 import sys
 from repro.arch import skylake_machine
@@ -103,9 +127,23 @@ misses = [
     (f"key-{app}", SimPoint(app, cwsp(), machine, None, 200, 1))
     for app in ("namd", "lbm")
 ]
-assert "numpy" not in sys.modules
+preloaded = ["numpy"] + SIMULATOR
+assert not set(preloaded) & set(sys.modules)
 resolved = compute_points(misses, NullCache(), jobs=2)
 assert len(resolved) == 2
-print("numpy" in sys.modules)
+print(sorted(set(preloaded) - set(sys.modules)))
 """
-    assert _python(code, tmp_path) == "True"
+    assert _python(f"SIMULATOR = {SIMULATOR!r}" + code, tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("package", ["repro.arch", "repro.workloads"])
+def test_every_reexport_resolves(package):
+    """The lazily re-exported names resolve to the defining module's object."""
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        value = getattr(module, name)
+        owner = getattr(module, "_LAZY", {}).get(name)
+        if owner is not None:
+            assert value is getattr(importlib.import_module(owner), name), name
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_name")
