@@ -11,9 +11,7 @@ which this model reproduces in shape.
 Configuration, schemes and metrics load with the package.  The
 simulator's own modules load on first use of a name they define
 (PEP 562), so a process that only reads cached results -- a warm
-figure run -- never compiles them.  The cut-and-resume drivers live in
-:mod:`repro.arch.checkpoint`, which this package does not re-export:
-only checkpointed runs load it.
+figure run -- never compiles them.
 """
 
 import importlib

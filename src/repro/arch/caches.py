@@ -82,7 +82,7 @@ class SetAssocCache:
             ways.pop(line_addr // self.n_sets, None)
 
     def snapshot(self) -> dict:
-        """JSON-serializable tag state (checkpoint protocol).
+        """JSON-serializable tag state.
 
         Sets and ways are emitted as *ordered* lists: LRU victim
         selection is a first-minimum scan over dict insertion order,
@@ -98,16 +98,6 @@ class SetAssocCache:
             "misses": self.misses,
             "tick": self._tick,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot` in place (shared levels are
-        referenced by every core), preserving way insertion order."""
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self._tick = state["tick"]
-        self.sets.clear()
-        for index, ways in state["sets"]:
-            self.sets[index] = {tag: [tick, dirty] for tag, tick, dirty in ways}
 
     @property
     def miss_rate(self) -> float:
@@ -196,18 +186,6 @@ class DirectMappedCache:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot` in place (the DRAM cache is shared
-        by every core of a multicore run)."""
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.tags.clear()
-        self.dirty.clear()
-        for index, tag, dirty in state["lines"]:
-            self.tags[index] = tag
-            if dirty:
-                self.dirty.add(index)
 
     @property
     def miss_rate(self) -> float:
@@ -358,25 +336,13 @@ class CacheHierarchy:
         if self.dram is not None:
             self.dram.tags.update(template.dram.tags)
 
-    def snapshot(self, include_shared: bool = True) -> dict:
-        """Checkpoint this hierarchy; ``include_shared=False`` captures
-        only the private L1 (the multicore split: levels 1..N and the
-        DRAM cache are shared objects snapshotted once, by core 0)."""
-        out = {"l1": self.levels[0].snapshot()}
-        if include_shared:
-            out["shared"] = [level.snapshot() for level in self.levels[1:]]
-            out["dram"] = self.dram.snapshot() if self.dram is not None else None
-        return out
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot`; level objects are mutated in
-        place so multicore shared-tag references stay intact."""
-        self.levels[0].restore_state(state["l1"])
-        if "shared" in state:
-            for level, level_state in zip(self.levels[1:], state["shared"]):
-                level.restore_state(level_state)
-            if self.dram is not None and state.get("dram") is not None:
-                self.dram.restore_state(state["dram"])
+    def snapshot(self) -> dict:
+        """JSON-serializable tag state of every level and the DRAM cache."""
+        return {
+            "l1": self.levels[0].snapshot(),
+            "shared": [level.snapshot() for level in self.levels[1:]],
+            "dram": self.dram.snapshot() if self.dram is not None else None,
+        }
 
     def l1_miss_rate(self) -> float:
         return self.levels[0].miss_rate

@@ -20,8 +20,8 @@ code  meaning                  payload
 'x'   atomic RMW               address
 ====  =======================  =========================
 
-Every entry point -- :meth:`TimingSimulator.run`, ``run_stream``,
-``run_until``, the multicore scheduler and the checkpoint drivers --
+Every entry point -- :meth:`TimingSimulator.run`, ``run_until`` (the
+intermittent-power model's cycle cut) and the multicore scheduler --
 commits events through one loop, the fused coroutine
 :meth:`TimingSimulator._packed_gen`.  The per-event reference loop it
 was hand-inlined from is kept in ``tests/sim_oracle.py`` as the
@@ -135,52 +135,30 @@ class TimingSimulator:
         self.run_until(events, INF)
         return self.finalize()
 
-    def run_stream(self, stream) -> SimStats:
-        """Commit a chunked trace stream and finalize the stats.
-
-        *stream* is anything with a ``next_chunk() -> PackedTrace |
-        None`` method (see ``repro.workloads.synthetic
-        .SyntheticStream``).  Chunks are consumed and dropped one at a
-        time, so peak memory is bounded by the stream's block size, not
-        the trace length -- this is the 10^7+-event path.  Value-
-        identical to ``run`` over the concatenated trace: the fused
-        loop carries all state in ``self`` between chunks.
-        """
-        while True:
-            chunk = stream.next_chunk()
-            if chunk is None:
-                break
-            self.run_until(chunk, INF)
-        return self.finalize()
-
     def run_until(
         self,
         events,
         cycle_limit: float,
         start: int = 0,
-        stop: Optional[int] = None,
         boundary_log: Optional[list] = None,
     ) -> int:
-        """Commit ``events[start:stop]`` until the clock reaches
+        """Commit ``events[start:]`` until the clock reaches
         *cycle_limit*; returns the index of the first unexecuted event.
 
         The cut lands *between* committed events: an event whose
         pre-commit clock is below the limit executes in full (possibly
         pushing the clock past the limit); nothing after it runs.  This
-        is the cut-at-an-arbitrary-cycle primitive the checkpoint and
-        intermittent-power layers compose -- state after
-        ``run_until(t, c, 0)`` plus the remaining events is identical
-        to an uninterrupted run.  ``run`` and ``run_stream`` are this
-        call with an infinite limit.
+        is the cut-at-an-arbitrary-cycle primitive the intermittent-power
+        model builds on -- state after ``run_until(t, c, 0)`` plus the
+        remaining events is identical to an uninterrupted run.  ``run``
+        is this call with an infinite limit.
 
         ``boundary_log``, when given, collects ``(next_index,
         prev_region_complete)`` after every region boundary: the event
         cursor a power-failure recovery can durably resume from, and
         the cycle by which everything before it had persisted.
         """
-        gen = self._packed_gen(
-            as_packed(events), 0, start, stop, cycle_limit, boundary_log
-        )
+        gen = self._packed_gen(as_packed(events), 0, start, cycle_limit, boundary_log)
         next(gen)  # run the locals setup, park before the first event
         try:
             gen.send((INF, 0))
@@ -190,19 +168,15 @@ class TimingSimulator:
             "packed loop yielded under an infinite limit"
         )
 
-    # -- checkpoint protocol -------------------------------------------
-    def snapshot(self, include_shared: bool = True) -> Dict[str, object]:
-        """Serialize every mutable field (checkpoint protocol).
+    # -- state, for the tests -------------------------------------------
+    def snapshot(self) -> Dict[str, object]:
+        """Every mutable field, as JSON-serializable data.
 
-        ``include_shared=False`` is the multicore split for cores
-        1..N-1: the WPQs, NVM bandwidth trackers, WPQ word maps, and
-        shared cache levels are single objects referenced by every
-        core, so only the owning core (core 0) captures them.  The
-        result is JSON-serializable and deterministic: every dict that
-        could carry observable iteration order (LRU tag maps) is
-        emitted as an ordered list.
+        The tests diff a cut run's state against the reference loop's
+        with it.  Deterministic: every dict that could carry observable
+        iteration order (LRU tag maps) is emitted as an ordered list.
         """
-        state: Dict[str, object] = {
+        return {
             "cycle": self.cycle,
             "path_free": self.path_free,
             "line_persist_time": [
@@ -216,65 +190,25 @@ class TimingSimulator:
             "wb": self.wb.snapshot(),
             "pb": self.pb.snapshot(),
             "rbt": self.rbt.snapshot(),
-            "hier": self.hier.snapshot(include_shared=include_shared),
+            "hier": self.hier.snapshot(),
             "metrics": self.stats.metrics.to_dict(),
-        }
-        if include_shared:
-            state["wpq"] = [q.snapshot() for q in self.wpq]
-            state["nvm_free"] = list(self.nvm_free)
-            state["wpq_word_done"] = [
+            "wpq": [q.snapshot() for q in self.wpq],
+            "nvm_free": list(self.nvm_free),
+            "wpq_word_done": [
                 [[word, t] for word, t in words.items()]
                 for words in self.wpq_word_done
-            ]
-        return state
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`snapshot` into this (freshly constructed,
-        same-config) simulator.  Shared containers are mutated in
-        place so multicore reference sharing survives; the bound metric
-        records of the hot loop are updated, not replaced."""
-        self.cycle = state["cycle"]
-        self.path_free = state["path_free"]
-        self.line_persist_time.clear()
-        self.line_persist_time.update(
-            (line, t) for line, t in state["line_persist_time"]
-        )
-        self.region_last_persist = state["region_last_persist"]
-        self.prev_region_complete = state["prev_region_complete"]
-        self._ckpt_accum = state["ckpt_accum"]
-        self._ckpt_addr = state["ckpt_addr"]
-        self._region_lines.clear()
-        self._region_lines.update(state["region_lines"])
-        self.wb.restore_state(state["wb"])
-        self.pb.restore_state(state["pb"])
-        self.rbt.restore_state(state["rbt"])
-        self.hier.restore_state(state["hier"])
-        if "wpq" in state:
-            for q, q_state in zip(self.wpq, state["wpq"]):
-                q.restore_state(q_state)
-            self.nvm_free[:] = state["nvm_free"]
-            for mc, words in enumerate(state["wpq_word_done"]):
-                self.wpq_word_done[mc] = {word: t for word, t in words}
-        self.stats.metrics.restore_state(state["metrics"])
-        # The fused loop indexes a dense list of pre-created L1 sets;
-        # restore_state rebuilt the tag dict from the snapshot, so
-        # re-create any sets it did not mention.  (Outer set-dict order
-        # is never observed -- only the per-set way order matters, and
-        # that was restored.)
-        l1 = self.hier.levels[0]
-        for i in range(l1.n_sets):
-            l1.sets.setdefault(i, {})
+            ],
+        }
 
     def _packed_gen(
         self,
         trace: PackedTrace,
         idx: int = 0,
         start: int = 0,
-        stop: Optional[int] = None,
         cut: float = INF,
         boundary_log: Optional[list] = None,
     ):
-        """The event loop, as a coroutine: commits ``trace[start:stop]``.
+        """The event loop, as a coroutine: commits ``trace[start:]``.
 
         Every committed event in the simulator goes through here.  The
         ``a``/``l``/``s``/``c`` cases (the bulk of every stream) are
@@ -287,10 +221,9 @@ class TimingSimulator:
         reference loop of tests/sim_oracle.py.
 
         The loop stops before the first event whose pre-commit clock is
-        at or past *cut*.  Whatever ends it -- the slice runs out, the
-        cut, or ``close()`` while parked at a scheduling point -- the
-        ``finally`` block writes the localized state back and sets
-        ``self.cursor`` to the index of the first unexecuted event.
+        at or past *cut*.  Whatever ends it -- the trace runs out or the
+        cut -- the ``finally`` block writes the localized state back and
+        sets ``self.cursor`` to the index of the first unexecuted event.
         ``boundary_log`` is the :meth:`run_until` boundary log.
 
         Multi-core scheduling protocol (see DESIGN.md section 7c): the
@@ -331,8 +264,8 @@ class TimingSimulator:
         l1_sets = l1.sets
         l1_nsets = l1.n_sets
         l1_ways_cap = l1.ways
-        # Sets are pre-created (__init__, restore_state), so a list
-        # view gives C-array indexing; the dicts are never replaced.
+        # Sets are pre-created (__init__), so a list view gives C-array
+        # indexing; the dicts are never replaced.
         l1_setlist = [l1_sets[i] for i in range(l1_nsets)]
         levels = self.hier.levels
         multi_level = len(levels) > 1
@@ -374,10 +307,9 @@ class TimingSimulator:
         n_df_stale = 0.0
 
         # -- the event slice --------------------------------------------
-        # The stop index rides on islice and the start on the
-        # itertools "consume" recipe, both at C speed; the position is
-        # never counted per event but read back from the code
-        # iterator's length hint (rare path and exit only).
+        # The start rides on the itertools "consume" recipe, at C speed;
+        # the position is never counted per event but read back from the
+        # code iterator's length hint (rare path and exit only).
         codes = trace.codes
         n = len(codes)
         start = min(start, n)
@@ -386,10 +318,7 @@ class TimingSimulator:
         if start:
             next(islice(codes_iter, start, start), None)
             next(islice(addrs_iter, start, start), None)
-        events = zip(
-            codes_iter if stop is None else islice(codes_iter, max(0, stop - start)),
-            addrs_iter,
-        )
+        events = zip(codes_iter, addrs_iter)
         self.cursor = start
 
         # Scheduling handshake: park until the caller sends the first
@@ -397,8 +326,7 @@ class TimingSimulator:
         limit_c, limit_i = yield
 
         # The zip pulls an event before the body runs, so every exit
-        # but running out (the cut, or close() while parked) leaves
-        # one pulled event unexecuted.
+        # but running out (the cut) leaves one pulled event unexecuted.
         pulled = 1
         try:
             for code, addr in events:

@@ -49,9 +49,6 @@ class Counter:
     def dump(self) -> List[float]:
         return [self.value]
 
-    def restore(self, fields: List[float]) -> None:
-        self.value = fields[0]
-
     @classmethod
     def load(cls, fields: List[float]) -> "Counter":
         return cls(fields[0])
@@ -78,9 +75,6 @@ class Gauge:
 
     def dump(self) -> List[float]:
         return [self.value]
-
-    def restore(self, fields: List[float]) -> None:
-        self.value = fields[0]
 
     @classmethod
     def load(cls, fields: List[float]) -> "Gauge":
@@ -114,10 +108,6 @@ class TimeWeighted:
     def dump(self) -> List[float]:
         return [self.integral, self.time]
 
-    def restore(self, fields: List[float]) -> None:
-        self.integral = fields[0]
-        self.time = fields[1]
-
     @classmethod
     def load(cls, fields: List[float]) -> "TimeWeighted":
         return cls(fields[0], fields[1])
@@ -149,10 +139,6 @@ class Ratio:
 
     def dump(self) -> List[float]:
         return [self.num, self.den]
-
-    def restore(self, fields: List[float]) -> None:
-        self.num = fields[0]
-        self.den = fields[1]
 
     @classmethod
     def load(cls, fields: List[float]) -> "Ratio":
@@ -232,36 +218,6 @@ class MetricSet:
         return {
             name: [rec.kind] + rec.dump() for name, rec in sorted(self._records.items())
         }
-
-    def restore_state(self, data: Dict[str, List]) -> None:
-        """Restore serialized records *in place* (checkpoint protocol).
-
-        Components bind record objects once at construction (the
-        simulator's hot loop holds direct ``Counter`` references), so
-        restoration must set fields on the existing objects rather
-        than replace them.  Records not present in the snapshot are
-        reset to fresh values, so a restore is exact regardless of
-        registration order.
-        """
-        for name, rec in self._records.items():
-            encoded = data.get(name)
-            if encoded is None:
-                rec.restore(type(rec)().dump())
-            elif encoded[0] != rec.kind:
-                raise ValueError(
-                    f"metric {name!r} is {rec.kind}, snapshot says {encoded[0]!r}"
-                )
-            else:
-                rec.restore(encoded[1:])
-        for name, encoded in data.items():
-            if name not in self._records:
-                kind, fields = encoded[0], encoded[1:]
-                try:
-                    self._records[name] = _KINDS[kind].load(fields)
-                except KeyError:
-                    raise ValueError(
-                        f"unknown metric kind {kind!r} for {name!r}"
-                    ) from None
 
     @classmethod
     def from_dict(cls, data: Dict[str, List]) -> "MetricSet":

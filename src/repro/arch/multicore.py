@@ -17,10 +17,9 @@ state:
 Cores are advanced in min-clock order: the core with the smallest
 local clock consumes its next event, so shared-queue contention is
 observed in approximately global time order.  One scheduler
-(:meth:`MulticoreSimulator._schedule`) implements that order for
-whole runs and cuts alike, over one packed-trace coroutine per core
-(:meth:`TimingSimulator._packed_gen`), consulted only at events that
-touch shared state.  Each core runs ahead through its core-private
+(:meth:`MulticoreSimulator._schedule`) implements that order over one
+packed-trace coroutine per core (:meth:`TimingSimulator._packed_gen`),
+consulted only at events that touch shared state.  Each core runs ahead through its core-private
 events (ALU, L1 hits, fences, coalesced persists) without consulting
 the scheduler -- private events commute -- and blocks before a shared
 event until it holds the minimum ``(clock, core)`` pair, so every
@@ -139,7 +138,9 @@ class MulticoreSimulator:
 
         Fewer traces than cores leaves the extra cores idle.
         """
-        self.run_until(traces, INF)
+        if len(traces) > self.n_cores:
+            raise ValueError(f"{len(traces)} traces for {self.n_cores} cores")
+        self._schedule([as_packed(t) for t in traces])
         return self._finalize()
 
     def _finalize(self) -> MulticoreStats:
@@ -150,80 +151,7 @@ class MulticoreSimulator:
             stats.per_core.append(core.finalize(shared_owner=idx == 0))
         return stats
 
-    def run_until(
-        self,
-        traces: Sequence[List[Event]],
-        cycle_limit: float,
-        cursors: Optional[List[int]] = None,
-        max_events: Optional[int] = None,
-    ) -> List[int]:
-        """Advance all cores in min-clock order until every unexhausted
-        core's clock reaches *cycle_limit*; returns the per-core cursors
-        (index of each core's first unexecuted event).
-
-        Like :meth:`TimingSimulator.run_until`, the cut falls between
-        committed events: each core stops at its first event whose
-        pre-commit clock is at or past the limit, so it executes exactly
-        the events a per-event min-clock stepper would.  ``max_events``
-        bounds an event-budget cut instead (the checkpoint layer's
-        relays): the budget is split into per-core shares, the remainder
-        going to the cores with the earliest clocks, so the first core
-        scheduled always runs.  At most ``max_events`` events run, and
-        the run ends at a consistent cut as soon as one core has used
-        its share (DESIGN.md §7c).
-        """
-        if len(traces) > self.n_cores:
-            raise ValueError(f"{len(traces)} traces for {self.n_cores} cores")
-        traces = [as_packed(t) for t in traces]
-        cursors = [0] * len(traces) if cursors is None else list(cursors)
-        stops = None
-        if max_events is not None:
-            if max_events <= 0:
-                return cursors
-            active = sorted(
-                (self.cores[idx].cycle, idx)
-                for idx, trace in enumerate(traces)
-                if cursors[idx] < len(trace)
-            )
-            share, extra = divmod(max_events, len(active) or 1)
-            stops = list(cursors)
-            for rank, (_, idx) in enumerate(active):
-                stops[idx] += share + (rank < extra)
-        return self._schedule(traces, cursors, cycle_limit, stops)
-
-    # -- checkpoint protocol -------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Serialize all cores; shared structures are captured once, by
-        core 0 (``include_shared`` split -- see
-        :meth:`TimingSimulator.snapshot`)."""
-        return {
-            "n_cores": self.n_cores,
-            "cores": [
-                core.snapshot(include_shared=idx == 0)
-                for idx, core in enumerate(self.cores)
-            ],
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`snapshot` into this (freshly constructed,
-        same-config) multicore simulator.  Core 0 restores the shared
-        WPQs/NVM trackers/LLC levels in place, which every other core
-        observes through the references ``__init__`` wired up."""
-        if state["n_cores"] != self.n_cores:
-            raise ValueError(
-                f"snapshot has {state['n_cores']} cores, simulator has "
-                f"{self.n_cores}"
-            )
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.restore_state(core_state)
-
-    def _schedule(
-        self,
-        traces: Sequence[PackedTrace],
-        cursors: List[int],
-        cycle_limit: float,
-        stops: Optional[List[int]],
-    ) -> List[int]:
+    def _schedule(self, traces: Sequence[PackedTrace]) -> None:
         """Fused scheduling loop over per-core packed coroutines.
 
         Each core's :meth:`TimingSimulator._packed_gen` executes runs
@@ -235,22 +163,15 @@ class MulticoreSimulator:
         heap-pop/dispatch/heap-push of a min-clock stepper is paid only
         at actual cross-core scheduling points.  A popped generator's
         pending key is the heap minimum, so each ``send`` executes at
-        least one event: the loop always makes progress.
-
-        A core that stops before its trace ends (the cycle cut or its
-        stop index) leaves its pending key in the heap as a wall.  When
-        the wall is popped, every other pending key is larger, so every
-        shared event executed so far precedes every one not executed:
-        the cut is consistent.  The parked generators are then closed,
-        which writes their state back.  Returns the per-core cursors.
+        least one event: the loop always makes progress, and a core
+        leaves the heap when its trace runs out.
         """
         gens: Dict[int, object] = {}
         heap: List[Tuple[float, int]] = []
         for idx, trace in enumerate(traces):
-            if cursors[idx] < len(trace):
+            if len(trace):
                 core = self.cores[idx]
-                stop = None if stops is None else stops[idx]
-                gen = core._packed_gen(trace, idx, cursors[idx], stop, cycle_limit)
+                gen = core._packed_gen(trace, idx)
                 next(gen)  # run the locals setup, park before the first event
                 gens[idx] = gen
                 heap.append((core.cycle, idx))
@@ -260,24 +181,11 @@ class MulticoreSimulator:
         heappush = heapq.heappush
         while heap:
             idx = heappop(heap)[1]
-            gen = gens.get(idx)
-            if gen is None:
-                break  # a wall: the run stops here
             try:
-                clock = gen.send(heap[0] if heap else last)
+                clock = gens[idx].send(heap[0] if heap else last)
             except StopIteration:
-                del gens[idx]
-                core = self.cores[idx]
-                if core.cursor < len(traces[idx]):
-                    heappush(heap, (core.cycle, idx))
                 continue
             heappush(heap, (clock, idx))
-        for gen in gens.values():
-            gen.close()
-        for idx in range(len(traces)):
-            if cursors[idx] < len(traces[idx]):
-                cursors[idx] = self.cores[idx].cursor
-        return cursors
 
 
 def simulate_multicore(

@@ -82,7 +82,7 @@ class CompletionQueue:
         return self.occ_integral / now if now else 0.0
 
     def snapshot(self) -> dict:
-        """JSON-serializable state (checkpoint protocol)."""
+        """JSON-serializable state."""
         return {
             "entries": list(self.entries),
             "occ_integral": self.occ_integral,
@@ -90,20 +90,6 @@ class CompletionQueue:
             "pushes": self.pushes,
             "full_stalls": self.full_stalls,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot`, mutating in place.
-
-        The entry deque is cleared and refilled rather than replaced:
-        shared queues (the multicore WPQs) are referenced by several
-        cores, and every reference must observe the restored state.
-        """
-        self.entries.clear()
-        self.entries.extend(state["entries"])
-        self.occ_integral = state["occ_integral"]
-        self._last_t = state["last_t"]
-        self.pushes = state["pushes"]
-        self.full_stalls = state["full_stalls"]
 
     def contribute(self, metrics, prefix: str, now: float) -> None:
         """Register this queue's records under *prefix* (metrics spine).

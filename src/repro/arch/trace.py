@@ -22,7 +22,6 @@ byte-identical stats (pinned by tests/test_golden_identity.py).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 Event = Tuple
@@ -100,23 +99,6 @@ class PackedTrace:
     def view(self) -> "EventView":
         """Thin legacy-tuple sequence over this trace (no materialization)."""
         return EventView(self)
-
-    def digest(self) -> str:
-        """Content hash of the exact event stream (codes and addresses).
-
-        Pins chunk-size independence in tests and validates that a
-        checkpoint is resumed against the same externally-supplied
-        trace it was cut from.
-        """
-        h = hashlib.sha256()
-        h.update(self.codes.encode("ascii"))
-        # One buffer build + one hash update (same 10-byte little-endian
-        # layout per address as the historical per-address loop, so every
-        # pinned digest stays byte-identical).
-        h.update(
-            b"".join(addr.to_bytes(10, "little", signed=False) for addr in self.addrs)
-        )
-        return h.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedTrace({len(self.codes)} events)"

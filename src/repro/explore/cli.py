@@ -156,7 +156,10 @@ def _live_server_status(out_dir: str) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> None:
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     if args.list_presets:
         _list_presets()

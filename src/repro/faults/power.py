@@ -8,7 +8,7 @@ WSP deployment story: power arrives in on-intervals (a
 dies at every failure, and a scheme resumes from its last durable
 region boundary after paying a fixed recovery cost *in cycles*.
 
-Built directly on the checkpoint layer's cut primitive
+Built directly on the simulator's cycle cut
 (:meth:`TimingSimulator.run_until` with a boundary log, the same fused
 event loop every simulation runs): each on-interval commits the trace
 from the durable cursor with a cycle budget, and the boundary log --

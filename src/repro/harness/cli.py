@@ -27,13 +27,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.harness.engine import (
-    CACHE_DIR,
-    CheckpointPolicy,
-    Engine,
-    NullCache,
-    ResultCache,
-)
+from repro.harness.engine import CACHE_DIR, Engine, NullCache, ResultCache
 from repro.harness.figures import SPECS
 
 
@@ -85,20 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one JSON artifact per experiment into DIR",
     )
     parser.add_argument(
-        "--checkpoint", default=None, metavar="DIR",
-        help="checkpoint in-flight simulations into DIR (one versioned "
-        "JSON checkpoint per point, deleted on completion)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=250_000, metavar="N",
-        help="events between checkpoints (default: 250000)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume interrupted points from their checkpoint files "
-        "(requires --checkpoint)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
     )
     parser.add_argument(
@@ -128,6 +108,10 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    if args.n_insts is not None and args.n_insts < 1:
+        parser.error("--n-insts must be at least 1")
 
     if args.list:
         width = max(len(name) for name in SPECS)
@@ -143,20 +127,9 @@ def main(argv: Optional[List[str]] = None) -> None:
             f"unknown experiment(s) {unknown}; choose from {list(SPECS)}"
         )
 
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint DIR")
-    if args.checkpoint_every < 1:
-        parser.error("--checkpoint-every must be at least 1")
-    checkpoint = None
-    if args.checkpoint:
-        checkpoint = CheckpointPolicy(
-            dir=args.checkpoint, every=args.checkpoint_every, resume=args.resume
-        )
-
     cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
     engine = Engine(
-        jobs=args.jobs, cache=cache, seed=args.seed, n_insts=args.n_insts,
-        checkpoint=checkpoint,
+        jobs=args.jobs, cache=cache, seed=args.seed, n_insts=args.n_insts
     )
     t0 = time.time()
 

@@ -71,15 +71,6 @@ _SALT_ENTRY_MODULES = (
     "repro.workloads.synthetic",
 )
 
-#: Reachable-in-principle modules excluded from the salt: the
-#: checkpoint drivers, whose cut-and-resume is held bit-identical to an
-#: uninterrupted run by contract, so editing them cannot change what a
-#: cached result would be.  It is a lazy, function-level import on the
-#: simulation path, which the module-level AST walk below already
-#: skips; the explicit set makes the contract auditable and keeps it
-#: out even if the import style changes.
-_SALT_CONTRACT_EXCLUDED = frozenset({"repro.arch.checkpoint"})
-
 _code_salt: Optional[str] = None
 _salt_recipe: Optional[Dict[str, object]] = None
 
@@ -119,8 +110,8 @@ def _import_candidates(source: bytes) -> List[Tuple[str, Optional[str]]]:
     import name`` gives ``("repro.pkg", "name")``, which
     :func:`compute_salt_recipe` resolves against the tree.
     Walks only module-level statements (recursing through top-level
-    ``if``/``try`` blocks), so lazy function-level imports -- the
-    checkpoint drivers -- stay out of the salt.
+    ``if``/``try`` blocks), so lazy function-level imports stay out of
+    the salt.
     Two import styles get special care so the closure matches what
     actually *runs* (tested with planted fixture modules):
 
@@ -239,7 +230,6 @@ def _candidates(
 
 def compute_salt_recipe(
     entries: Sequence[str] = _SALT_ENTRY_MODULES,
-    excluded: frozenset = _SALT_CONTRACT_EXCLUDED,
     scans: Optional[ScanStore] = None,
 ) -> Dict[str, object]:
     """Walk the module closure of *entries* and hash every file: uncached.
@@ -255,14 +245,14 @@ def compute_salt_recipe(
     ``pkg.mod.name`` when that is itself a module, else to ``pkg.mod``
     (e.g. a package ``__init__`` re-export, whose own imports are then
     followed).
-    *entries*/*excluded* are parameterized so tests can plant fixture
-    modules and assert exactly which import styles land in the recipe.
+    *entries* is parameterized so tests can plant fixture modules and
+    assert exactly which import styles land in the recipe.
     """
     modules: Dict[str, str] = {}
     queue = list(entries)
     while queue:
         name = queue.pop()
-        if name in modules or name in excluded:
+        if name in modules:
             continue
         path = module_file(name)
         if path is None:
@@ -274,7 +264,6 @@ def compute_salt_recipe(
             queue.append(sub if attr and module_file(sub) else module)
     return {
         "entries": sorted(entries),
-        "excluded": sorted(excluded),
         "modules": {name: modules[name] for name in sorted(modules)},
     }
 
@@ -290,7 +279,7 @@ def salt_recipe(
 ) -> Dict[str, object]:
     """What the cache salt hashes, as data (recorded in lockfiles).
 
-    ``{"entries": [...], "excluded": [...], "modules": {name: sha256}}``
+    ``{"entries": [...], "modules": {name: sha256}}``
     -- the dependency-sliced module set a simulation point executes,
     with one content hash per module file.  Deterministic for a given
     tree; :func:`code_salt` is the digest of this recipe's canonical
@@ -310,9 +299,8 @@ def code_salt(refresh: bool = False, scans: Optional[ScanStore] = None) -> str:
 
     Editing the simulator, the workload generator, or the scheme
     catalog changes the salt and invalidates the whole cache; editing
-    the harness, the fault engine, the compiler/IR stack, or the
-    contract-pinned checkpoint drivers does not -- see
-    :func:`salt_recipe` for exactly what is hashed.
+    the harness, the fault engine, or the compiler/IR stack does not --
+    see :func:`salt_recipe` for exactly what is hashed.
     """
     global _code_salt
     recipe = salt_recipe(refresh=refresh, scans=scans)
@@ -362,94 +350,6 @@ def point_cache_key(point: Point, salt: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 # Point execution (runs in worker processes: must stay top-level).
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class CheckpointPolicy:
-    """How the engine checkpoints in-flight simulations.
-
-    One checkpoint file per point, named by the point's cache key,
-    written every *every* executed events and deleted when the point
-    completes (the finished result lands in the normal result cache).
-    With *resume* set, a worker picking up a point first looks for its
-    checkpoint file and continues from the recorded cut instead of
-    starting over -- bit-identical by the checkpoint identity contract.
-    """
-
-    dir: str
-    every: int = 250_000
-    resume: bool = False
-
-    def __post_init__(self) -> None:
-        if self.every < 1:  # a cut of zero events would never finish
-            raise ValueError(f"every must be at least 1 event, got {self.every}")
-
-    def path_for(self, key: str) -> Path:
-        return Path(self.dir) / f"{key}.ckpt.json"
-
-
-def _checkpointed_point(
-    point: Point, checkpoint: CheckpointPolicy, key: str
-) -> SimStats:
-    from repro.arch.checkpoint import (
-        CheckpointableRun,
-        MulticoreCheckpointableRun,
-        SimCheckpoint,
-    )
-    from repro.workloads.synthetic import SyntheticStream, generate_trace, prime_ranges
-
-    path = checkpoint.path_for(key)
-    run = None
-    if isinstance(point, MulticorePoint):
-        traces = [
-            generate_trace(
-                PROFILES[app], point.n_insts, seed=point.seed + i,
-                instrument=point.instrument, packed=True,
-            )
-            for i, app in enumerate(point.apps)
-        ]
-        prime = [r for app in point.prime_apps for r in prime_ranges(PROFILES[app])]
-        if checkpoint.resume and path.exists():
-            try:
-                run = MulticoreCheckpointableRun.resume(
-                    SimCheckpoint.load(path), point.machine, point.scheme, traces
-                )
-            except ValueError:
-                run = None  # stale/mismatched checkpoint: start over
-        if run is None:
-            run = MulticoreCheckpointableRun(
-                point.machine, point.scheme, traces,
-                n_cores=point.n_cores, prime=prime,
-            )
-    else:
-        profile = PROFILES[point.app]
-        if checkpoint.resume and path.exists():
-            try:
-                run = CheckpointableRun.resume(
-                    SimCheckpoint.load(path), point.machine, point.scheme
-                )
-            except ValueError:
-                run = None
-        if run is None:
-            run = CheckpointableRun(
-                point.machine,
-                point.scheme,
-                stream=SyntheticStream(
-                    profile, point.n_insts, point.seed, point.instrument
-                ),
-                prime=prime_ranges(profile),
-            )
-    while not run.done:
-        run.run_for_events(checkpoint.every)
-        if run.done:
-            break
-        path.parent.mkdir(parents=True, exist_ok=True)
-        run.checkpoint().save(path)
-    stats = run.run_to_end()
-    if isinstance(point, MulticorePoint):
-        stats = stats.merged()
-    path.unlink(missing_ok=True)
-    return stats
-
-
 def _trace_key(point: SimPoint) -> tuple:
     """What a single-core point's trace is a pure function of."""
     return ("trace", point.app, point.n_insts, point.seed, point.instrument)
@@ -495,17 +395,9 @@ def _shared(batch: Optional[Dict[tuple, list]], key: tuple, make: Callable):
 
 
 def compute_point(
-    point: Point,
-    checkpoint: Optional[CheckpointPolicy] = None,
-    key: Optional[str] = None,
-    batch: Optional[Dict[tuple, list]] = None,
+    point: Point, batch: Optional[Dict[tuple, list]] = None
 ) -> SimStats:
     """Regenerate the trace(s) for *point* and simulate it.
-
-    With a :class:`CheckpointPolicy` (and the point's cache *key* to
-    name the file), the simulation runs through the checkpointable
-    drivers -- cut every ``every`` events, persisted, resumable --
-    producing stats bit-identical to the direct path.
 
     *batch* is the memo of the worker batch *point* belongs to (see
     :func:`_batch_memo`): a single-core point reuses the trace and the
@@ -513,8 +405,6 @@ def compute_point(
     instead of rebuilding them -- both are pure functions of their
     keys, so the stats are bit-identical.
     """
-    if checkpoint is not None and key is not None:
-        return _checkpointed_point(point, checkpoint, key)
     # The simulator stack loads here, not with the engine, so a run
     # that simulates nothing never compiles it (DESIGN.md section 7e).
     from repro.arch.caches import CacheHierarchy
@@ -567,16 +457,10 @@ def compute_point(
     return sim.run(trace)
 
 
-def _execute_batch(
-    task: Tuple[List[Tuple[str, Point]], Optional[CheckpointPolicy]]
-) -> List[SimStats]:
+def _execute_batch(batch: List[Point]) -> List[SimStats]:
     """Compute one worker batch; its memo dies with it."""
-    batch, checkpoint = task
-    memo = _batch_memo([point for _key, point in batch]) if len(batch) > 1 else None
-    return [
-        compute_point(point, checkpoint=checkpoint, key=key, batch=memo)
-        for key, point in batch
-    ]
+    memo = _batch_memo(batch) if len(batch) > 1 else None
+    return [compute_point(point, batch=memo) for point in batch]
 
 
 class WorkerCrash(RuntimeError):
@@ -707,23 +591,20 @@ BATCHES_PER_JOB = 4
 
 
 def form_batches(
-    misses: Sequence[Tuple[str, Point]],
-    jobs: int = 1,
-    checkpoint: Optional[CheckpointPolicy] = None,
+    misses: Sequence[Tuple[str, Point]], jobs: int = 1
 ) -> List[List[int]]:
     """Group *misses* into worker batches, as lists of indices.
 
     Single-core points of one app form near-equal chunks of at most
     ``ceil(len(misses) / (BATCHES_PER_JOB * jobs))`` points, in plan
-    order.  A multicore point (its per-core traces barely repeat) and,
-    under a :class:`CheckpointPolicy`, every point (one checkpoint file
-    per point) is a batch of its own.
+    order.  A multicore point (its per-core traces barely repeat) is a
+    batch of its own.
     """
     cap = -(-len(misses) // (BATCHES_PER_JOB * max(1, jobs)))
     batches: List[List[int]] = []
     by_app: Dict[str, List[int]] = {}
     for index, (_key, point) in enumerate(misses):
-        if checkpoint is not None or isinstance(point, MulticorePoint):
+        if isinstance(point, MulticorePoint):
             batches.append([index])
         else:
             by_app.setdefault(point.app, []).append(index)
@@ -761,7 +642,6 @@ def compute_points(
     misses: Sequence[Tuple[str, Point]],
     cache,
     jobs: int = 1,
-    checkpoint: Optional[CheckpointPolicy] = None,
     mp_context: Optional[str] = None,
     always_pool: bool = False,
 ) -> Dict[Point, SimStats]:
@@ -782,8 +662,8 @@ def compute_points(
         import repro.workloads.synthetic  # noqa: F401
         import numpy  # noqa: F401
 
-    batches = form_batches(misses, jobs, checkpoint)
-    work = [([misses[i] for i in batch], checkpoint) for batch in batches]
+    batches = form_batches(misses, jobs)
+    work = [[misses[i][1] for i in batch] for batch in batches]
     computed: Dict[int, SimStats] = {}
 
     def _flush(index: int, results: List[SimStats]) -> None:
@@ -808,7 +688,6 @@ def resolve_points(
     tasks: Sequence[Tuple[str, Point]],
     cache,
     jobs: int = 1,
-    checkpoint: Optional[CheckpointPolicy] = None,
     mp_context: Optional[str] = None,
     always_pool: bool = False,
 ) -> Tuple[Dict[Point, SimStats], int]:
@@ -826,7 +705,7 @@ def resolve_points(
     resolved, misses = classify_points(tasks, cache)
     resolved.update(
         compute_points(
-            misses, cache, jobs=jobs, checkpoint=checkpoint,
+            misses, cache, jobs=jobs,
             mp_context=mp_context, always_pool=always_pool,
         )
     )
@@ -936,7 +815,6 @@ class Engine:
         seed: int = 1,
         n_insts: Optional[int] = None,
         salt: Optional[str] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
         mp_context: Optional[str] = None,
         always_pool: bool = False,
     ) -> None:
@@ -946,9 +824,6 @@ class Engine:
         #: Global n_insts override; ``None`` uses each spec's default.
         self.n_insts = n_insts
         self._salt = salt
-        #: When set, in-flight simulations checkpoint to disk and can
-        #: resume across harness invocations (``--checkpoint``).
-        self.checkpoint = checkpoint
         #: Worker start method + pool forcing, for callers that must
         #: not run simulations in this (possibly stale) process -- the
         #: serve loop passes ``mp_context="spawn", always_pool=True``.
@@ -999,7 +874,6 @@ class Engine:
             dirty,
             self.cache,
             jobs=self.jobs,
-            checkpoint=self.checkpoint,
             mp_context=self.mp_context,
             always_pool=self.always_pool,
         )

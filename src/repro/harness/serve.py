@@ -6,14 +6,14 @@ edits by recomputing *only the dirty delta*:
 
 1. **Watch.**  Every poll tick the daemon re-derives the dependency-
    sliced salt closure from disk (:func:`compute_salt_recipe`) and
-   content-hashes every file in it, plus the contract-excluded module
-   (checkpoint) and the experiment-spec module.  No inotify:
-   plain sha256 polling, so it works on any filesystem.
+   content-hashes every file in it, plus the experiment-spec module.
+   No inotify: plain sha256 polling, so it works on any filesystem.
 2. **Classify.**  On change, the grid is re-planned and every point is
    classified clean or dirty through the content-addressed cache keys
    (point + new salt): an edit to a salted module flips the salt, so
-   exactly the affected points miss; an edit to a contract-excluded
-   module leaves every key warm and recomputes *zero* points.
+   exactly the affected points miss; an edit to the spec module that
+   changes no point (a comment, say) leaves every key warm and
+   recomputes *zero* points.
 3. **Recompute.**  Dirty points fan out over the worker pool.  Workers
    are **spawned fresh** (``mp_context="spawn"``, pool forced even for
    ``--jobs 1``) so they import the edited simulator code from disk
@@ -162,13 +162,11 @@ class ResultsServer:
         """Module name -> file for everything that can trigger a generation.
 
         The salt recipe's module closure (re-derived from disk, so a
-        newly added import joins the watch set on the next tick), the
-        contract-excluded modules (their edits must trigger a -- zero
-        dirty -- generation to prove the exclusion), and the experiment
-        spec module.
+        newly added import joins the watch set on the next tick) and
+        the experiment spec module.
         """
         recipe = compute_salt_recipe(scans=self.scans)
-        names = set(recipe["modules"]) | set(recipe["excluded"])
+        names = set(recipe["modules"])
         names.add(self.config.specs_module)
         paths: Dict[str, Path] = {}
         for name in sorted(names):
@@ -421,7 +419,12 @@ def build_parser():
 
 
 def main(argv: Optional[List[str]] = None) -> None:
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    if args.n_insts is not None and args.n_insts < 1:
+        parser.error("--n-insts must be at least 1")
     config = ServeConfig(
         names=args.names or None,
         out_dir=args.out,

@@ -191,83 +191,9 @@ def bench_machine_capri(config: BenchConfig) -> BenchResult:
     return _events_per_sec(capri, config, "machine.run.capri")
 
 
-@bench("machine.run.checkpointed")
-def bench_machine_checkpointed(config: BenchConfig) -> BenchResult:
-    """cwsp hot path with a mid-run checkpoint + JSON round trip + resume.
-
-    Measures the full cut/serialize/restore/finish cycle against the
-    uninterrupted run from ``machine.run.cwsp`` sizing.  Doubles as a
-    value-identity guard at benchmark scale: a checkpointed/direct
-    divergence fails the perf job, not just the unit suite.
-    """
-    from repro.arch.checkpoint import CheckpointableRun, SimCheckpoint
-    from repro.perf.timers import Stopwatch
-    from repro.schemes import cwsp
-    from repro.workloads.profiles import PROFILES
-    from repro.workloads.synthetic import SyntheticStream, prime_ranges
-
-    n_insts = config.size("n_insts")
-    reps = config.size("reps")
-    machine = _machine()
-    profile = PROFILES[_BENCH_APP]
-    prime = tuple(prime_ranges(profile))
-
-    def stream():
-        return SyntheticStream(
-            profile, n_insts, seed=_BENCH_SEED, instrument="pruned"
-        )
-
-    # Uninterrupted reference: same stream through run_to_end.
-    ref = CheckpointableRun(machine, cwsp(), stream=stream(), prime=prime)
-    ref_stats = ref.run_to_end()
-    n_events = ref.events_done
-    half = n_events // 2
-
-    def run():
-        r = CheckpointableRun(machine, cwsp(), stream=stream(), prime=prime)
-        r.run_for_events(half)
-        blob = r.checkpoint().to_json()
-        resumed = CheckpointableRun.resume(
-            SimCheckpoint.from_json(blob), machine, cwsp()
-        )
-        return len(blob), resumed.run_to_end()
-
-    best = None
-    stats = None
-    blob_bytes = 0
-    for _ in range(reps):
-        with Stopwatch() as sw:
-            blob_bytes, stats = run()
-        if best is None or sw.seconds < best:
-            best = sw.seconds
-    if stats.metrics.to_dict() != ref_stats.metrics.to_dict():
-        raise AssertionError(
-            "checkpointed run diverged from the uninterrupted reference"
-        )
-    return BenchResult(
-        name="machine.run.checkpointed",
-        value=n_events / best,
-        unit="events/sec",
-        higher_is_better=True,
-        seconds=best,
-        reps=reps,
-        meta={
-            "n_events": n_events,
-            "n_insts": n_insts,
-            "app": _BENCH_APP,
-            "seed": _BENCH_SEED,
-            "scheme": "cWSP",
-            "cut_event": half,
-            "checkpoint_bytes": blob_bytes,
-            "cycles": stats.cycles,
-        },
-    )
-
-
 @bench("machine.run_multicore")
 def bench_machine_multicore(config: BenchConfig) -> BenchResult:
     """Fused multicore loop: 8 cwsp cores over packed SPLASH traces."""
-    from repro.arch.checkpoint import MulticoreCheckpointableRun, SimCheckpoint
     from repro.arch.multicore import MulticoreSimulator
     from repro.perf.timers import Stopwatch
     from repro.schemes import cwsp
@@ -292,6 +218,7 @@ def bench_machine_multicore(config: BenchConfig) -> BenchResult:
     # construction and cache priming stay outside the stopwatch.
     seconds = None
     stats = None
+    first = None
     for _ in range(reps):
         sim = MulticoreSimulator(machine, cwsp(), n_cores)
         sim.prime(prime)
@@ -299,19 +226,14 @@ def bench_machine_multicore(config: BenchConfig) -> BenchResult:
             stats = sim.run(traces)
         if seconds is None or sw.seconds < seconds:
             seconds = sw.seconds
-    # Value-identity guard at benchmark scale: cut at half the
-    # makespan, JSON round trip, resume.  A divergence fails the perf
-    # job, not just the unit suite.
-    run = MulticoreCheckpointableRun(machine, cwsp(), traces, prime=prime)
-    run.run_to_cycle(stats.cycles / 2)
-    resumed = MulticoreCheckpointableRun.resume(
-        SimCheckpoint.from_json(run.checkpoint().to_json()), machine, cwsp(), traces
-    )
-    if resumed.run_to_end().merged().to_dict() != stats.merged().to_dict():
-        raise AssertionError(
-            "multicore run cut at half its makespan and resumed diverged "
-            "from the uninterrupted run"
-        )
+        # Value-identity guard at benchmark scale: every rep must merge
+        # to the first rep's stats.  A divergence fails the perf job,
+        # not just the unit suite.
+        merged = stats.merged().to_dict()
+        if first is None:
+            first = merged
+        elif merged != first:
+            raise AssertionError("multicore reps diverged from the first rep")
     return BenchResult(
         name="machine.run_multicore",
         value=n_events / seconds,

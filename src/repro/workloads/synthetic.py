@@ -23,13 +23,8 @@ block's random arrays on demand and carrying the sweep pointers,
 burst state, and instrumentation state across blocks.  The block size
 is an *internal generation constant*, never a consumer choice, so the
 emitted stream for a given ``(profile, n_insts, seed, instrument)``
-is one fixed sequence regardless of how it is consumed -- whole
-(:func:`generate_trace` concatenates the blocks), chunk-at-a-time
-(``TimingSimulator.run_stream``, bounded memory for 10^7+-event
-runs), or cut-and-resumed (the stream's :meth:`~SyntheticStream
-.snapshot`/:meth:`~SyntheticStream.restore` capture the carried state
-plus both PRNG states at block boundaries -- the checkpoint layer's
-trace descriptor).
+is one fixed sequence regardless of how it is consumed: whole
+(:func:`generate_trace` concatenates the blocks) or chunk by chunk.
 
 Computation.  A block is built with NumPy array operations rather than
 one Python iteration per instruction: op kinds are element-wise
@@ -47,10 +42,10 @@ cached harness run -- never loads it (DESIGN.md section 7e).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.arch.trace import EventView, PackedTrace
-from repro.workloads.profiles import AppProfile, CLASS_SIZES, PROFILES
+from repro.workloads.profiles import AppProfile, CLASS_SIZES
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,15 +130,12 @@ def _class_sampler(weights, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class SyntheticStream:
-    """Resumable chunked generator of one application's event stream.
+    """Chunked generator of one application's event stream.
 
     ``next_chunk()`` returns the next :class:`PackedTrace` block (or
     ``None`` when ``n_insts`` core instructions have been emitted).
-    ``snapshot()``/``restore()`` capture/reinstate the generator state
-    *between* blocks -- carried pointers plus the exact NumPy PCG64
-    bit-generator states -- so a consumer can persist a mid-trace
-    checkpoint and regenerate the remaining stream bit-identically
-    without replaying the prefix.
+    Between blocks the stream carries its sweep pointers, burst and
+    instrumentation state, and both NumPy PCG64 generators.
     """
 
     def __init__(
@@ -413,60 +405,6 @@ class SyntheticStream:
         codes = np.insert(codes, at, np.where(is_b, _B, _C))
         addrs = np.insert(addrs, at, ins_addrs)
         return codes, addrs
-
-    # -- checkpoint protocol -------------------------------------------
-    def spec(self) -> Dict[str, object]:
-        """The construction parameters (checkpoint trace descriptor)."""
-        return {
-            "app": self.profile.name,
-            "n_insts": self.n_insts,
-            "seed": self.seed,
-            "instrument": self.instrument,
-            "block": self.block,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, object]) -> "SyntheticStream":
-        return cls(
-            PROFILES[spec["app"]],
-            n_insts=spec["n_insts"],
-            seed=spec["seed"],
-            instrument=spec["instrument"],
-            block=spec.get("block", _GEN_BLOCK),
-        )
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-serializable generator state, valid at block boundaries
-        (between ``next_chunk`` calls).  Includes the exact PCG64
-        bit-generator state dicts, so a restored stream draws the same
-        randomness the original would have."""
-        state: Dict[str, object] = {
-            "emitted": self.emitted,
-            "sweep": dict(self.sweep),
-            "stream_ptr": self.stream_ptr,
-            "burst_left": self.burst_left,
-            "burst_ptr": self.burst_ptr,
-            "rng": self.rng.bit_generator.state,
-        }
-        if self._instrumenting:
-            state["irng"] = self.irng.bit_generator.state
-            state["region_left"] = self.region_left
-            state["ckpt_accum"] = self.ckpt_accum
-            state["slot"] = self.slot
-        return state
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self.emitted = state["emitted"]
-        self.sweep = {c: state["sweep"][c] for c in CLASS_SIZES}
-        self.stream_ptr = state["stream_ptr"]
-        self.burst_left = state["burst_left"]
-        self.burst_ptr = state["burst_ptr"]
-        self.rng.bit_generator.state = state["rng"]
-        if self._instrumenting:
-            self.irng.bit_generator.state = state["irng"]
-            self.region_left = state["region_left"]
-            self.ckpt_accum = state["ckpt_accum"]
-            self.slot = state["slot"]
 
 
 def generate_trace(

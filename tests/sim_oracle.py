@@ -9,7 +9,7 @@ and the same ``snapshot()``.  ``OracleMulticore`` is
 :class:`MulticoreSimulator` with the per-event min-clock heap stepper,
 the specification of the fused scheduler's order.  Both inherit
 construction, the rare-path methods (``_store``, ``_persist``,
-``_evictions``, ``_boundary``, ``_sync``) and the checkpoint protocol
+``_evictions``, ``_boundary``, ``_sync``) and ``snapshot()``
 unchanged, so oracle and simulator differ only in how events are
 dispatched.
 """
@@ -38,11 +38,10 @@ class OracleSimulator(TimingSimulator):
         events,
         cycle_limit: float,
         start: int = 0,
-        stop: Optional[int] = None,
         boundary_log: Optional[list] = None,
     ) -> int:
         step = self._step
-        n = len(events) if stop is None else min(stop, len(events))
+        n = len(events)
         i = start
         while i < n:
             if self.cycle >= cycle_limit:
@@ -121,41 +120,6 @@ class OracleMulticore(MulticoreSimulator):
             raise ValueError(f"{len(traces)} traces for {self.n_cores} cores")
         self._run_events([unpack_events(t) for t in traces])
         return self._finalize()
-
-    def run_until(
-        self,
-        traces: Sequence[List[Event]],
-        cycle_limit: float,
-        cursors: Optional[List[int]] = None,
-        max_events: Optional[int] = None,
-    ) -> List[int]:
-        if len(traces) > self.n_cores:
-            raise ValueError(f"{len(traces)} traces for {self.n_cores} cores")
-        traces = [unpack_events(t) for t in traces]
-        if cursors is None:
-            cursors = [0] * len(traces)
-        else:
-            cursors = list(cursors)
-        heap: List[Tuple[float, int]] = [
-            (self.cores[idx].cycle, idx)
-            for idx in range(len(traces))
-            if cursors[idx] < len(traces[idx])
-        ]
-        heapq.heapify(heap)
-        dispatched = 0
-        while heap:
-            clock, idx = heapq.heappop(heap)
-            if clock >= cycle_limit:
-                break
-            if max_events is not None and dispatched >= max_events:
-                break
-            core = self.cores[idx]
-            core._step(traces[idx][cursors[idx]])
-            cursors[idx] += 1
-            dispatched += 1
-            if cursors[idx] < len(traces[idx]):
-                heapq.heappush(heap, (core.cycle, idx))
-        return cursors
 
     def _run_events(self, traces: Sequence[List[Event]]) -> None:
         iters = [iter(t) for t in traces]

@@ -111,19 +111,6 @@ class TestDirectMapped:
         _, evicted = h.dram.access(1, False)
         assert evicted == (5, False)
 
-    def test_restore_round_trip_in_place(self):
-        d = DirectMappedCache(DRAMCacheConfig(size_bytes=4 * 64, hit_latency=1))
-        for line, write in ((3, True), (0, False), (9, True), (4, True), (1, False)):
-            d.access(line, write)
-        state = d.snapshot()
-        text = json.dumps(state)
-        tags, dirty = d.tags, d.dirty
-        d.access(2, True)
-        d.access(7, False)
-        d.restore_state(json.loads(text))
-        assert json.dumps(d.snapshot()) == text
-        assert d.tags is tags and d.dirty is dirty
-
 
 class TestHierarchy:
     def _hier(self):

@@ -22,6 +22,7 @@ from repro.schemes.catalog import baseline, capri, cwsp, ido, psp_ideal, replayc
 from repro.workloads.profiles import PROFILES
 from repro.workloads.synthetic import generate_trace, prime_ranges
 from tests.sim_oracle import oracle_simulate
+from tests.trace_oracle import trace_digest
 
 SCHEME_FACTORIES = {
     "baseline": baseline,
@@ -69,14 +70,14 @@ class TestPackedTrace:
             PackedTrace("?", [0])
 
     def test_digest_layout_pinned(self):
-        """digest() must keep the historical byte layout: the code
+        """trace_digest must keep the historical byte layout: the code
         string, then each address as 10 bytes little-endian, in order.
 
         Checked two ways: against a literal reimplementation of the
         per-address update loop, and against a pinned hex so *any*
         layout change -- including to the reimplementation -- trips the
-        test.  Checkpoint files and the trace cache store these hashes;
-        changing the layout would orphan all of them.
+        test.  The pinned stream digests of the generator tests were
+        taken with this layout; changing it would orphan all of them.
         """
         import hashlib
 
@@ -85,8 +86,8 @@ class TestPackedTrace:
         h.update(trace.codes.encode("ascii"))
         for addr in trace.addrs:
             h.update(addr.to_bytes(10, "little", signed=False))
-        assert trace.digest() == h.hexdigest()
-        assert trace.digest() == (
+        assert trace_digest(trace) == h.hexdigest()
+        assert trace_digest(trace) == (
             "3bc575960bce08ede31a8b768d70259bb9f26f4b8c527ad3ee87ff287173792a"
         )
 
@@ -96,7 +97,7 @@ class TestPackedTrace:
         trace = generate_trace(
             PROFILES["astar"], 2_000, seed=5, instrument="pruned", packed=True
         )
-        assert trace.digest() == (
+        assert trace_digest(trace) == (
             "10c1052f43d9dee052e0accaa65f4ffeeadab43af7ff0bff3f1b7cf9ff8996ca"
         )
 

@@ -63,17 +63,42 @@ class TestCli:
         b = json.loads((tmp_path / "s2" / "fig13.json").read_text())
         assert a["rows"] != b["rows"]  # the seed is not hard-coded
 
-    @pytest.mark.parametrize("every", ["0", "-5"])
-    def test_checkpoint_every_below_one_is_a_usage_error(self, tmp_path, every):
-        # In a child process, so that a regression hangs only until the
-        # timeout: a cut of zero events never finishes a point.
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.harness", "--jobs", "1",
-             "--n-insts", "500", "--no-cache", "--checkpoint", str(tmp_path),
-             "--checkpoint-every", every, "fig08"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--n-insts"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["repro.harness", "fig08", "--no-cache"],
+            ["repro.harness", "serve", "fig08", "--out", "out",
+             "--cache-dir", "cache", "--max-generations", "1"],
+        ],
+        ids=["harness", "serve"],
+    )
+    def test_counts_below_one_are_usage_errors(self, tmp_path, command, flag, value):
+        # A trace of no instructions divides by zero in the reducers
+        # after every point has simulated; no worker count runs anything.
+        proc = _run_module(
+            command + ["--jobs", "1", "--n-insts", "500", flag, value], tmp_path
         )
-        assert proc.returncode == 2
-        assert "--checkpoint-every must be at least 1" in proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert f"{flag} must be at least 1" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_explore_jobs_below_one_is_a_usage_error(self, tmp_path, value):
+        proc = _run_module(
+            ["repro.explore", "--preset", "smoke", "--campaign-dir", "camp",
+             "--no-cache", "--jobs", value],
+            tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--jobs must be at least 1" in proc.stderr
+
+
+def _run_module(args, cwd):
+    """``python -m *args`` in a child process, on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m"] + args,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )

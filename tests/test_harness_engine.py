@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.arch import SimStats, skylake_machine
 from repro.harness.engine import (
     BATCHES_PER_JOB,
-    CheckpointPolicy,
     Engine,
     MemoryCache,
     NullCache,
@@ -374,11 +373,6 @@ class TestBatchFormation:
                 by_app.setdefault(point.app, []).append(len(batch))
         assert all(max(sizes) - min(sizes) <= 1 for sizes in by_app.values())
 
-    def test_checkpointed_points_are_singletons(self, tmp_path):
-        misses = _misses(self.APPS, n_multicore=1)
-        policy = CheckpointPolicy(dir=str(tmp_path))
-        assert form_batches(misses, 2, policy) == [[i] for i in range(len(misses))]
-
     def test_batch_shares_trace_and_primed_state(self, monkeypatch):
         """A batch of one app generates each trace and primes each
         geometry once; a point that shares nothing takes the direct path."""
@@ -406,17 +400,17 @@ class TestBatchFormation:
                 [(baseline(), None), (cwsp(), "pruned"), (cwsp(), None)]
             )
         ]
-        stats = engine_mod._execute_batch((batch, None))
+        stats = engine_mod._execute_batch([point for _key, point in batch])
         # Two distinct traces, one shared primed state.
         assert calls == {"trace": 2, "prime": 1}
         for (_key, point), got in zip(batch, stats):
             assert json.dumps(got.to_dict()) == json.dumps(compute_point(point).to_dict())
         calls.update(trace=0, prime=0)
-        engine_mod._execute_batch((batch[:1], None))
+        engine_mod._execute_batch([batch[0][1]])
         assert calls == {"trace": 1, "prime": 1}
 
 
-def _die_on_seed_666(point, checkpoint=None, key=None, batch=None):
+def _die_on_seed_666(point, batch=None):
     import os as _os
     import signal as _signal
     import time as _time
@@ -512,15 +506,13 @@ class TestSaltRecipe:
             "repro.workloads.synthetic",
         }
         # ...and nothing a point never touches: the harness itself,
-        # the compiler/IR stack, the fault engine, and the
-        # contract-pinned checkpoint drivers.
+        # the compiler/IR stack, and the fault engine.
         for absent in (
             "repro.harness.engine",
             "repro.ir.interpreter",
             "repro.compiler.pipeline",
             "repro.faults.campaign",
             "repro.workloads.adapter",
-            "repro.arch.checkpoint",
         ):
             assert absent not in modules, absent
 
@@ -604,10 +596,10 @@ def fixture_tree(tmp_path, monkeypatch):
 class TestSaltImportStyles:
     ENTRIES = ("repro.fx_entry",)
 
-    def _recipe(self, excluded=frozenset()):
+    def _recipe(self):
         from repro.harness.engine import compute_salt_recipe
 
-        return compute_salt_recipe(entries=self.ENTRIES, excluded=excluded)
+        return compute_salt_recipe(entries=self.ENTRIES)
 
     def test_runtime_imports_all_land_in_the_recipe(self, fixture_tree):
         modules = set(self._recipe()["modules"])
@@ -638,18 +630,6 @@ class TestSaltImportStyles:
             fh.write("# edited\n")
         assert recipe_salt(self._recipe()) != before
 
-    def test_excluded_modules_never_enter_the_closure(self, fixture_tree):
-        from repro.harness.engine import recipe_salt
-
-        excluded = frozenset({"repro.fx_plain"})
-        recipe = self._recipe(excluded=excluded)
-        assert "repro.fx_plain" not in recipe["modules"]
-        assert recipe["excluded"] == ["repro.fx_plain"]
-        before = recipe_salt(recipe)
-        with open(fixture_tree / "fx_plain.py", "a") as fh:
-            fh.write("# edited\n")
-        assert recipe_salt(self._recipe(excluded=excluded)) == before
-
 
 @pytest.fixture
 def parses(monkeypatch):
@@ -679,7 +659,7 @@ class TestSaltParseMemo:
     def _recipe(self):
         from repro.harness.engine import compute_salt_recipe
 
-        return compute_salt_recipe(entries=self.ENTRIES, excluded=frozenset())
+        return compute_salt_recipe(entries=self.ENTRIES)
 
     def test_second_recipe_parses_nothing(self, fixture_tree, parses):
         first = self._recipe()
@@ -728,9 +708,7 @@ class TestScanStore:
         import repro.harness.engine as engine_mod
 
         engine_mod._CANDIDATES_BY_DIGEST.clear()  # a fresh process
-        return engine_mod.compute_salt_recipe(
-            entries=self.ENTRIES, excluded=frozenset(), scans=scans
-        )
+        return engine_mod.compute_salt_recipe(entries=self.ENTRIES, scans=scans)
 
     def _store(self, tmp_path):
         from repro.harness.engine import ResultCache

@@ -16,14 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch.caches import CacheHierarchy
-from repro.arch.checkpoint import (
-    CheckpointableRun,
-    MulticoreCheckpointableRun,
-    SimCheckpoint,
-)
 from repro.arch.config import CacheConfig, DRAMCacheConfig, skylake_machine
 from repro.arch.machine import TimingSimulator, simulate
-from repro.arch.multicore import MulticoreSimulator, simulate_multicore
+from repro.arch.multicore import MulticoreSimulator
 from repro.arch.queues import CompletionQueue
 from repro.arch.scheme import Scheme
 from repro.arch.trace import PackedTrace
@@ -598,17 +593,14 @@ def test_batched_resolve_matches_per_point_compute_two_jobs():
 
 
 # ----------------------------------------------------------------------
-# Random cut points match the reference cut and resume bit-identically
+# Random cut points match the reference cut
 # ----------------------------------------------------------------------
 #
 # A cut ends a run before the first event whose pre-commit clock is at
-# or past the limit, or at a stop index.  The fused loop must stop
-# where the per-event oracle of tests/sim_oracle.py stops, with the
-# same boundary log and the same ``snapshot()``; and a cut, serialized
-# through ``SimCheckpoint`` JSON and resumed, must finish with the
-# uninterrupted run's ``SimStats.to_dict()`` byte for byte.  Cuts are
-# drawn both as floats and as exact pre-commit clocks, where ``>=``
-# and ``>`` differ.
+# or past the limit.  The fused loop must stop where the per-event
+# oracle of tests/sim_oracle.py stops, with the same boundary log and
+# the same ``snapshot()``.  Cuts are drawn both as floats and as exact
+# pre-commit clocks, where ``>=`` and ``>`` differ.
 
 
 @st.composite
@@ -623,25 +615,6 @@ def cut_cases(draw):
         profile, n, seed=draw(st.integers(0, 3)), instrument="pruned", packed=True
     )
     return trace, machine, scheme, tuple(prime_ranges(profile))
-
-
-@st.composite
-def multicore_cases(draw):
-    machine = draw(st.sampled_from(_BATCH_MACHINES))
-    scheme = _CATALOG[draw(st.sampled_from(sorted(_CATALOG)))]()
-    apps = draw(st.lists(st.sampled_from(sorted(PROFILES)), min_size=2, max_size=4))
-    traces = [
-        generate_trace(
-            PROFILES[app],
-            draw(st.integers(0, 600)),
-            seed=i,
-            instrument="pruned",
-            packed=True,
-        )
-        for i, app in enumerate(apps)
-    ]
-    prime = tuple(r for app in apps for r in prime_ranges(PROFILES[app]))
-    return machine, scheme, traces, prime
 
 
 def _primed(cls, machine, scheme, prime):
@@ -669,42 +642,11 @@ def _event_clocks(trace, machine, scheme, prime):
     return clocks
 
 
-def _multicore_clocks(machine, scheme, traces, prime):
-    """Every dispatched event's pre-commit clock under the oracle."""
-    sim = OracleMulticore(machine, scheme, len(traces))
-    sim.prime(prime)
-    clocks = []
-    for core in sim.cores:
-
-        def step(ev, core=core, inner=core._step):
-            clocks.append(core.cycle)
-            inner(ev)
-
-        core._step = step
-    sim.run(traces)
-    return clocks
-
-
-def _single_cut(cls, trace, machine, scheme, prime, cut, start=0, stop=None):
+def _single_cut(cls, trace, machine, scheme, prime, cut, start=0):
     sim = _primed(cls, machine, scheme, prime)
     log = []
-    index = sim.run_until(trace, cut, start, stop, log)
+    index = sim.run_until(trace, cut, start, log)
     return index, log, json.dumps(sim.snapshot(), sort_keys=True)
-
-
-def _multicore_cut(cls, machine, scheme, traces, prime, cut):
-    sim = cls(machine, scheme, len(traces))
-    sim.prime(prime)
-    cursors = sim.run_until(traces, cut)
-    return cursors, json.dumps(sim.snapshot(), sort_keys=True)
-
-
-def _round_trip(ckpt):
-    return SimCheckpoint.from_json(ckpt.to_json())
-
-
-def _merged_json(stats):
-    return _stats_json(stats.merged())
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -713,102 +655,8 @@ def test_random_cut_matches_reference_cut(case, data):
     trace, machine, scheme, prime = case
     cut = data.draw(_cut_points(_event_clocks(trace, machine, scheme, prime)))
     start = data.draw(st.integers(0, len(trace)))
-    stop = data.draw(st.one_of(st.none(), st.integers(0, len(trace))))
-    args = (trace, machine, scheme, prime, cut, start, stop)
+    args = (trace, machine, scheme, prime, cut, start)
     assert _single_cut(TimingSimulator, *args) == _single_cut(OracleSimulator, *args)
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=cut_cases(), data=st.data())
-def test_random_cut_resumes_bit_identical(case, data):
-    trace, machine, scheme, prime = case
-    golden = _stats_json(simulate(trace, machine, scheme, prime=prime))
-    run = CheckpointableRun(machine, scheme, trace=trace, prime=prime)
-    if data.draw(st.booleans()):
-        clocks = _event_clocks(trace, machine, scheme, prime)
-        run.run_to_cycle(data.draw(_cut_points(clocks)))
-    else:
-        run.run_for_events(data.draw(st.integers(0, len(trace))))
-    resumed = CheckpointableRun.resume(
-        _round_trip(run.checkpoint()), machine, scheme, trace=trace
-    )
-    assert _stats_json(resumed.run_to_end()) == golden
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=cut_cases(), slices=st.integers(1, 8))
-def test_budget_relay_resumes_bit_identical(case, slices):
-    """Checkpoint, JSON round trip and resume between every slice."""
-    trace, machine, scheme, prime = case
-    golden = _stats_json(simulate(trace, machine, scheme, prime=prime))
-    budget = max(1, -(-len(trace) // slices))
-    run = CheckpointableRun(machine, scheme, trace=trace, prime=prime)
-    while True:
-        run.run_for_events(budget)
-        if run.done:
-            break
-        run = CheckpointableRun.resume(
-            _round_trip(run.checkpoint()), machine, scheme, trace=trace
-        )
-    assert _stats_json(run.run_to_end()) == golden
-
-
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=multicore_cases(), data=st.data())
-def test_multicore_cut_matches_reference_and_resumes(case, data):
-    machine, scheme, traces, prime = case
-    cut = data.draw(_cut_points(_multicore_clocks(machine, scheme, traces, prime)))
-    args = (machine, scheme, traces, prime, cut)
-    assert _multicore_cut(MulticoreSimulator, *args) == _multicore_cut(
-        OracleMulticore, *args
-    )
-    golden = _merged_json(simulate_multicore(traces, machine, scheme, prime=prime))
-    run = MulticoreCheckpointableRun(machine, scheme, traces, prime=prime)
-    run.run_to_cycle(cut)
-    resumed = MulticoreCheckpointableRun.resume(
-        _round_trip(run.checkpoint()), machine, scheme, traces
-    )
-    assert _merged_json(resumed.run_to_end()) == golden
-
-
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=multicore_cases(), slices=st.integers(1, 6))
-def test_multicore_budget_relay_resumes_bit_identical(case, slices):
-    """An event budget may stop at other cursors than the oracle's
-    (private events run ahead), but always at a consistent cut."""
-    machine, scheme, traces, prime = case
-    golden = _merged_json(simulate_multicore(traces, machine, scheme, prime=prime))
-    budget = max(1, sum(len(t) for t in traces) // slices)
-    run = MulticoreCheckpointableRun(machine, scheme, traces, prime=prime)
-    while not run.done:
-        before = sum(run.cursors)
-        run.run_for_events(budget)
-        assert before < sum(run.cursors) <= before + budget
-        run = MulticoreCheckpointableRun.resume(
-            _round_trip(run.checkpoint()), machine, scheme, traces
-        )
-    assert _merged_json(run.run_to_end()) == golden
-
-
-def test_multicore_budget_below_core_count():
-    """A budget smaller than the number of cores still runs exactly
-    that many events per slice, so a relay of one-event slices makes
-    progress and finishes bit-identical."""
-    machine = skylake_machine(scaled=True)
-    traces = [
-        generate_trace(PROFILES[app], 40, seed=i, instrument="pruned", packed=True)
-        for i, app in enumerate(("astar", "lbm", "namd"))
-    ]
-    golden = _merged_json(simulate_multicore(traces, machine, cwsp()))
-    run = MulticoreCheckpointableRun(machine, cwsp(), traces)
-    while not run.done:
-        before = sum(run.cursors)
-        run.run_for_events(1)
-        assert sum(run.cursors) == before + 1
-        run = MulticoreCheckpointableRun.resume(
-            _round_trip(run.checkpoint()), machine, cwsp(), traces
-        )
-    assert _merged_json(run.run_to_end()) == golden
 
 
 class TestExactCuts:
@@ -834,14 +682,49 @@ class TestExactCuts:
             assert fused[0] == k
             assert len(fused[1]) == trace.codes.count("b", 0, k)
 
-    def test_multicore(self):
-        traces = [self._trace(600, seed) for seed in range(3)]
-        prime = tuple(prime_ranges(self.PROFILE))
-        clocks = _multicore_clocks(self.MACHINE, cwsp(), traces, prime)
-        for k in (1, 700, 1_500):
-            args = (self.MACHINE, cwsp(), traces, prime, clocks[k])
-            fused = _multicore_cut(MulticoreSimulator, *args)
-            assert fused == _multicore_cut(OracleMulticore, *args)
+
+# ----------------------------------------------------------------------
+# The multicore scheduler matches the per-event min-clock stepper
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def multicore_cases(draw):
+    machine = draw(st.sampled_from(_BATCH_MACHINES))
+    scheme = _CATALOG[draw(st.sampled_from(sorted(_CATALOG)))]()
+    apps = draw(st.lists(st.sampled_from(sorted(PROFILES)), min_size=2, max_size=4))
+    traces = [
+        generate_trace(
+            PROFILES[app],
+            draw(st.integers(0, 600)),
+            seed=i,
+            instrument="pruned",
+            packed=True,
+        )
+        for i, app in enumerate(apps)
+    ]
+    prime = tuple(r for app in apps for r in prime_ranges(PROFILES[app]))
+    return machine, scheme, traces, prime
+
+
+def _multicore_run(cls, machine, scheme, traces, prime):
+    sim = cls(machine, scheme, len(traces))
+    sim.prime(prime)
+    stats = sim.run(traces)
+    return (
+        [_stats_json(core) for core in stats.per_core],
+        [json.dumps(core.snapshot(), sort_keys=True) for core in sim.cores],
+    )
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=multicore_cases())
+def test_multicore_run_matches_reference(case):
+    """Per-core stats and final state over random 2-4-core mixes and
+    cache geometries."""
+    assert _multicore_run(MulticoreSimulator, *case) == _multicore_run(
+        OracleMulticore, *case
+    )
 
 
 # ----------------------------------------------------------------------
@@ -849,11 +732,31 @@ class TestExactCuts:
 # ----------------------------------------------------------------------
 
 
+def _carried(stream):
+    """The state a stream carries from one block to the next."""
+    state = [
+        stream.emitted,
+        stream.sweep,
+        stream.stream_ptr,
+        stream.burst_left,
+        stream.burst_ptr,
+        stream.rng.bit_generator.state,
+    ]
+    if stream.instrument is not None:
+        state += [
+            stream.irng.bit_generator.state,
+            stream.region_left,
+            stream.ckpt_accum,
+            stream.slot,
+        ]
+    return json.dumps(state, sort_keys=True)
+
+
 def _assert_stream_matches_oracle(stream, oracle):
     """Drain both streams: every block and every carried state agree."""
     while True:
         got, want = stream.next_chunk(), oracle.next_chunk()
-        assert json.dumps(stream.snapshot()) == json.dumps(oracle.snapshot())
+        assert _carried(stream) == _carried(oracle)
         if got is None or want is None:
             assert got is want
             return
@@ -869,19 +772,10 @@ def _assert_stream_matches_oracle(stream, oracle):
     n_insts=st.integers(min_value=0, max_value=3000),
     seed=st.integers(min_value=0, max_value=2**32),
     block=st.sampled_from([1, 2, 7, 257, 1000, _GEN_BLOCK]),
-    cut=st.integers(min_value=0, max_value=3000),
 )
-def test_stream_matches_per_instruction_oracle(app, instrument, n_insts, seed, block, cut):
+def test_stream_matches_per_instruction_oracle(app, instrument, n_insts, seed, block):
     args = (PROFILES[app], n_insts, seed, instrument, block)
     _assert_stream_matches_oracle(SyntheticStream(*args), OracleStream(*args))
-
-    # Cut the oracle at a block boundary; a restored stream emits the rest.
-    oracle = OracleStream(*args)
-    for _ in range(cut % (-(-n_insts // block) + 1)):
-        oracle.next_chunk()
-    resumed = SyntheticStream(*args)
-    resumed.restore(json.loads(json.dumps(oracle.snapshot())))
-    _assert_stream_matches_oracle(resumed, oracle)
 
 
 @pytest.mark.parametrize("app", sorted(PROFILES))

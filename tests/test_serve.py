@@ -2,10 +2,10 @@
 
 In-process tests drive :class:`ResultsServer` generation by generation;
 the end-to-end test boots the real ``python -m repro.harness serve``
-subprocess against a *copied* checkout and edits simulator modules
-under it, proving the acceptance criteria: a contract-excluded edit
-(``repro.arch.checkpoint``) triggers a generation with zero recomputed
-points and a byte-identical artifacts digest, while a salted edit
+subprocess against a *copied* checkout and edits modules under it,
+proving the acceptance criteria: a comment appended to the spec module
+reloads it and triggers a generation with zero recomputed points and a
+byte-identical artifacts digest, while a salted edit
 (``repro.arch.machine``) recomputes the whole affected grid.
 """
 
@@ -97,14 +97,19 @@ class TestResultsServer:
         server = _server(tmp_path, tiny_specs)
         first = server.run_generation("initial", [])
         artifact = (tmp_path / "out" / "artifacts" / "tiny.json").read_bytes()
-        second = server.run_generation("edit", ["repro.arch.checkpoint"])
+        # A no-op edit to the spec module: it reloads and replans the
+        # same points, so nothing recomputes.
+        with open(tmp_path / f"{tiny_specs}.py", "a") as fh:
+            fh.write("\n# serve test: no-op edit\n")
+        second = server.run_generation("edit", [tiny_specs])
         assert second["generation"] == 1
         assert second["dirty"] == 0
         assert second["clean"] == second["planned"]
         assert second["executed"] == 0
         assert second["cache_hit_rate"] == 1.0
+        assert second["salt"] == first["salt"]
         assert second["artifacts_digest"] == first["artifacts_digest"]
-        assert second["changed_modules"] == ["repro.arch.checkpoint"]
+        assert second["changed_modules"] == [tiny_specs]
         assert (
             tmp_path / "out" / "artifacts" / "tiny.json"
         ).read_bytes() == artifact
@@ -149,12 +154,9 @@ class TestResultsServer:
         assert status["cache_dir"] == str((tmp_path / "cache").resolve())
         assert status["pid"] == os.getpid()
 
-    def test_watch_covers_salted_excluded_and_spec_modules(
-        self, tmp_path, tiny_specs
-    ):
+    def test_watch_covers_salted_and_spec_modules(self, tmp_path, tiny_specs):
         watched = _server(tmp_path, tiny_specs).watch_paths()
         assert "repro.arch.machine" in watched       # salted
-        assert "repro.arch.checkpoint" in watched    # contract-excluded
         assert tiny_specs in watched                 # the spec registry
         assert "repro.harness.engine" not in watched
         for path in watched.values():
@@ -217,13 +219,13 @@ class TestLedgerAndSubscribe:
                 "cache_hit_rate": 1.0,
                 "phase_seconds": {"plan": 0.1, "simulate": 0.0},
                 "artifacts_digest": "feedface",
-                "changed_modules": ["repro.arch.checkpoint"],
+                "changed_modules": ["repro.harness.figures"],
             }
         )
         assert "gen 7" in line
         assert "dirty=0/37" in line
         assert "digest=feedface" in line
-        assert "changed=repro.arch.checkpoint" in line
+        assert "changed=repro.harness.figures" in line
 
 
 # ----------------------------------------------------------------------
@@ -260,10 +262,10 @@ class TestServeEndToEnd:
         )
         try:
             _wait_for_lines(ledger, 1)
-            # A contract-excluded edit: the salt must not move, so the
-            # generation recomputes *zero* points and republishes
-            # byte-identical artifacts.
-            with open(tmp_path / "src/repro/arch/checkpoint.py", "a") as fh:
+            # A no-op edit to the spec module: it reloads, the salt does
+            # not move, so the generation recomputes *zero* points and
+            # republishes byte-identical artifacts.
+            with open(tmp_path / "tiny_live_specs.py", "a") as fh:
                 fh.write("\n# serve e2e: no-op edit\n")
             _wait_for_lines(ledger, 2)
             # A salted edit: every dependent point recomputes.
@@ -281,7 +283,7 @@ class TestServeEndToEnd:
         assert [g0["generation"], g1["generation"], g2["generation"]] == [0, 1, 2]
         assert g0["dirty"] == g0["planned"] > 0
 
-        assert g1["changed_modules"] == ["repro.arch.checkpoint"], out
+        assert g1["changed_modules"] == ["tiny_live_specs"], out
         assert g1["dirty"] == 0
         assert g1["executed"] == 0
         assert g1["salt"] == g0["salt"]

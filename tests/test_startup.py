@@ -8,8 +8,8 @@ parent before the worker pool forks, so forked workers inherit that
 copy instead of each importing their own (DESIGN.md section 7e).
 
 The same holds for the rest of the tree: the IR stack (through
-``repro.workloads.adapter``), the checkpoint drivers and the IR
-analyses are not re-exported by their packages, and the process-pool
+``repro.workloads.adapter``) and the IR analyses are not re-exported
+by their packages, and the process-pool
 stack loads inside ``parallel_map``.  The simulator itself (machine,
 caches, multicore, queues, trace and the trace generator) loads where a
 point simulates, and ``compute_points`` imports it before the fork as
@@ -65,7 +65,6 @@ UNUSED = {
     "repro.harness.cli": [
         "repro.ir",
         "repro.workloads.adapter",
-        "repro.arch.checkpoint",
         "multiprocessing",
         "concurrent.futures",
     ] + SIMULATOR,

@@ -3,21 +3,36 @@
 ``OracleStream.next_chunk`` is the original one-Python-iteration-per-
 instruction block generator, kept verbatim as the specification the
 vectorised ``SyntheticStream.next_chunk`` must reproduce byte for byte:
-the same codes, the same addresses, and the same carried state
-(``snapshot()``, both PCG64 states included) after every block.  Its
-class sampler is the original ``rng.choice`` call.  It inherits
-construction and the checkpoint protocol unchanged, so the two streams
-differ only in how a block is computed.
+the same codes, the same addresses, and the same carried state (both
+PCG64 states included) after every block.  Its class sampler is the
+original ``rng.choice`` call.  It inherits construction unchanged, so
+the two streams differ only in how a block is computed.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional
 
 import numpy as np
 
 from repro.arch.trace import PackedTrace
 from repro.workloads.synthetic import _BURST_MEAN_WORDS, _CKPT_SLOTS, SyntheticStream
+
+
+def trace_digest(trace: PackedTrace) -> str:
+    """Content hash of an exact event stream, for pinning generator output.
+
+    sha256 over the code string, then each address as 10 bytes
+    little-endian, in order: the layout every pinned stream digest in
+    the tests was taken with.
+    """
+    h = hashlib.sha256()
+    h.update(trace.codes.encode("ascii"))
+    h.update(
+        b"".join(addr.to_bytes(10, "little", signed=False) for addr in trace.addrs)
+    )
+    return h.hexdigest()
 
 
 def _class_sampler(weights, rng: np.random.Generator, n: int):
