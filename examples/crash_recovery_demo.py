@@ -12,7 +12,6 @@ Run:  python examples/crash_recovery_demo.py
 
 from repro.compiler import compile_module
 from repro.recovery import (
-    FailurePlan,
     PersistenceConfig,
     check_crash_consistency,
     recover_and_resume,
@@ -32,7 +31,7 @@ def main() -> None:
     config = PersistenceConfig(drain_per_step=0.4, mc_skew=(0, 4))
     for point in (25, 120, 300, 700):
         model, completed, _ = run_with_failure(
-            module, FailurePlan(point), entry, args, config
+            module, point, entry, args, config
         )
         if completed:
             print(f"power cut after event {point}: program already finished")

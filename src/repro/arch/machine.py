@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arch.caches import CacheHierarchy
 from repro.arch.config import MachineConfig
-from repro.arch.metrics import MetricSet, SimStats
+from repro.arch.metrics import SimStats
 from repro.arch.queues import CompletionQueue
 from repro.arch.scheme import Scheme
 from repro.arch.trace import PackedTrace, as_packed

@@ -16,7 +16,7 @@ from repro.compiler.checkpoints import insert_checkpoints
 from repro.compiler.pruning import prune_and_build_slices
 from repro.compiler.regions import cut_antidependences, insert_initial_boundaries
 from repro.ir.function import Module
-from repro.ir.instructions import Boundary, Checkpoint
+from repro.ir.instructions import Boundary
 from repro.ir.verifier import verify_module
 
 

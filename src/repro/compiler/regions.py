@@ -26,7 +26,6 @@ from repro.ir.instructions import (
     AtomicRMW,
     Boundary,
     Call,
-    Checkpoint,
     Fence,
     Load,
     Store,

@@ -158,8 +158,14 @@ def _live_server_status(out_dir: str) -> dict:
 def main(argv: Optional[List[str]] = None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    for flag, value, low in (
+        ("--jobs", args.jobs, 1),
+        ("--shard-size", args.shard_size, 1),
+        ("--n-insts", args.n_insts, 1),
+        ("--seed", args.seed, 0),
+    ):
+        if value is not None and value < low:
+            parser.error(f"{flag} must be at least {low}")
 
     if args.list_presets:
         _list_presets()

@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import platform
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional

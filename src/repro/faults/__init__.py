@@ -42,7 +42,6 @@ from repro.faults.injectors import (
     TornPersistInjector,
     apply_flip,
     resume_epoch,
-    run_first_epoch,
     run_schedule,
 )
 from repro.faults.multicore import (
@@ -96,7 +95,6 @@ __all__ = [
     "run_intermittent",
     "run_power_campaign",
     "run_campaign",
-    "run_first_epoch",
     "run_mt_campaign",
     "run_mt_schedule",
     "run_mt_trial",

@@ -1,15 +1,17 @@
 """Fault injection mechanics: torn persists, storage bit flips, and
 nested power cuts during recovery.
 
-The nested-crash machinery generalizes ``run_with_failure`` +
-``recover_and_resume`` into *epochs*: epoch 0 is the original run,
-each power cut ends an epoch, and each recovery starts the next epoch
+Nested crashes run in *epochs*: epoch 0 is the original run
+(:func:`repro.recovery.failure.run_with_failure`), each power cut ends
+an epoch, and each recovery starts the next epoch
 **under a fresh persistence model** seeded with the surviving NVM image
 (:meth:`FunctionalPersistence.for_resume`), so another cut can land
 anywhere inside the resumed run -- including at offset 0, i.e. during
 recovery itself before any resumed instruction commits.  Recovery must
 be idempotent under this adversary: a k-crash sequence converges to the
-failure-free run's observable behaviour.
+failure-free run's observable behaviour.  Every epoch counts events
+and cuts power through the one driver,
+:func:`repro.recovery.failure.drive`.
 """
 
 from __future__ import annotations
@@ -18,15 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Module
-from repro.ir.interpreter import (
-    CKPT_BASE,
-    HEAP_BASE,
-    Interpreter,
-    MachineState,
-    Memory,
-    TraceEvent,
-)
+from repro.ir.interpreter import CKPT_BASE, HEAP_BASE, Interpreter, MachineState, Memory
 from repro.ir.values import to_s64
+from repro.recovery.failure import drive, run_with_failure
 from repro.recovery.model import FunctionalPersistence, PersistenceConfig, PowerFailure
 from repro.recovery.protocol import (
     DegradedRecovery,
@@ -111,41 +107,6 @@ def apply_flip(model: FunctionalPersistence, flip: FlipSpec) -> Optional[str]:
     raise ValueError(f"unknown flip target {flip.target!r}")
 
 
-def run_first_epoch(
-    module: Module,
-    entry: str,
-    args: Tuple[int, ...],
-    cut: Optional[int],
-    config: Optional[PersistenceConfig],
-    fault_hook=None,
-    max_steps: int = 10_000_000,
-) -> Tuple[FunctionalPersistence, bool, Optional[MachineState]]:
-    """Like ``run_with_failure`` but with an installable fault hook.
-
-    The hook stays armed through ``finish()``'s final drain, so a torn
-    persist can land on the program's very last stores too.
-    """
-    model = FunctionalPersistence(module, config)
-    model.fault_hook = fault_hook
-    interp = Interpreter(module, spill_args=True)
-    counter = [0]
-
-    def on_event(ev: TraceEvent) -> None:
-        model.on_event(ev)
-        counter[0] += 1
-        if cut is not None and counter[0] >= cut:
-            raise PowerFailure()
-
-    try:
-        state = interp.run(entry, args, max_steps, on_event, model.on_boundary)
-        model.finish()
-    except PowerFailure:
-        model.fault_hook = None
-        return model, False, None
-    model.fault_hook = None
-    return model, True, state
-
-
 @dataclass
 class EpochOutcome:
     """One resumed epoch: ended by a cut, by completion, or by a
@@ -176,48 +137,34 @@ def resume_epoch(
     if degraded is not None:
         return EpochOutcome(kind="degraded", degraded=degraded)
     interp = Interpreter(module, spill_args=True)
-    counter = [0]
-
-    if model.recovery_ptr is None:
-        new_model = FunctionalPersistence.for_resume(module, image.nvm, None, None, config)
-        if cut is not None and cut == 0:
-            return EpochOutcome(kind="cut", model=new_model)
-
-        def on_event(ev: TraceEvent) -> None:
-            new_model.on_event(ev)
-            counter[0] += 1
-            if cut is not None and counter[0] >= cut:
-                raise PowerFailure()
-
-        try:
-            state = interp.run(entry, args, max_steps, on_event, new_model.on_boundary)
-            new_model.finish()
-        except PowerFailure:
-            return EpochOutcome(kind="cut", model=new_model, events=counter[0])
-        return EpochOutcome(kind="completed", model=new_model, state=state, events=counter[0])
-
     ptr = model.recovery_ptr
-    snap = model.snapshots.get(ptr[2])
-    state, _restored = _rebuild_resume_state(module, image.nvm, ptr, model, validate)
-    new_model = FunctionalPersistence.for_resume(module, image.nvm, ptr, snap, config)
-    if cut is not None and cut == 0:
+    if ptr is None:
+        new_model = FunctionalPersistence.for_resume(module, image.nvm, None, None, config)
+
+        def run(on_event):
+            return interp.run(entry, args, max_steps, on_event, new_model.on_boundary)
+    else:
+        state, _restored = _rebuild_resume_state(
+            module, Memory(image.nvm), ptr, model.snapshots, validate
+        )
+        new_model = FunctionalPersistence.for_resume(
+            module, image.nvm, ptr, model.snapshots.get(ptr[2]), config
+        )
+
+        def run(on_event):
+            return interp.resume(state, max_steps, on_event, new_model.on_boundary)
+    if cut == 0:
         # Power dies again during recovery: the recovery slice wrote
         # nothing persistent, so the next epoch faces the same image
         # and the same recovery pointer (idempotent recovery).
         return EpochOutcome(kind="cut", model=new_model)
-
-    def on_event(ev: TraceEvent) -> None:
-        new_model.on_event(ev)
-        counter[0] += 1
-        if cut is not None and counter[0] >= cut:
-            raise PowerFailure()
-
-    try:
-        interp.resume(state, max_steps, on_event, new_model.on_boundary)
-        new_model.finish()
-    except PowerFailure:
-        return EpochOutcome(kind="cut", model=new_model, events=counter[0])
-    return EpochOutcome(kind="completed", model=new_model, state=state, events=counter[0])
+    completed, events, final = drive(new_model, run, cut)
+    return EpochOutcome(
+        kind="completed" if completed else "cut",
+        model=new_model,
+        state=final,
+        events=events,
+    )
 
 
 @dataclass
@@ -251,8 +198,8 @@ def run_schedule(
     cut0 = None
     if schedule.tear is None:
         cut0 = schedule.cuts[0] if schedule.cuts else None
-    model, completed, state = run_first_epoch(
-        module, entry, args, cut0, config, hook, max_steps
+    model, completed, state = run_with_failure(
+        module, cut0, entry, args, config, max_steps, fault_hook=hook
     )
     if completed:
         # The fault never fired (cut/tear beyond program end): clean run.

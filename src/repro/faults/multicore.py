@@ -44,13 +44,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.compiler import compile_module
 from repro.ir.function import Module
 from repro.ir.interpreter import Memory
+from repro.recovery.failure import sampled_points
 from repro.recovery.multithread import ThreadSpec, ThreadedExecution
 from repro.recovery.protocol import DegradedRecovery
 from repro.workloads.programs import CONC_KERNELS, build_conc_kernel
 from repro.faults.injectors import make_config
 from repro.faults.schedule import FaultSchedule, TrialRecord
 from repro.faults.shrink import shrink_schedule
-from repro.faults.strategies import _sampled
 
 MT_STRATEGIES = ("mt-single", "mt-atomic", "mt-boundary", "mt-interleave", "mt-nested")
 
@@ -130,7 +130,7 @@ def mt_single_sweep(profile: MTKernelProfile, stride: int) -> List[FaultSchedule
     """Plain stride-sampled cuts over the whole multithreaded run."""
     return [
         FaultSchedule(cuts=[p], strategy="mt-single")
-        for p in _sampled(profile.total_events, stride)
+        for p in sampled_points(profile.total_events, stride)
     ]
 
 
@@ -167,7 +167,7 @@ def mt_interleave_sweep(
     under each order."""
     schedules: List[FaultSchedule] = []
     for pattern in _interleave_patterns(profile.n_threads):
-        for p in _sampled(profile.total_events, stride):
+        for p in sampled_points(profile.total_events, stride):
             schedules.append(
                 FaultSchedule(cuts=[p], interleave=list(pattern), strategy="mt-interleave")
             )
@@ -188,7 +188,7 @@ def mt_nested_sweep(
     of the rest of the epoch."""
     execu = ThreadedExecution(module, threads)
     schedules: List[FaultSchedule] = []
-    for p in _sampled(profile.total_events, stride):
+    for p in sampled_points(profile.total_events, stride):
         run = execu.run(fail_after_event=p)
         if run.completed:
             continue
@@ -198,7 +198,7 @@ def mt_nested_sweep(
             # so the campaign reports the divergence.
             schedules.append(FaultSchedule(cuts=[p], strategy="mt-nested"))
             continue
-        offsets = {0, 1, 2, 3} | set(_sampled(epoch.events, stride2, first=0))
+        offsets = {0, 1, 2, 3} | set(sampled_points(epoch.events, stride2, first=0))
         for q in sorted(offsets):
             schedules.append(FaultSchedule(cuts=[p, q], strategy="mt-nested"))
     return schedules

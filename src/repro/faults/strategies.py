@@ -14,8 +14,9 @@ from typing import List, Optional, Tuple
 
 from repro.arch.queues import OccupancyProbe
 from repro.ir.function import Module
+from repro.recovery.failure import run_with_failure, sampled_points
 from repro.recovery.model import PersistenceConfig
-from repro.faults.injectors import ProbeHook, make_config, resume_epoch, run_first_epoch
+from repro.faults.injectors import ProbeHook, make_config, resume_epoch
 from repro.faults.schedule import FaultSchedule, FlipSpec, TearSpec
 
 
@@ -42,8 +43,8 @@ def profile_kernel(
     profile = KernelProfile(name=name, total_events=0, total_applies=0)
     hook = ProbeHook(pb_probe=profile.pb_probe, rbt_probe=profile.rbt_probe)
     config = make_config(config_overrides or {})
-    model, completed, _state = run_first_epoch(
-        module, entry, args, None, config, fault_hook=hook
+    model, completed, _state = run_with_failure(
+        module, None, entry, args, config, fault_hook=hook
     )
     assert completed, "profiling run must complete"
     profile.total_events = model.events_seen
@@ -51,20 +52,11 @@ def profile_kernel(
     return profile
 
 
-def _sampled(total: int, stride: int, first: int = 1) -> List[int]:
-    """Stride-sampled points over [first, total], always including total."""
-    if total < first:
-        return []
-    points = set(range(first, total + 1, max(1, stride)))
-    points.add(total)
-    return sorted(points)
-
-
 def single_cut_sweep(profile: KernelProfile, stride: int) -> List[FaultSchedule]:
     """The classic checker sweep as one campaign strategy: clean cuts."""
     return [
         FaultSchedule(cuts=[p], strategy="single")
-        for p in _sampled(profile.total_events, stride)
+        for p in sampled_points(profile.total_events, stride)
     ]
 
 
@@ -87,8 +79,8 @@ def nested_crash_sweep(
     """
     rng = random.Random(seed)
     schedules: List[FaultSchedule] = []
-    for p in _sampled(profile.total_events, stride):
-        model, completed, _ = run_first_epoch(module, entry, args, p, None)
+    for p in sampled_points(profile.total_events, stride):
+        model, completed, _ = run_with_failure(module, p, entry, args)
         if completed:
             continue
         out = resume_epoch(module, model, None, entry, args, None)
@@ -97,7 +89,7 @@ def nested_crash_sweep(
             # the campaign records the divergence.
             schedules.append(FaultSchedule(cuts=[p], strategy=f"nested-k{k}", seed=seed))
             continue
-        offsets = sorted(set(_sampled(out.events, stride2, first=0)) | {0})
+        offsets = sorted(set(sampled_points(out.events, stride2, first=0)) | {0})
         for q in offsets:
             cuts = [p, q]
             for _ in range(k - 2):
@@ -110,7 +102,7 @@ def torn_persist_sweep(profile: KernelProfile, stride: int) -> List[FaultSchedul
     """Tear each stride-sampled MC apply (always including the last)."""
     return [
         FaultSchedule(tear=TearSpec(i), strategy="torn")
-        for i in _sampled(profile.total_applies, stride)
+        for i in sampled_points(profile.total_applies, stride)
     ]
 
 

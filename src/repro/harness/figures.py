@@ -30,7 +30,6 @@ from repro.arch.config import (
     CXL_DEVICES,
     CXL_DRAM,
     CacheConfig,
-    DRAMCacheConfig,
     NVM_TECHS,
     machine_with_cache_levels,
     skylake_machine,

@@ -37,7 +37,7 @@ from repro.recovery.protocol import (
     recover_and_resume,
     recover_checked,
 )
-from repro.recovery.failure import FailurePlan, run_with_failure
+from repro.recovery.failure import run_with_failure
 from repro.recovery.checker import ConsistencyReport, check_crash_consistency
 from repro.recovery.multithread import (
     ThreadSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "ConsistencyReport",
     "DegradedRecovery",
     "FailureImage",
-    "FailurePlan",
     "FunctionalPersistence",
     "PersistenceConfig",
     "PowerFailure",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.ir.function import Module
-from repro.recovery.failure import FailurePlan, run_with_failure
+from repro.recovery.failure import run_with_failure, sampled_points
 from repro.recovery.model import PersistenceConfig
 from repro.recovery.protocol import RecoveryError, recover_and_resume
 
@@ -95,10 +95,9 @@ def check_crash_consistency(
     ref_memory = ref_state.memory
 
     report = ConsistencyReport(total_events=total, reference_output=ref_output)
-    points = sorted(set(range(1, total + 1, max(1, stride))) | ({total} if total else set()))
-    for point in points:
+    for point in sampled_points(total, stride):
         model, completed, _ = run_with_failure(
-            module, FailurePlan(point), entry, args, config, max_steps, spill_args
+            module, point, entry, args, config, max_steps, spill_args
         )
         if completed:
             report.skipped_points.append(point)

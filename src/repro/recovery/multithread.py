@@ -39,15 +39,27 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.function import Module
-from repro.ir.interpreter import Frame, Interpreter, MachineState, Memory, TraceEvent
+from repro.ir.interpreter import (
+    EventHook,
+    Frame,
+    Interpreter,
+    MachineState,
+    Memory,
+    TraceEvent,
+)
+from repro.recovery.failure import drive
 from repro.recovery.model import (
     BoundarySnapshot,
     FunctionalPersistence,
     PersistenceConfig,
-    PowerFailure,
     RegionRecord,
 )
-from repro.recovery.protocol import DegradedRecovery, RecoveryError, assess_damage
+from repro.recovery.protocol import (
+    DegradedRecovery,
+    RecoveryError,
+    _rebuild_resume_state,
+    assess_damage,
+)
 
 _STACK_STRIDE = 1 << 20
 _HEAP_STRIDE = 1 << 24
@@ -284,23 +296,14 @@ class ThreadedExecution:
         Returns ``(completed, committed_events)``.  On completion the
         model is finished (everything drained and retired).
         """
-        counter = [0]
 
-        def on_event(ev: TraceEvent) -> None:
-            model.on_event(ev)
-            counter[0] += 1
-            if observe is not None:
-                observe(ev, counter[0], model.current_thread)
-            if fail_after_event is not None and counter[0] >= fail_after_event:
-                raise PowerFailure()
+        def round_robin(on_event: EventHook) -> None:
+            def stop_switch(ev: TraceEvent, state: MachineState) -> None:
+                model.on_boundary(ev, state)
+                on_event(ev)
+                raise _Switch()
 
-        def stop_switch(ev: TraceEvent, state: MachineState) -> None:
-            model.on_boundary(ev, state)
-            on_event(ev)
-            raise _Switch()
-
-        live = [bool(s.frames) for s in states]
-        try:
+            live = [bool(s.frames) for s in states]
             while any(live):
                 for tid in self.order:
                     if not live[tid]:
@@ -316,10 +319,15 @@ class ThreadedExecution:
                         live[tid] = False  # thread finished
                     except _Switch:
                         pass
-        except PowerFailure:
-            return False, counter[0]
-        model.finish()
-        return True, counter[0]
+
+        tagged = None
+        if observe is not None:
+
+            def tagged(ev: TraceEvent, count: int) -> None:
+                observe(ev, count, model.current_thread)
+
+        completed, events, _ = drive(model, round_robin, fail_after_event, tagged)
+        return completed, events
 
     def run(
         self,
@@ -380,57 +388,31 @@ class ThreadedExecution:
         new_model = ThreadedPersistence.for_resume(
             self.module, len(self.threads), image.nvm, ptrs, snaps, self.config
         )
-        if fail_after_event is not None and fail_after_event == 0:
+        if fail_after_event == 0:
             return ThreadedEpoch(kind="cut", model=new_model)
         memory = Memory(image.nvm)
         states: List[MachineState] = []
         fresh = self._fresh_states(memory)
         for tid, spec in enumerate(self.threads):
-            ptr = ptrs[tid]
-            if ptr is None:
+            state = fresh[tid]
+            if ptrs[tid] is None:
                 # Nothing of this thread survived: restart it from its
                 # entry (re-spill its arguments through the new model).
-                state = fresh[tid]
                 new_model.current_thread = tid
                 for p in self.module.get(spec.entry).params:
                     self.interp._spill(
                         state, spec.entry, p, state.frames[0].regs[p], new_model.on_event
                     )
             else:
-                func, buid, seq = ptr
-                rslice = self.module.recovery_slices.get((func, buid))
-                if rslice is None:
-                    raise RecoveryError(f"no recovery slice for @{func}#{buid}")
-                snap = snaps[tid]
-                if snap is None:
-                    raise RecoveryError(f"no snapshot for region seq {seq}")
-                ckpt_base = fresh[tid].ckpt_base  # this core's slot storage
-                restored = rslice.execute(self.module, memory, ckpt_base)
-                if validate:
-                    oracle = snap.frames[-1].regs
-                    for reg, value in restored.items():
-                        if reg in oracle and oracle[reg] != value:
-                            raise RecoveryError(
-                                f"thread {tid}: RS restored %{reg.name}={value}, "
-                                f"execution had {oracle[reg]} (boundary "
-                                f"@{func}#{buid})"
-                            )
-                state = MachineState()
-                state.memory = memory
-                state.ckpt_base = ckpt_base
-                for i, f in enumerate(snap.frames):
-                    top = i == len(snap.frames) - 1
-                    nf = Frame(
-                        f.fn,
-                        dict(restored) if top else dict(f.regs),
-                        f.saved_sp,
-                        f.ret_reg,
-                    )
-                    nf.block = f.block
-                    nf.idx = f.idx
-                    state.frames.append(nf)
-                state.sp = snap.sp
-                state.brk = snap.brk
+                state, _restored = _rebuild_resume_state(
+                    self.module,
+                    memory,
+                    ptrs[tid],
+                    model.snapshots,
+                    validate,
+                    ckpt_base=state.ckpt_base,  # this core's slot storage
+                    prefix=f"thread {tid}: ",
+                )
             states.append(state)
         completed, events = self._drive(new_model, states, fail_after_event)
         if not completed:

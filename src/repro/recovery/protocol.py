@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.ir.function import Module
 from repro.ir.interpreter import CKPT_BASE, HEAP_BASE, Frame, Interpreter, MachineState, Memory
 from repro.ir.values import Reg
-from repro.recovery.model import FailureImage, FunctionalPersistence
+from repro.recovery.model import BoundarySnapshot, FailureImage, FunctionalPersistence
 
 
 class RecoveryError(RuntimeError):
@@ -84,30 +84,38 @@ class DegradedRecovery:
 
 def _rebuild_resume_state(
     module: Module,
-    nvm: Dict[int, int],
+    memory: Memory,
     recovery_ptr: Tuple[str, int, int],
-    model: FunctionalPersistence,
+    snapshots: Dict[int, BoundarySnapshot],
     validate: bool,
+    ckpt_base: int = CKPT_BASE,
+    prefix: str = "",
 ) -> Tuple[MachineState, Dict[Reg, int]]:
-    """Steps 2-3 setup: run the recovery slice and rebuild the frames."""
+    """Steps 2-3 setup: run the recovery slice against *memory* (the
+    surviving NVM image, shared by every thread) and rebuild the frames.
+
+    ``ckpt_base`` selects the core's checkpoint storage; ``prefix``
+    leads every error message (multi-threaded recovery names the thread).
+    """
     func, boundary_uid, seq = recovery_ptr
     rslice = module.recovery_slices.get((func, boundary_uid))
     if rslice is None:
-        raise RecoveryError(f"no recovery slice for @{func}#{boundary_uid}")
-    snap = model.snapshots.get(seq)
+        raise RecoveryError(f"{prefix}no recovery slice for @{func}#{boundary_uid}")
+    snap = snapshots.get(seq)
     if snap is None:
-        raise RecoveryError(f"no boundary snapshot for region seq {seq}")
-    state = MachineState()
-    state.memory = Memory(nvm)
-    restored = rslice.execute(module, state.memory)
+        raise RecoveryError(f"{prefix}no boundary snapshot for region seq {seq}")
+    restored = rslice.execute(module, memory, ckpt_base)
     if validate:
         oracle = snap.frames[-1].regs
         for reg, value in restored.items():
             if reg in oracle and oracle[reg] != value:
                 raise RecoveryError(
-                    f"RS restored %{reg.name}={value}, execution had "
+                    f"{prefix}RS restored %{reg.name}={value}, execution had "
                     f"{oracle[reg]} (boundary @{func}#{boundary_uid})"
                 )
+    state = MachineState()
+    state.memory = memory
+    state.ckpt_base = ckpt_base
     for i, f in enumerate(snap.frames):
         top = i == len(snap.frames) - 1
         nf = Frame(f.fn, dict(restored) if top else dict(f.regs), f.saved_sp, f.ret_reg)
@@ -159,7 +167,7 @@ def _recover_from_image(
         restored: Dict[Reg, int] = {}
     else:
         state, restored = _rebuild_resume_state(
-            module, nvm, model.recovery_ptr, model, validate
+            module, Memory(nvm), model.recovery_ptr, model.snapshots, validate
         )
     steps_before = state.steps
     interp.resume(state, max_steps=max_steps)

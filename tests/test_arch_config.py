@@ -5,7 +5,6 @@ import pytest
 from repro.arch.config import (
     CXL_DEVICES,
     CXL_DRAM,
-    MachineConfig,
     NVM_TECHS,
     machine_with_cache_levels,
     skylake_machine,

@@ -13,18 +13,20 @@ from repro.faults import (
     TornPersistInjector,
     apply_flip,
     resume_epoch,
-    run_first_epoch,
     run_schedule,
 )
 from repro.recovery import (
     DegradedRecovery,
-    FailurePlan,
+    PersistenceConfig,
+    ThreadedExecution,
     assess_damage,
     recover_checked,
     run_with_failure,
     word_checksum,
 )
-from repro.workloads.programs import build_kernel
+from repro.recovery.failure import sampled_points
+from repro.workloads.programs import build_conc_kernel, build_kernel
+from tests.conftest import build_call_chain
 
 
 @pytest.fixture(scope="module")
@@ -69,31 +71,52 @@ class TestTornPersists:
     def test_tear_hook_fires_and_cuts(self, counter):
         module, entry, args, _, _ = counter
         hook = TornPersistInjector(3)
-        model, completed, _ = run_first_epoch(
-            module, entry, args, None, None, fault_hook=hook
+        model, completed, _ = run_with_failure(
+            module, None, entry, args, fault_hook=hook
         )
         assert hook.fired and not completed
+        assert model.fault_hook is None  # disarmed after the cut too
         # The torn word's ECC was computed over the intended value, so a
         # checked image must notice *something* unless the undo log
         # healed it (logged tear: revert rewrites the full old value).
         image = model.failure_image_checked()
         assert not image.damaged_log_entries  # tears never damage the log
 
+    def test_tear_lands_on_final_drain(self, counter):
+        # The hook stays armed through finish(): the program's very last
+        # MC apply, drained after the final instruction, can be torn.
+        module, entry, args, _, _ = counter
+        # No background drain: the last stores wait in the PB for finish().
+        config = PersistenceConfig(drain_per_step=0.0)
+        ref, completed, _ = run_with_failure(module, None, entry, args, config)
+        assert completed and not ref.pb  # every store was applied once
+        hook = TornPersistInjector(ref.stores_seen)
+        model, completed, _ = run_with_failure(
+            module, None, entry, args, config, fault_hook=hook
+        )
+        assert hook.fired and not completed
+        assert model.events_seen == ref.events_seen  # torn after the last event
+
     def test_probe_hook_counts_applies(self, counter):
         module, entry, args, _, _ = counter
         hook = ProbeHook()
-        model, completed, _ = run_first_epoch(
-            module, entry, args, None, None, fault_hook=hook
+        model, completed, _ = run_with_failure(
+            module, None, entry, args, fault_hook=hook
         )
         assert completed
         assert hook.applies > 0
         assert model.fault_hook is None  # disarmed after the epoch
+        model, completed, _ = run_with_failure(
+            module, 50, entry, args, fault_hook=ProbeHook()
+        )
+        assert not completed
+        assert model.fault_hook is None  # and after an event-count cut
 
 
 class TestStorageCorruption:
     def test_log_flip_detected_and_degrades(self, counter):
         module, entry, args, _, _ = counter
-        model, completed, _ = run_with_failure(module, FailurePlan(50), entry, args)
+        model, completed, _ = run_with_failure(module, 50, entry, args)
         assert not completed
         victim = apply_flip(model, FlipSpec("log", 0, 5))
         assert victim is not None and "log entry" in victim
@@ -106,7 +129,7 @@ class TestStorageCorruption:
 
     def test_ckpt_flip_detected(self, counter):
         module, entry, args, _, _ = counter
-        model, completed, _ = run_with_failure(module, FailurePlan(50), entry, args)
+        model, completed, _ = run_with_failure(module, 50, entry, args)
         assert not completed
         victim = apply_flip(model, FlipSpec("ckpt", 2, 13))
         assert victim is not None and "checkpoint word" in victim
@@ -117,7 +140,7 @@ class TestStorageCorruption:
     def test_flip_on_empty_population_is_noop(self, counter):
         module, entry, args, _, _ = counter
         # Cut before anything persists: no logs survive to corrupt.
-        model, completed, _ = run_with_failure(module, FailurePlan(1), entry, args)
+        model, completed, _ = run_with_failure(module, 1, entry, args)
         assert not completed
         if not model.logs:
             assert apply_flip(model, FlipSpec("log", 0, 0)) is None
@@ -139,7 +162,7 @@ class TestStorageCorruption:
 class TestNestedCrashes:
     def test_cut_during_recovery_is_idempotent(self, counter):
         module, entry, args, _, _ = counter
-        model, completed, _ = run_with_failure(module, FailurePlan(60), entry, args)
+        model, completed, _ = run_with_failure(module, 60, entry, args)
         assert not completed
         ptr = model.recovery_ptr
         out = resume_epoch(module, model, 0, entry, args, None)
@@ -172,3 +195,50 @@ class TestNestedCrashes:
         out = _run(counter, FaultSchedule(cuts=[10_000_000]))
         assert out.status == "completed"
         assert out.output == ref_output
+
+
+class TestCutCounting:
+    """One driver counts every cut: the cut fires after exactly *k*
+    counted events, and argument spills count on the single-core paths
+    (the threaded runs spill ahead of the counter)."""
+
+    def test_cut_leaves_exactly_k_events(self, counter):
+        module, entry, args, _, _ = counter
+        ref, completed, _ = run_with_failure(module, None, entry, args)
+        assert completed
+        total = ref.events_seen
+        for k in sampled_points(total, 37):
+            model, completed, _ = run_with_failure(module, k, entry, args)
+            assert not completed, k
+            assert model.events_seen == k
+
+    def test_threaded_cut_reports_k_events(self):
+        module, threads, _digest = build_conc_kernel("mpmc_queue")
+        compile_module(module)
+        execu = ThreadedExecution(module, threads)
+        ref = execu.run()
+        assert ref.completed and ref.events > 0
+        spills = sum(len(module.get(t.entry).params) for t in threads)
+        assert spills > 0
+        for k in sampled_points(ref.events, 23):
+            run = execu.run(fail_after_event=k)
+            assert not run.completed, k
+            assert run.events == k
+            assert run.model.events_seen == k + spills  # spilled ahead of the count
+
+    def test_restart_epoch_counts_respilled_args(self):
+        module = build_call_chain()
+        compile_module(module)
+        config = PersistenceConfig(drain_per_step=0.0)
+        entry, args = "double", (21,)
+        ref, completed, _ = run_with_failure(module, None, entry, args, config)
+        assert completed
+        model, completed, _ = run_with_failure(module, 1, entry, args, config)
+        assert not completed and model.recovery_ptr is None  # restart branch
+        # The restarted run re-spills the argument: that is event 1.
+        out = resume_epoch(module, model, 1, entry, args, config)
+        assert out.kind == "cut" and out.events == 1
+        assert out.model.events_seen == 1
+        out = resume_epoch(module, model, None, entry, args, config)
+        assert out.kind == "completed"
+        assert out.events == ref.events_seen

@@ -93,6 +93,27 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "--jobs must be at least 1" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--shard-size", "0", "--shard-size must be at least 1"),
+            ("--n-insts", "0", "--n-insts must be at least 1"),
+            ("--seed", "-1", "--seed must be at least 0"),
+        ],
+        ids=["shard-size", "n-insts", "seed"],
+    )
+    def test_explore_bad_numbers_are_usage_errors(self, tmp_path, flag, value, message):
+        # Unchecked, these died with tracebacks: a zero range() step in
+        # the shard split, and SweepSpec.validate's ValueError.
+        proc = _run_module(
+            ["repro.explore", "--preset", "smoke", "--campaign-dir", "camp",
+             "--no-cache", flag, value],
+            tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def _run_module(args, cwd):
     """``python -m *args`` in a child process, on this checkout's sources."""

@@ -7,7 +7,6 @@ from repro.ir.function import Module
 from repro.ir.interpreter import (
     CKPT_BASE,
     HEAP_BASE,
-    STACK_BASE,
     Interpreter,
     InterpreterError,
     Memory,

@@ -9,7 +9,6 @@ from repro.ir.interpreter import (
     Frame,
     Interpreter,
     MachineState,
-    Memory,
     TraceEvent,
 )
 from repro.ir.values import Reg

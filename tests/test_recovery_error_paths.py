@@ -8,7 +8,6 @@ import pytest
 from repro.compiler import compile_module
 from repro.ir.interpreter import CKPT_BASE
 from repro.recovery import (
-    FailurePlan,
     PersistenceConfig,
     RecoveryError,
     check_crash_consistency,
@@ -26,7 +25,7 @@ def compiled_loop():
 
 
 def _failed_model_with_ptr(module, point=60):
-    model, completed, _ = run_with_failure(module, FailurePlan(point))
+    model, completed, _ = run_with_failure(module, point)
     assert not completed
     assert model.recovery_ptr is not None, "need a failure point past first retirement"
     return model
@@ -72,7 +71,7 @@ class TestRecoveryErrorPaths:
 
     def test_restart_argument_mismatch(self, compiled_loop):
         model, completed, _ = run_with_failure(
-            compiled_loop, FailurePlan(2), config=PersistenceConfig(drain_per_step=0.0)
+            compiled_loop, 2, config=PersistenceConfig(drain_per_step=0.0)
         )
         assert not completed and model.recovery_ptr is None
         with pytest.raises(RecoveryError, match="takes 0 args"):

@@ -6,9 +6,11 @@ import pytest
 from repro.compiler import compile_module
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Module
+from repro.ir.interpreter import CKPT_BASE
 from repro.ir.values import Reg
-from repro.recovery import PersistenceConfig
+from repro.recovery import PersistenceConfig, RecoveryError, word_checksum
 from repro.recovery.multithread import (
+    _CKPT_STRIDE,
     ThreadSpec,
     ThreadedExecution,
     check_threaded_crash_consistency,
@@ -139,3 +141,51 @@ class TestFailureRecovery:
         )
         assert checked > 5
         assert divergences == [], divergences[:3]
+
+
+class TestThreadedRecoveryErrorPaths:
+    """Every thread's slice-and-frame rebuild is the single-core one;
+    its errors name the thread.  Thread 1 is the victim, so thread 0's
+    rebuild must succeed first."""
+
+    def _interrupted(self, drf):
+        execu = ThreadedExecution(drf, THREADS)
+        run = execu.run(fail_after_event=120)
+        assert not run.completed
+        ptrs = run.model.thread_recovery_ptr
+        assert ptrs[0] is not None and ptrs[1] is not None
+        assert ptrs[0][:2] != ptrs[1][:2], "threads share a boundary -- bad fixture"
+        return execu, run.model, ptrs[1]
+
+    def test_missing_recovery_slice(self, drf):
+        execu, model, (func, uid, _seq) = self._interrupted(drf)
+        del drf.recovery_slices[(func, uid)]
+        with pytest.raises(RecoveryError, match="^thread 1: no recovery slice"):
+            execu.resume_epoch(model)
+
+    def test_missing_boundary_snapshot(self, drf):
+        execu, model, (_func, _uid, seq) = self._interrupted(drf)
+        del model.snapshots[seq]
+        with pytest.raises(RecoveryError, match="^thread 1: no boundary snapshot"):
+            execu.resume_epoch(model)
+
+    def test_rs_oracle_validation_mismatch(self, drf):
+        execu, model, (func, uid, seq) = self._interrupted(drf)
+        oracle = model.snapshots[seq].frames[-1].regs
+        corrupted = False
+        for op in drf.recovery_slices[(func, uid)].ops:
+            if op[0] != "restore" or op[1] not in oracle:
+                continue
+            reg = op[1]
+            addr = CKPT_BASE + _CKPT_STRIDE + drf.ckpt_slots[(func, reg.name)] * 8
+            bad = oracle[reg] + 1
+            # A wrong value with a valid checksum: what an unsound slice
+            # or pruning pass would leave, not storage damage.
+            model.nvm[addr] = bad
+            model.nvm_ecc[addr] = word_checksum(addr, bad)
+            for log in model.logs.values():
+                log[:] = [e for e in log if e[0] != addr]
+            corrupted = True
+        assert corrupted, "recovery slice restores nothing -- bad fixture"
+        with pytest.raises(RecoveryError, match="^thread 1: RS restored"):
+            execu.resume_epoch(model, validate=True)

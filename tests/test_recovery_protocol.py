@@ -4,7 +4,6 @@ import pytest
 
 from repro.compiler import compile_module
 from repro.recovery import (
-    FailurePlan,
     PersistenceConfig,
     RecoveryError,
     check_crash_consistency,
@@ -28,18 +27,18 @@ class TestRunWithFailure:
         assert state.output == [15]
 
     def test_failure_interrupts(self, compiled_loop):
-        model, completed, state = run_with_failure(compiled_loop, FailurePlan(10))
+        model, completed, state = run_with_failure(compiled_loop, 10)
         assert not completed and state is None
 
     def test_failure_beyond_end_completes(self, compiled_loop):
-        model, completed, _ = run_with_failure(compiled_loop, FailurePlan(10**9))
+        model, completed, _ = run_with_failure(compiled_loop, 10**9)
         assert completed
 
 
 class TestRecoverAndResume:
     def test_early_failure_restarts(self, compiled_loop):
         model, completed, _ = run_with_failure(
-            compiled_loop, FailurePlan(2), config=PersistenceConfig(drain_per_step=0.0)
+            compiled_loop, 2, config=PersistenceConfig(drain_per_step=0.0)
         )
         assert not completed
         result = recover_and_resume(compiled_loop, model)
@@ -47,7 +46,7 @@ class TestRecoverAndResume:
         assert result.output == [15]
 
     def test_mid_failure_resumes_from_region(self, compiled_loop):
-        model, completed, _ = run_with_failure(compiled_loop, FailurePlan(60))
+        model, completed, _ = run_with_failure(compiled_loop, 60)
         assert not completed
         result = recover_and_resume(compiled_loop, model)
         assert result.output == [15]
@@ -55,7 +54,7 @@ class TestRecoverAndResume:
         assert result.resumed_steps > 0
 
     def test_restored_registers_validated_against_oracle(self, compiled_loop):
-        model, completed, _ = run_with_failure(compiled_loop, FailurePlan(60))
+        model, completed, _ = run_with_failure(compiled_loop, 60)
         result = recover_and_resume(compiled_loop, model, validate=True)
         # validation happened inside; restored regs exist for live-ins
         if result.recovery_ptr is not None:
@@ -64,7 +63,7 @@ class TestRecoverAndResume:
     def test_corrupted_slot_detected(self, compiled_loop):
         from repro.ir.interpreter import CKPT_BASE
 
-        model, completed, _ = run_with_failure(compiled_loop, FailurePlan(80))
+        model, completed, _ = run_with_failure(compiled_loop, 80)
         assert not completed
         if model.recovery_ptr is None:
             pytest.skip("failure too early to exercise slot validation")
