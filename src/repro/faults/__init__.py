@@ -19,7 +19,13 @@ persistence model (:mod:`repro.recovery`) with four fault classes:
 ``python -m repro.faults`` runs campaigns (exhaustive sweeps and
 seeded-random mixes) over the compiled IR kernels on a worker pool,
 shrinks any divergent schedule to a minimal reproducer, and emits JSON
-artifacts consumed by :mod:`repro.harness.report`.
+artifacts consumed by :mod:`repro.harness.report`.  ``--multicore``
+runs the same campaign over the concurrent kernels: one driver
+(:func:`run_campaign`), one trial entry point (:func:`run_trial`) and
+one report renderer serve both suites.  What stays multicore-specific
+lives in :mod:`repro.faults.multicore`: profiling a threaded run, the
+``mt-*`` strategies, the threaded epoch loop (:func:`run_mt_schedule`)
+and the canonical reference comparison.
 
 Separately, :mod:`repro.faults.power` models the *timing* consequence
 of intermittent power over the architectural simulator: duty-cycle
@@ -51,9 +57,7 @@ from repro.faults.multicore import (
     MTKernelProfile,
     mt_smoke_spec,
     profile_conc_kernel,
-    run_mt_campaign,
     run_mt_schedule,
-    run_mt_trial,
 )
 from repro.faults.power import (
     IntermittentResult,
@@ -95,9 +99,7 @@ __all__ = [
     "run_intermittent",
     "run_power_campaign",
     "run_campaign",
-    "run_mt_campaign",
     "run_mt_schedule",
-    "run_mt_trial",
     "run_schedule",
     "run_trial",
     "shrink_schedule",

@@ -44,11 +44,9 @@ from repro.faults.multicore import (
     MT_STRATEGIES,
     MTCampaignSpec,
     mt_smoke_spec,
-    run_mt_campaign,
-    run_mt_trial,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.harness.report import campaign_result, mt_campaign_result
+from repro.harness.report import campaign_result
 from repro.workloads.programs import CONC_KERNELS, KERNELS
 
 
@@ -75,7 +73,7 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--torn-stride", type=int, default=7)
     parser.add_argument("--corruption-trials", type=int, default=40)
     parser.add_argument("--random-trials", type=int, default=30)
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=None, help="worker processes")
     parser.add_argument("--out", default=None, help="write JSON artifact here")
     parser.add_argument("--smoke", action="store_true",
                         help="fast seeded CI campaign over quick kernels")
@@ -173,9 +171,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             parser.error(f"bad --schedule JSON: {exc}")
         if opts.kernel in CONC_KERNELS:
-            record = run_mt_trial(opts.kernel, schedule)
-        else:
-            record = run_trial(opts.kernel, schedule)
+            if schedule.tear is not None or schedule.flip is not None:
+                parser.error(f"--kernel {opts.kernel} is concurrent: its "
+                             "schedules take cuts and interleave only")
+        elif schedule.interleave:
+            parser.error(f"--kernel {opts.kernel} is single-core: interleave "
+                         "applies to concurrent kernels only")
+        record = run_trial(opts.kernel, schedule)
         print(f"{record.status.upper()}: {opts.kernel} {schedule.describe()}")
         if record.detail:
             print(f"  {record.detail}")
@@ -184,58 +186,58 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.faults", description=__doc__)
     _campaign_args(parser)
     opts = parser.parse_args(argv)
+    # --smoke defaults to a two-worker pool; an explicit --jobs wins.
+    jobs = opts.jobs if opts.jobs is not None else (2 if opts.smoke else 1)
+    for flag, value, low in (
+        ("--jobs", jobs, 1),
+        ("--k", opts.k, 2),
+        ("--stride", opts.stride, 1),
+        ("--stride2", opts.stride2, 1),
+        ("--torn-stride", opts.torn_stride, 1),
+        ("--corruption-trials", opts.corruption_trials, 0),
+        ("--random-trials", opts.random_trials, 0),
+    ):
+        if value < low:
+            parser.error(f"{flag} must be at least {low}")
     if not opts.multicore and opts.schemes is not None:
         parser.error("--schemes only applies to --multicore campaigns")
 
-    if opts.multicore:
-        kernels = opts.kernels if opts.kernels is not None else list(CONC_KERNELS)
-        strategies = (
-            opts.strategies if opts.strategies is not None else list(MT_STRATEGIES)
+    mc = opts.multicore
+    all_kernels = CONC_KERNELS if mc else KERNELS
+    all_strategies = MT_STRATEGIES if mc else STRATEGIES
+    kernels = opts.kernels if opts.kernels is not None else list(all_kernels)
+    strategies = (
+        opts.strategies if opts.strategies is not None else list(all_strategies)
+    )
+    _validate_choices(parser, "kernels", kernels, all_kernels)
+    _validate_choices(parser, "strategies", strategies, all_strategies)
+    schemes = opts.schemes if opts.schemes is not None else list(MT_SCHEMES)
+    _validate_choices(parser, "schemes", schemes, MT_SCHEMES)
+    if opts.smoke:
+        spec = mt_smoke_spec(seed=opts.seed) if mc else smoke_spec(seed=opts.seed)
+    elif mc:
+        spec = MTCampaignSpec(
+            kernels=kernels,
+            schemes=schemes,
+            strategies=strategies,
+            seed=opts.seed,
+            stride=opts.stride,
+            stride2=opts.stride2,
         )
-        schemes = opts.schemes if opts.schemes is not None else list(MT_SCHEMES)
-        _validate_choices(parser, "kernels", kernels, CONC_KERNELS)
-        _validate_choices(parser, "strategies", strategies, MT_STRATEGIES)
-        _validate_choices(parser, "schemes", schemes, MT_SCHEMES)
-        if opts.smoke:
-            spec = mt_smoke_spec(seed=opts.seed)
-            jobs = max(opts.jobs, 2)
-        else:
-            spec = MTCampaignSpec(
-                kernels=kernels,
-                schemes=schemes,
-                strategies=strategies,
-                seed=opts.seed,
-                stride=opts.stride,
-                stride2=opts.stride2,
-            )
-            jobs = opts.jobs
-        artifact = run_mt_campaign(spec, jobs=jobs, log=print)
-        print(mt_campaign_result(artifact).format_table())
     else:
-        kernels = opts.kernels if opts.kernels is not None else list(KERNELS)
-        strategies = (
-            opts.strategies if opts.strategies is not None else list(STRATEGIES)
+        spec = CampaignSpec(
+            kernels=kernels,
+            strategies=strategies,
+            seed=opts.seed,
+            k=opts.k,
+            stride=opts.stride,
+            stride2=opts.stride2,
+            torn_stride=opts.torn_stride,
+            corruption_trials=opts.corruption_trials,
+            random_trials=opts.random_trials,
         )
-        _validate_choices(parser, "kernels", kernels, KERNELS)
-        _validate_choices(parser, "strategies", strategies, STRATEGIES)
-        if opts.smoke:
-            spec = smoke_spec(seed=opts.seed)
-            jobs = max(opts.jobs, 2)
-        else:
-            spec = CampaignSpec(
-                kernels=kernels,
-                strategies=strategies,
-                seed=opts.seed,
-                k=opts.k,
-                stride=opts.stride,
-                stride2=opts.stride2,
-                torn_stride=opts.torn_stride,
-                corruption_trials=opts.corruption_trials,
-                random_trials=opts.random_trials,
-            )
-            jobs = opts.jobs
-        artifact = run_campaign(spec, jobs=jobs, log=print)
-        print(campaign_result(artifact).format_table())
+    artifact = run_campaign(spec, jobs=jobs, log=print)
+    print(campaign_result(artifact).format_table())
 
     if opts.out:
         write_artifact(artifact, opts.out)

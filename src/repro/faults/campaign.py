@@ -2,6 +2,14 @@
 worker pool, verify every outcome against the failure-free reference,
 shrink divergences, and emit a JSON artifact.
 
+One driver, :func:`run_campaign`, serves both suites: a
+:class:`CampaignSpec` (single-core kernels) or an
+:class:`~repro.faults.multicore.MTCampaignSpec` (concurrent kernels)
+expands into ``(kernel, cell path, schedule)`` tasks, and
+:func:`run_trial` picks the single-core or multicore trial by the
+kernel's suite.  The cell path is ``(strategy,)`` for single-core
+cells and ``(scheme, strategy)`` for multicore ones.
+
 The artifact is self-contained and reproducible: it records the
 campaign seed, every strategy's parameters, and for each divergence the
 full fault schedule plus a one-line CLI reproducer (and the shrunk
@@ -13,15 +21,20 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.compiler import compile_module
 from repro.recovery.failure import run_with_failure
-from repro.workloads.programs import KERNELS, build_kernel
+from repro.workloads.programs import CONC_KERNELS, KERNELS, build_kernel
 from repro.faults.injectors import run_schedule
+from repro.faults.multicore import MTCampaignSpec, run_mt_trial
 from repro.faults.schedule import FaultSchedule, TrialRecord
 from repro.faults.shrink import shrink_schedule
 from repro.faults import strategies as strat
+
+#: One campaign task: the kernel, the path of the artifact cell that
+#: tallies it, and the schedule to drive.
+Task = Tuple[str, Tuple[str, ...], FaultSchedule]
 
 STRATEGIES = ("single", "nested", "torn", "corruption", "boundary", "random")
 
@@ -53,6 +66,41 @@ class CampaignSpec:
             "corruption_trials": self.corruption_trials,
             "random_trials": self.random_trials,
         }
+
+    def tasks(self) -> List[Task]:
+        """Expand the spec into concrete tasks, one cell per strategy."""
+        tasks: List[Task] = []
+        for kernel in self.kernels:
+            module, entry, args, _ref_out, _ref_mem = _kernel_context(kernel)
+            profile = strat.profile_kernel(module, kernel, entry, args)
+            for name in self.strategies:
+                if name == "single":
+                    schedules = strat.single_cut_sweep(profile, self.stride)
+                elif name == "nested":
+                    schedules = strat.nested_crash_sweep(
+                        module, profile, entry, args,
+                        self.stride, self.stride2, k=self.k, seed=self.seed,
+                    )
+                elif name == "torn":
+                    schedules = strat.torn_persist_sweep(profile, self.torn_stride)
+                elif name == "corruption":
+                    schedules = strat.corruption_campaign(
+                        profile, self.corruption_trials, self.seed
+                    )
+                elif name == "boundary":
+                    schedules = strat.boundary_state_sweep(module, kernel, entry, args)
+                elif name == "random":
+                    schedules = strat.random_mix(profile, self.random_trials, self.seed)
+                else:
+                    raise ValueError(
+                        f"unknown strategy {name!r}; choose from {STRATEGIES}"
+                    )
+                tasks.extend((kernel, (s.strategy,), s) for s in schedules)
+        return tasks
+
+    def sections(self) -> Dict[str, object]:
+        """Artifact sections beyond the shared trial tallies: none."""
+        return {}
 
 
 def smoke_spec(seed: int = 1) -> CampaignSpec:
@@ -89,7 +137,15 @@ def _kernel_context(name: str):
 
 
 def run_trial(kernel: str, schedule: FaultSchedule) -> TrialRecord:
-    """Drive one schedule and classify the outcome against the reference."""
+    """Drive one schedule and classify the outcome against the reference.
+
+    The one trial entry point of the pool, the shrinker and ``python -m
+    repro.faults repro``: a concurrent kernel runs the multicore trial
+    (canonical comparison, :func:`~repro.faults.multicore.run_mt_trial`),
+    any other kernel the single-core one (exact output and NVM image).
+    """
+    if kernel in CONC_KERNELS:
+        return run_mt_trial(kernel, schedule)
     module, entry, args, ref_output, ref_memory = _kernel_context(kernel)
     try:
         outcome = run_schedule(module, entry, args, schedule)
@@ -121,91 +177,63 @@ def run_trial(kernel: str, schedule: FaultSchedule) -> TrialRecord:
 
 def _pool_trial(task: Tuple[int, str, Dict[str, object]]) -> Dict[str, object]:
     trial_id, kernel, sched_dict = task
-    record = run_trial(kernel, FaultSchedule.from_dict(sched_dict))
-    out = record.to_dict()
+    out = run_trial(kernel, FaultSchedule.from_dict(sched_dict)).to_dict()
     out["trial"] = trial_id
     return out
 
 
-# ----------------------------------------------------------------------
-# Schedule generation
-# ----------------------------------------------------------------------
-def build_schedules(spec: CampaignSpec) -> List[Tuple[str, FaultSchedule]]:
-    """Expand the spec into concrete (kernel, schedule) tasks."""
-    tasks: List[Tuple[str, FaultSchedule]] = []
-    for kernel in spec.kernels:
-        module, entry, args, _ref_out, _ref_mem = _kernel_context(kernel)
-        profile = strat.profile_kernel(module, kernel, entry, args)
-        for name in spec.strategies:
-            if name == "single":
-                schedules = strat.single_cut_sweep(profile, spec.stride)
-            elif name == "nested":
-                schedules = strat.nested_crash_sweep(
-                    module, profile, entry, args,
-                    spec.stride, spec.stride2, k=spec.k, seed=spec.seed,
-                )
-            elif name == "torn":
-                schedules = strat.torn_persist_sweep(profile, spec.torn_stride)
-            elif name == "corruption":
-                schedules = strat.corruption_campaign(
-                    profile, spec.corruption_trials, spec.seed
-                )
-            elif name == "boundary":
-                schedules = strat.boundary_state_sweep(module, kernel, entry, args)
-            elif name == "random":
-                schedules = strat.random_mix(profile, spec.random_trials, spec.seed)
-            else:
-                raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGIES}")
-            tasks.extend((kernel, s) for s in schedules)
-    return tasks
+def _empty_cell() -> Dict[str, int]:
+    return {"trials": 0, "ok": 0, "completed": 0, "degraded": 0,
+            "divergent": 0, "error": 0}
 
 
 # ----------------------------------------------------------------------
 # Campaign driver
 # ----------------------------------------------------------------------
 def run_campaign(
-    spec: CampaignSpec,
+    spec: Union[CampaignSpec, MTCampaignSpec],
     jobs: int = 1,
     log=None,
 ) -> Dict[str, object]:
-    """Run the whole campaign; return the JSON-serializable artifact."""
+    """Run a single-core or multicore campaign; return the JSON artifact."""
     from repro.harness.engine import parallel_map
 
     t0 = time.time()
-    tasks = build_schedules(spec)
+    tasks = spec.tasks()
     # The fan-out hands back results as workers finish (ordered=False);
     # resort by trial id so completion order cannot reorder divergences
     # between identical runs.
     records: List[Dict[str, object]] = parallel_map(
         _pool_trial,
-        [(i, k, s.to_dict()) for i, (k, s) in enumerate(tasks)],
+        [(i, kernel, s.to_dict()) for i, (kernel, _path, s) in enumerate(tasks)],
         jobs=jobs,
         chunksize=8,
         ordered=False,
     )
     records.sort(key=lambda r: r["trial"])
 
-    totals = {"trials": len(records), "ok": 0, "completed": 0, "degraded": 0,
-              "divergent": 0, "error": 0}
-    per_kernel: Dict[str, Dict[str, Dict[str, int]]] = {}
-    failures: List[Dict[str, object]] = []
-    for rec in records:
+    totals = _empty_cell()
+    totals["trials"] = len(records)
+    per_kernel: Dict[str, Dict[str, object]] = {}
+    failures: List[Tuple[Dict[str, object], Tuple[str, ...]]] = []
+    for rec, (kernel, path, _s) in zip(records, tasks):
+        if len(path) > 1:  # multicore cells are (scheme, strategy)
+            rec["scheme"] = path[0]
+        node = per_kernel.setdefault(kernel, {})
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        cell = node.setdefault(path[-1], _empty_cell())
         status = rec["status"]
-        totals[status] = totals.get(status, 0) + 1
-        strategy = rec["schedule"].get("strategy", "?") or "?"
-        cell = per_kernel.setdefault(rec["kernel"], {}).setdefault(
-            strategy, {"trials": 0, "ok": 0, "completed": 0, "degraded": 0,
-                       "divergent": 0, "error": 0}
-        )
+        totals[status] += 1
         cell["trials"] += 1
-        cell[status] = cell.get(status, 0) + 1
+        cell[status] += 1
         if status in ("divergent", "error"):
-            failures.append(rec)
+            failures.append((rec, path))
 
     # Shrink every failure to a minimal reproducer (in-process: the
     # oracle must be deterministic and cheap, and failures are rare).
     divergences: List[Dict[str, object]] = []
-    for rec in failures:
+    for rec, path in failures:
         kernel = rec["kernel"]
         schedule = FaultSchedule.from_dict(rec["schedule"])
 
@@ -218,7 +246,8 @@ def run_campaign(
         entry["shrunk_repro"] = shrunk.repro_command(kernel)
         divergences.append(entry)
         if log is not None:
-            log(f"DIVERGENCE {kernel}: {schedule.describe()} -> shrunk "
+            where = "/".join((kernel,) + path[:-1])
+            log(f"DIVERGENCE {where}: {schedule.describe()} -> shrunk "
                 f"{shrunk.describe()}\n  repro: {entry['shrunk_repro']}")
 
     return {
@@ -229,6 +258,7 @@ def run_campaign(
         },
         "totals": totals,
         "per_kernel": per_kernel,
+        **spec.sections(),
         "divergences": divergences,
     }
 

@@ -1,11 +1,16 @@
 """Multicore fault campaigns: cross-core crash injection on
 ThreadedExecution runs of the concurrent kernel suite.
 
-The single-threaded campaign (:mod:`repro.faults.campaign`) never
-exercises the paper's Section VIII machinery: per-thread RBT FIFOs,
-cross-core undo-log revert in reverse global order, and independent
-per-thread recovery-slice replay.  This module attacks exactly that
-surface:
+Single-core kernels never exercise the paper's Section VIII machinery:
+per-thread RBT FIFOs, cross-core undo-log revert in reverse global
+order, and independent per-thread recovery-slice replay.  This module
+holds what is multicore-specific about attacking that surface --
+profiling a threaded run, the ``mt-*`` strategies, the threaded epoch
+loop (:func:`run_mt_schedule`) and the canonical reference
+(:func:`run_mt_trial`).  The campaign itself (fan-out, tallies,
+shrinking, the artifact) is the one driver in
+:mod:`repro.faults.campaign`, which runs an :class:`MTCampaignSpec`'s
+``(kernel, (scheme, strategy), schedule)`` tasks.  The attack:
 
 - **cut placement** targets the cross-thread interaction points found
   by a profiling run -- atomics (synchronization regions), per-thread
@@ -37,7 +42,6 @@ unpersisted across other cores' progress).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -50,7 +54,7 @@ from repro.recovery.protocol import DegradedRecovery
 from repro.workloads.programs import CONC_KERNELS, build_conc_kernel
 from repro.faults.injectors import make_config
 from repro.faults.schedule import FaultSchedule, TrialRecord
-from repro.faults.shrink import shrink_schedule
+from repro.faults.strategies import single_cut_sweep
 
 MT_STRATEGIES = ("mt-single", "mt-atomic", "mt-boundary", "mt-interleave", "mt-nested")
 
@@ -126,14 +130,6 @@ def _interleave_patterns(n_threads: int) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-def mt_single_sweep(profile: MTKernelProfile, stride: int) -> List[FaultSchedule]:
-    """Plain stride-sampled cuts over the whole multithreaded run."""
-    return [
-        FaultSchedule(cuts=[p], strategy="mt-single")
-        for p in sampled_points(profile.total_events, stride)
-    ]
-
-
 def mt_atomic_cuts(profile: MTKernelProfile, stride: int = 1) -> List[FaultSchedule]:
     """Cuts hugging every (stride-sampled) atomic RMW: at the atomic's
     commit, just before it, and just after -- the windows where a shared
@@ -328,17 +324,8 @@ def run_mt_trial(kernel: str, schedule: FaultSchedule) -> TrialRecord:
     return TrialRecord(kernel, schedule, "divergent", detail, epochs=outcome.epochs)
 
 
-def _pool_mt_trial(task: Tuple[int, str, str, Dict[str, object]]) -> Dict[str, object]:
-    trial_id, kernel, scheme, sched_dict = task
-    record = run_mt_trial(kernel, FaultSchedule.from_dict(sched_dict))
-    out = record.to_dict()
-    out["trial"] = trial_id
-    out["scheme"] = scheme
-    return out
-
-
 # ----------------------------------------------------------------------
-# Campaign driver
+# Campaign spec (run by repro.faults.campaign.run_campaign)
 # ----------------------------------------------------------------------
 @dataclass
 class MTCampaignSpec:
@@ -369,6 +356,55 @@ class MTCampaignSpec:
             "interleave_stride": self.interleave_stride,
         }
 
+    def tasks(self) -> List[Tuple[str, Tuple[str, str], FaultSchedule]]:
+        """Expand the spec into concrete (kernel, (scheme, strategy),
+        schedule) tasks; every schedule pins its scheme's config."""
+        tasks: List[Tuple[str, Tuple[str, str], FaultSchedule]] = []
+        for kernel in self.kernels:
+            module, threads, _digest, _ro, _rd = _mt_kernel_context(kernel)
+            for scheme in self.schemes:
+                overrides = dict(MT_SCHEMES[scheme])
+                profile = profile_conc_kernel(module, kernel, threads, overrides)
+                for name in self.strategies:
+                    if name == "mt-single":
+                        schedules = single_cut_sweep(profile, self.stride, name)
+                    elif name == "mt-atomic":
+                        schedules = mt_atomic_cuts(profile, self.atomic_stride)
+                    elif name == "mt-boundary":
+                        schedules = mt_boundary_cuts(profile, self.boundary_stride)
+                    elif name == "mt-interleave":
+                        schedules = mt_interleave_sweep(profile, self.interleave_stride)
+                    elif name == "mt-nested":
+                        schedules = mt_nested_sweep(
+                            module, threads, profile, self.stride, self.stride2
+                        )
+                    else:
+                        raise ValueError(
+                            f"unknown strategy {name!r}; choose from {MT_STRATEGIES}"
+                        )
+                    for s in schedules:
+                        s = s.but(config=dict(overrides), seed=self.seed)
+                        tasks.append((kernel, (scheme, s.strategy), s))
+        return tasks
+
+    def sections(self) -> Dict[str, object]:
+        """The delay-free wait account, per kernel x scheme, from clean runs."""
+        delay_free: Dict[str, Dict[str, Dict[str, float]]] = {}
+        for kernel in self.kernels:
+            module, threads, _d, _ro, _rd = _mt_kernel_context(kernel)
+            for scheme in self.schemes:
+                profile = profile_conc_kernel(
+                    module, kernel, threads, dict(MT_SCHEMES[scheme])
+                )
+                delay_free.setdefault(kernel, {})[scheme] = {
+                    "sync_points": profile.sync_points,
+                    "wait_slots": profile.sync_wait_slots,
+                    "wait_per_sync": round(
+                        profile.sync_wait_slots / profile.sync_points, 3
+                    ) if profile.sync_points else 0.0,
+                }
+        return {"delay_free": delay_free}
+
 
 def mt_smoke_spec(seed: int = 1) -> MTCampaignSpec:
     """A small seeded multicore campaign (CI gate): 3 kernels x 3
@@ -384,124 +420,3 @@ def mt_smoke_spec(seed: int = 1) -> MTCampaignSpec:
         boundary_stride=6,
         interleave_stride=47,
     )
-
-
-def build_mt_schedules(
-    spec: MTCampaignSpec,
-) -> List[Tuple[str, str, FaultSchedule]]:
-    """Expand the spec into concrete (kernel, scheme, schedule) tasks."""
-    tasks: List[Tuple[str, str, FaultSchedule]] = []
-    for kernel in spec.kernels:
-        module, threads, _digest, _ro, _rd = _mt_kernel_context(kernel)
-        for scheme in spec.schemes:
-            overrides = dict(MT_SCHEMES[scheme])
-            profile = profile_conc_kernel(module, kernel, threads, overrides)
-            for name in spec.strategies:
-                if name == "mt-single":
-                    schedules = mt_single_sweep(profile, spec.stride)
-                elif name == "mt-atomic":
-                    schedules = mt_atomic_cuts(profile, spec.atomic_stride)
-                elif name == "mt-boundary":
-                    schedules = mt_boundary_cuts(profile, spec.boundary_stride)
-                elif name == "mt-interleave":
-                    schedules = mt_interleave_sweep(profile, spec.interleave_stride)
-                elif name == "mt-nested":
-                    schedules = mt_nested_sweep(
-                        module, threads, profile, spec.stride, spec.stride2
-                    )
-                else:
-                    raise ValueError(
-                        f"unknown strategy {name!r}; choose from {MT_STRATEGIES}"
-                    )
-                for s in schedules:
-                    s = s.but(config=dict(overrides), seed=spec.seed)
-                    tasks.append((kernel, scheme, s))
-    return tasks
-
-
-def _empty_cell() -> Dict[str, int]:
-    return {"trials": 0, "ok": 0, "completed": 0, "degraded": 0,
-            "divergent": 0, "error": 0}
-
-
-def run_mt_campaign(
-    spec: MTCampaignSpec,
-    jobs: int = 1,
-    log=None,
-) -> Dict[str, object]:
-    """Run the whole multicore campaign; return the JSON artifact."""
-    from repro.harness.engine import parallel_map
-
-    t0 = time.time()
-    tasks = build_mt_schedules(spec)
-    records: List[Dict[str, object]] = parallel_map(
-        _pool_mt_trial,
-        [(i, k, sch, s.to_dict()) for i, (k, sch, s) in enumerate(tasks)],
-        jobs=jobs,
-        chunksize=8,
-        ordered=False,
-    )
-    # Worker-pool completion order is nondeterministic; resort by trial
-    # id so identical runs write identical artifacts.
-    records.sort(key=lambda r: r["trial"])
-
-    totals = _empty_cell()
-    totals["trials"] = len(records)
-    per_kernel: Dict[str, Dict[str, Dict[str, Dict[str, int]]]] = {}
-    failures: List[Dict[str, object]] = []
-    for rec in records:
-        status = rec["status"]
-        totals[status] = totals.get(status, 0) + 1
-        strategy = rec["schedule"].get("strategy", "?") or "?"
-        cell = (
-            per_kernel.setdefault(rec["kernel"], {})
-            .setdefault(rec["scheme"], {})
-            .setdefault(strategy, _empty_cell())
-        )
-        cell["trials"] += 1
-        cell[status] = cell.get(status, 0) + 1
-        if status in ("divergent", "error"):
-            failures.append(rec)
-
-    divergences: List[Dict[str, object]] = []
-    for rec in failures:
-        kernel = rec["kernel"]
-        schedule = FaultSchedule.from_dict(rec["schedule"])
-
-        def still_fails(candidate: FaultSchedule, _kernel=kernel) -> bool:
-            return run_mt_trial(_kernel, candidate).is_failure
-
-        shrunk = shrink_schedule(schedule, still_fails, spec.max_shrink_evals)
-        entry = dict(rec)
-        entry["shrunk_schedule"] = shrunk.to_dict()
-        entry["shrunk_repro"] = shrunk.repro_command(kernel)
-        divergences.append(entry)
-        if log is not None:
-            log(f"DIVERGENCE {kernel}/{rec['scheme']}: {schedule.describe()} -> "
-                f"shrunk {shrunk.describe()}\n  repro: {entry['shrunk_repro']}")
-
-    # Delay-free wait account, per kernel x scheme, from clean runs.
-    delay_free: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for kernel in spec.kernels:
-        module, threads, _d, _ro, _rd = _mt_kernel_context(kernel)
-        for scheme in spec.schemes:
-            profile = profile_conc_kernel(module, kernel, threads, dict(MT_SCHEMES[scheme]))
-            delay_free.setdefault(kernel, {})[scheme] = {
-                "sync_points": profile.sync_points,
-                "wait_slots": profile.sync_wait_slots,
-                "wait_per_sync": round(
-                    profile.sync_wait_slots / profile.sync_points, 3
-                ) if profile.sync_points else 0.0,
-            }
-
-    return {
-        "meta": {
-            **spec.to_dict(),
-            "jobs": jobs,
-            "elapsed_s": round(time.time() - t0, 2),
-        },
-        "totals": totals,
-        "per_kernel": per_kernel,
-        "delay_free": delay_free,
-        "divergences": divergences,
-    }

@@ -68,6 +68,21 @@ class FaultSchedule:
     strategy: str = ""
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # A primary cut of 0 has no meaning (a nested 0 is "during
+        # recovery"), and a negative count would fire after the first
+        # event as if it were 1: reject both instead of replaying a
+        # schedule other than the one written.
+        for i, cut in enumerate(self.cuts):
+            low = 1 if i == 0 and self.tear is None else 0
+            if cut < low:
+                kind = "primary" if low else "nested"
+                raise ValueError(f"{kind} cut must be at least {low}, got {cut}")
+        if self.tear is not None and self.tear.apply_index < 1:
+            raise ValueError(
+                f"tear apply index must be at least 1, got {self.tear.apply_index}"
+            )
+
     @property
     def nested_cuts(self) -> List[int]:
         return list(self.cuts) if self.tear is not None else list(self.cuts[1:])

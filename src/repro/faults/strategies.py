@@ -52,10 +52,16 @@ def profile_kernel(
     return profile
 
 
-def single_cut_sweep(profile: KernelProfile, stride: int) -> List[FaultSchedule]:
-    """The classic checker sweep as one campaign strategy: clean cuts."""
+def single_cut_sweep(
+    profile, stride: int, strategy: str = "single"
+) -> List[FaultSchedule]:
+    """The classic checker sweep as one campaign strategy: clean cuts.
+
+    Any profile with a ``total_events`` count serves; the multicore
+    campaign runs it over a threaded run as ``mt-single``.
+    """
     return [
-        FaultSchedule(cuts=[p], strategy="single")
+        FaultSchedule(cuts=[p], strategy=strategy)
         for p in sampled_points(profile.total_events, stride)
     ]
 

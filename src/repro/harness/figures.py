@@ -678,8 +678,8 @@ def faults_campaign() -> FigureResult:
     ``python -m repro.faults --multicore`` (``--smoke`` is the CI gate).
     """
     from repro.faults.campaign import CampaignSpec, run_campaign
-    from repro.faults.multicore import MTCampaignSpec, run_mt_campaign
-    from repro.harness.report import campaign_result
+    from repro.faults.multicore import MTCampaignSpec
+    from repro.harness.report import campaign_cells, campaign_result
 
     spec = CampaignSpec(
         kernels=["counter", "linked_list"],
@@ -701,27 +701,13 @@ def faults_campaign() -> FigureResult:
         atomic_stride=3,
         interleave_stride=47,
     )
-    mt_artifact = run_mt_campaign(mt_spec)
-    mt_totals = mt_artifact["totals"]
-    for kernel in sorted(mt_artifact["per_kernel"]):
-        schemes = mt_artifact["per_kernel"][kernel]
-        for scheme in sorted(schemes):
-            for strategy in sorted(schemes[scheme]):
-                cell = schemes[scheme][strategy]
-                result.add(
-                    f"{kernel}[{scheme}]",
-                    strategy,
-                    cell.get("trials", 0),
-                    cell.get("ok", 0) + cell.get("completed", 0),
-                    cell.get("degraded", 0),
-                    cell.get("divergent", 0) + cell.get("error", 0),
-                )
-    result.summary["trials"] += float(mt_totals.get("trials", 0))
-    result.summary["divergent"] += float(
-        mt_totals.get("divergent", 0) + mt_totals.get("error", 0)
-    )
-    result.summary["degraded"] += float(mt_totals.get("degraded", 0))
-    result.summary["mt_trials"] = float(mt_totals.get("trials", 0))
+    mt_artifact = run_campaign(mt_spec)
+    for (kernel, scheme, strategy), counts in campaign_cells(mt_artifact):
+        result.add(f"{kernel}[{scheme}]", strategy, *counts)
+    mt_summary = campaign_result(mt_artifact).summary
+    for key in ("trials", "divergent", "degraded"):
+        result.summary[key] += mt_summary[key]
+    result.summary["mt_trials"] = mt_summary["trials"]
     waits = [
         cell["wait_per_sync"]
         for kernel in mt_artifact["delay_free"].values()

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 
 def gmean(values: Iterable[float]) -> float:
@@ -97,86 +97,75 @@ def load_campaign(path: str) -> Dict:
         return json.load(fh)
 
 
+def campaign_cells(artifact: Dict) -> Iterator[Tuple[Tuple[str, ...], List[int]]]:
+    """Walk a campaign artifact's trial cells in sorted order.
+
+    Yields each cell's path -- ``(kernel, strategy)`` for a single-core
+    campaign, ``(kernel, scheme, strategy)`` for a multicore one -- with
+    its ``[trials, ok, degraded, divergent]`` counts (``ok`` includes
+    faults that never fired, ``divergent`` includes errors).
+    """
+
+    def walk(node: Dict, path: Tuple[str, ...]):
+        if "trials" in node:
+            yield path, [
+                node.get("trials", 0),
+                node.get("ok", 0) + node.get("completed", 0),
+                node.get("degraded", 0),
+                node.get("divergent", 0) + node.get("error", 0),
+            ]
+            return
+        for key in sorted(node):
+            yield from walk(node[key], path + (key,))
+
+    yield from walk(artifact.get("per_kernel", {}), ())
+
+
 def campaign_result(artifact: Dict) -> FigureResult:
     """Render a fault-campaign artifact as a harness FigureResult.
 
-    One row per (kernel, strategy) cell; the summary carries the
-    campaign totals, and any divergence is surfaced in the description
-    so a glance at the table shows whether the persistence guarantee
-    held under the adversary.
-    """
-    meta = artifact.get("meta", {})
-    totals = artifact.get("totals", {})
-    n_div = totals.get("divergent", 0) + totals.get("error", 0)
-    status = "all consistent-or-degraded" if n_div == 0 else f"{n_div} DIVERGENCES"
-    result = FigureResult(
-        "Faults",
-        f"Adversarial fault campaign (seed {meta.get('seed')}): {status}",
-        ["kernel", "strategy", "trials", "ok", "degraded", "divergent"],
-        paper_says=(
-            "paper never tests recovery; campaign covers nested crashes, "
-            "torn persists, corrupted logs/checkpoints, boundary states"
-        ),
-    )
-    for kernel in sorted(artifact.get("per_kernel", {})):
-        cells = artifact["per_kernel"][kernel]
-        for strategy in sorted(cells):
-            cell = cells[strategy]
-            result.add(
-                kernel,
-                strategy,
-                cell.get("trials", 0),
-                cell.get("ok", 0) + cell.get("completed", 0),
-                cell.get("degraded", 0),
-                cell.get("divergent", 0) + cell.get("error", 0),
-            )
-    result.summary = {
-        "trials": float(totals.get("trials", 0)),
-        "divergent": float(n_div),
-        "degraded": float(totals.get("degraded", 0)),
-    }
-    return result
-
-
-def mt_campaign_result(artifact: Dict) -> FigureResult:
-    """Render a *multicore* campaign artifact as a FigureResult.
-
-    One row per (kernel, scheme, strategy) cell, carrying that
+    One row per cell: (kernel, strategy) for a single-core campaign;
+    (kernel, scheme, strategy) for a multicore one, carrying that
     kernel/scheme's delay-free wait account (drain opportunities burned
-    per sync point in a clean run) next to the trial verdicts.
+    per sync point in a clean run) next to the trial verdicts.  The
+    summary carries the campaign totals, and any divergence is surfaced
+    in the description so a glance at the table shows whether the
+    persistence guarantee held under the adversary.
     """
     meta = artifact.get("meta", {})
     totals = artifact.get("totals", {})
     n_div = totals.get("divergent", 0) + totals.get("error", 0)
     status = "all consistent-or-degraded" if n_div == 0 else f"{n_div} DIVERGENCES"
-    result = FigureResult(
-        "FaultsMT",
-        f"Multicore fault campaign (seed {meta.get('seed')}): {status}",
-        ["kernel", "scheme", "strategy", "trials", "ok", "degraded",
-         "divergent", "wait/sync"],
-        paper_says=(
-            "Section VIII argues DRF threads recover independently; the "
-            "campaign cuts power at atomics, boundaries, and during other "
-            "threads' recovery, across interleavings"
-        ),
-    )
+    verdicts = ["trials", "ok", "degraded", "divergent"]
+    multicore = meta.get("mode") == "multicore"
+    if multicore:
+        result = FigureResult(
+            "FaultsMT",
+            f"Multicore fault campaign (seed {meta.get('seed')}): {status}",
+            ["kernel", "scheme", "strategy", *verdicts, "wait/sync"],
+            paper_says=(
+                "Section VIII argues DRF threads recover independently; the "
+                "campaign cuts power at atomics, boundaries, and during other "
+                "threads' recovery, across interleavings"
+            ),
+        )
+    else:
+        result = FigureResult(
+            "Faults",
+            f"Adversarial fault campaign (seed {meta.get('seed')}): {status}",
+            ["kernel", "strategy", *verdicts],
+            paper_says=(
+                "paper never tests recovery; campaign covers nested crashes, "
+                "torn persists, corrupted logs/checkpoints, boundary states"
+            ),
+        )
     delay_free = artifact.get("delay_free", {})
-    for kernel in sorted(artifact.get("per_kernel", {})):
-        schemes = artifact["per_kernel"][kernel]
-        for scheme in sorted(schemes):
+    for path, counts in campaign_cells(artifact):
+        if multicore:
+            kernel, scheme, _strategy = path
             wait = delay_free.get(kernel, {}).get(scheme, {}).get("wait_per_sync", 0.0)
-            for strategy in sorted(schemes[scheme]):
-                cell = schemes[scheme][strategy]
-                result.add(
-                    kernel,
-                    scheme,
-                    strategy,
-                    cell.get("trials", 0),
-                    cell.get("ok", 0) + cell.get("completed", 0),
-                    cell.get("degraded", 0),
-                    cell.get("divergent", 0) + cell.get("error", 0),
-                    float(wait),
-                )
+            counts = counts + [float(wait)]
+        result.add(*path, *counts)
     result.summary = {
         "trials": float(totals.get("trials", 0)),
         "divergent": float(n_div),

@@ -47,7 +47,7 @@ from repro.ir.interpreter import (
     Memory,
     TraceEvent,
 )
-from repro.recovery.failure import drive
+from repro.recovery.failure import drive, sampled_points
 from repro.recovery.model import (
     BoundarySnapshot,
     FunctionalPersistence,
@@ -455,26 +455,25 @@ def check_threaded_crash_consistency(
 ) -> Tuple[int, List[str]]:
     """Sweep failure points over a multi-threaded run.
 
-    Returns ``(points_checked, divergences)``.  Workloads should be
-    confluent (order-independent outcomes); see the module docstring.
+    Cuts land after every ``stride``-th committed event and always after
+    the final one.  Returns ``(points_checked, divergences)``.
+    Workloads should be confluent (order-independent outcomes); see the
+    module docstring.
     """
     execu = ThreadedExecution(module, threads, config)
     ref = execu.run()
     assert ref.completed
-    # Sweep failure points until a run completes before the failure fires.
     divergences: List[str] = []
     checked = 0
-    point = 1
-    while True:
+    for point in sampled_points(ref.events, stride):
         interrupted = execu.run(fail_after_event=point)
         if interrupted.completed:
-            break
+            continue
         checked += 1
         try:
             resumed = execu.recover_and_resume(interrupted.model)
         except RecoveryError as exc:
             divergences.append(f"event {point}: recovery error: {exc}")
-            point += stride
             continue
         for tid in range(len(threads)):
             if sorted(resumed.outputs[tid]) != sorted(ref.outputs[tid]):
@@ -483,5 +482,4 @@ def check_threaded_crash_consistency(
                     f"{resumed.outputs[tid]} != {ref.outputs[tid]}"
                 )
                 break
-        point += stride
     return checked, divergences

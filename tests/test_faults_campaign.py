@@ -19,7 +19,7 @@ from repro.faults import (
     write_artifact,
 )
 from repro.faults.__main__ import main as faults_main
-from repro.faults.campaign import _kernel_context, build_schedules
+from repro.faults.campaign import _kernel_context
 from repro.faults import strategies as strat
 from repro.harness.report import campaign_result, load_campaign
 
@@ -62,6 +62,26 @@ class TestScheduleSerialization:
         assert data["schedule"]["strategy"] == "corruption"
         assert "python -m repro.faults repro --kernel counter" in data["repro"]
         json.dumps(data)  # must be JSON-serializable as-is
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"cuts": [0]}, "primary cut must be at least 1"),
+            ({"cuts": [-5]}, "primary cut must be at least 1"),
+            ({"cuts": [60, -3]}, "nested cut must be at least 0"),
+            ({"tear": 0}, "tear apply index must be at least 1"),
+            ({"tear": 2, "cuts": [-1]}, "nested cut must be at least 0"),
+        ],
+        ids=["primary-0", "primary-neg", "nested-neg", "tear-0", "tear-nested-neg"],
+    )
+    def test_malformed_schedule_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.from_dict(data)
+
+    def test_lowest_legal_counts_accepted(self):
+        # A nested 0 is a cut during recovery; with a tear every cut is nested.
+        assert FaultSchedule.from_dict({"cuts": [1, 0]}).cuts == [1, 0]
+        assert FaultSchedule.from_dict({"tear": 1, "cuts": [0]}).nested_cuts == [0]
 
     def test_nested_cuts_semantics(self):
         assert FaultSchedule(cuts=[5, 2]).nested_cuts == [2]
@@ -190,6 +210,55 @@ class TestTrialsAndCampaign:
         table = result.format_table()
         assert "counter" in table and "torn" in table
 
+    def test_campaign_independent_of_jobs(self):
+        """Trials are pure functions of (kernel, schedule): one worker
+        reports what two did."""
+        spec = CampaignSpec(
+            kernels=["counter"],
+            strategies=["torn", "corruption"],
+            seed=2,
+            torn_stride=40,
+            corruption_trials=6,
+        )
+        seq = run_campaign(spec, jobs=1)
+        par = run_campaign(spec, jobs=2)
+        for key in ("per_kernel", "totals", "divergences"):
+            assert seq[key] == par[key], key
+
+    def test_one_driver_runs_both_suites(self):
+        """The driver tallies each task under its cell path: (strategy,)
+        for a single-core kernel, (scheme, strategy) for a concurrent
+        one, and only the multicore record carries its scheme."""
+
+        class FixedSpec:
+            max_shrink_evals = 10
+
+            def tasks(self):
+                return [
+                    ("counter", ("torn",), FaultSchedule(
+                        cuts=[95], config=dict(UNSOUND), strategy="torn")),
+                    ("mpmc_queue", ("default", "mt-atomic"), FaultSchedule(
+                        cuts=[37], config=dict(UNSOUND), strategy="mt-atomic")),
+                ]
+
+            def sections(self):
+                return {}
+
+            def to_dict(self):
+                return {}
+
+        lines = []
+        artifact = run_campaign(FixedSpec(), log=lines.append)
+        assert artifact["per_kernel"]["counter"]["torn"]["trials"] == 1
+        assert artifact["per_kernel"]["mpmc_queue"]["default"]["mt-atomic"]["trials"] == 1
+        single, multi = artifact["divergences"]
+        assert "scheme" not in single
+        assert multi["scheme"] == "default"
+        assert lines[0].startswith("DIVERGENCE counter: cuts=95")
+        assert lines[1].startswith("DIVERGENCE mpmc_queue/default: cuts=37")
+        assert all("repro: PYTHONPATH=src python -m repro.faults repro" in line
+                   for line in lines)
+
     def test_divergent_campaign_shrinks_and_reports(self):
         # Inject the unsound schedule through the campaign plumbing by
         # running the shrink path on a handcrafted failure record.
@@ -201,7 +270,7 @@ class TestTrialsAndCampaign:
 
     def test_build_schedules_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
-            build_schedules(CampaignSpec(kernels=["counter"], strategies=["bogus"]))
+            CampaignSpec(kernels=["counter"], strategies=["bogus"]).tasks()
 
     def test_smoke_spec_is_bounded(self):
         spec = smoke_spec(seed=9)
@@ -240,3 +309,49 @@ class TestCLI:
         assert "PASS" in text and "0 silent divergences" in text
         assert out.exists()
         assert load_campaign(str(out))["totals"]["divergent"] == 0
+
+    @pytest.mark.parametrize(
+        "kernel, schedule, message",
+        [
+            ("counter", '{"cuts": [0]}', "primary cut must be at least 1"),
+            ("counter", '{"cuts": [-5]}', "primary cut must be at least 1"),
+            ("counter", '{"cuts": [60, -3]}', "nested cut must be at least 0"),
+            ("counter", '{"tear": 0}', "tear apply index must be at least 1"),
+            ("mpmc_queue", '{"tear": 3}', "is concurrent"),
+            ("mpmc_queue", '{"cuts": [25], "flip": ["log", 1, 2]}', "is concurrent"),
+            ("counter", '{"cuts": [40], "interleave": [1, 0]}', "is single-core"),
+        ],
+        ids=["primary-0", "primary-neg", "nested-neg", "tear-0",
+             "conc-tear", "conc-flip", "single-interleave"],
+    )
+    def test_repro_rejects_malformed_schedule(self, capsys, kernel, schedule, message):
+        with pytest.raises(SystemExit) as exc:
+            faults_main(["repro", "--kernel", kernel, "--schedule", schedule])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [
+            ("--jobs", "0", 1),
+            ("--jobs", "-3", 1),
+            ("--stride", "0", 1),
+            ("--stride2", "0", 1),
+            ("--torn-stride", "0", 1),
+            ("--k", "0", 2),
+            ("--k", "1", 2),
+            ("--corruption-trials", "-1", 0),
+            ("--random-trials", "-1", 0),
+        ],
+        ids=["jobs-0", "jobs-neg", "stride-0", "stride2-0", "torn-stride-0",
+             "k-0", "k-1", "corruption-trials-neg", "random-trials-neg"],
+    )
+    def test_bad_numbers_are_usage_errors(self, capsys, flag, value, low):
+        # A small valid campaign: code that ignored the bad value would
+        # finish quickly and fail here instead of running every kernel.
+        argv = ["--kernels", "counter", "--strategies", "torn",
+                "--torn-stride", "60", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            faults_main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} must be at least {low}" in capsys.readouterr().err

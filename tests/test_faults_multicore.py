@@ -14,15 +14,15 @@ from repro.faults import (
     MTCampaignSpec,
     mt_smoke_spec,
     profile_conc_kernel,
-    run_mt_campaign,
+    run_campaign,
     run_mt_schedule,
-    run_mt_trial,
+    run_trial,
     shrink_schedule,
 )
 from repro.faults import multicore as mt
 from repro.faults.__main__ import main as faults_main
 from repro.faults.schedule import TearSpec
-from repro.harness.report import load_campaign, mt_campaign_result
+from repro.harness.report import campaign_result, load_campaign
 
 #: DESIGN.md 4b: skipping checkpoint-store logging is unsound; under
 #: the threaded model the recovery-slice oracle catches it per thread.
@@ -84,18 +84,18 @@ class TestTrials:
     @pytest.mark.parametrize("scheme", sorted(MT_SCHEMES))
     def test_single_cut_consistent_everywhere(self, kernel, scheme):
         sched = FaultSchedule(cuts=[40], config=dict(MT_SCHEMES[scheme]))
-        record = run_mt_trial(kernel, sched)
+        record = run_trial(kernel, sched)
         assert record.status == "ok", record.detail
 
     def test_nested_cut_during_other_threads_recovery(self):
         sched = FaultSchedule(cuts=[60, 2, 1])
-        record = run_mt_trial("treiber_stack", sched)
+        record = run_trial("treiber_stack", sched)
         assert record.status == "ok", record.detail
         assert record.epochs == 3  # one recovery per cut incl. the final
 
     def test_custom_interleave_trial(self):
         sched = FaultSchedule(cuts=[25, 0], interleave=[1, 0, 1])
-        record = run_mt_trial("mpmc_queue", sched)
+        record = run_trial("mpmc_queue", sched)
         assert record.status == "ok", record.detail
 
     def test_tear_rejected_on_threaded_runs(self):
@@ -106,7 +106,7 @@ class TestTrials:
 
     def test_unsound_config_is_failure(self):
         sched = FaultSchedule(cuts=[37], config=dict(UNSOUND))
-        assert run_mt_trial("mpmc_queue", sched).is_failure
+        assert run_trial("mpmc_queue", sched).is_failure
 
 
 class TestShrinking:
@@ -116,13 +116,13 @@ class TestShrinking:
         dimension while preserving the failure."""
         sched = FaultSchedule(cuts=[97, 5, 3], interleave=[1, 0, 1],
                               config=dict(UNSOUND))
-        assert run_mt_trial("treiber_stack", sched).is_failure
+        assert run_trial("treiber_stack", sched).is_failure
 
         def still_fails(cand):
-            return run_mt_trial("treiber_stack", cand).is_failure
+            return run_trial("treiber_stack", cand).is_failure
 
         shrunk = shrink_schedule(sched, still_fails, max_evals=150)
-        assert run_mt_trial("treiber_stack", shrunk).is_failure
+        assert run_trial("treiber_stack", shrunk).is_failure
         assert len(shrunk.cuts) == 1
         assert shrunk.interleave == []
         assert shrunk.config  # the unsound config IS the bug; kept
@@ -176,7 +176,7 @@ class TestCampaign:
         spec = mt_smoke_spec(seed=1)
         spec.kernels = ["ticket_counter"]
         spec.strategies = ["mt-atomic", "mt-nested"]
-        artifact = run_mt_campaign(spec, jobs=2)
+        artifact = run_campaign(spec, jobs=2)
         assert artifact["meta"]["mode"] == "multicore"
         assert artifact["totals"]["divergent"] == 0
         assert artifact["totals"]["error"] == 0
@@ -197,7 +197,7 @@ class TestCampaign:
         from repro.faults import write_artifact
 
         write_artifact(artifact, str(path))
-        table = mt_campaign_result(load_campaign(str(path))).format_table()
+        table = campaign_result(load_campaign(str(path))).format_table()
         assert "ticket_counter" in table and "wait/sync" in table
 
     def test_records_sorted_by_trial_id(self):
@@ -207,8 +207,8 @@ class TestCampaign:
             kernels=["mpmc_queue"], strategies=["mt-atomic"],
             seed=1, atomic_stride=2,
         )
-        seq = run_mt_campaign(spec, jobs=1)
-        par = run_mt_campaign(spec, jobs=3)
+        seq = run_campaign(spec, jobs=1)
+        par = run_campaign(spec, jobs=3)
         assert seq["per_kernel"] == par["per_kernel"]
         assert seq["totals"] == par["totals"]
 
@@ -218,19 +218,21 @@ class TestCampaign:
             stride=41, stride2=29, atomic_stride=4, boundary_stride=8,
             interleave_stride=61,
         )
-        tasks = mt.build_mt_schedules(spec)
+        tasks = spec.tasks()
         assert tasks
-        schemes_seen = {scheme for _k, scheme, _s in tasks}
+        schemes_seen = {scheme for _k, (scheme, _strategy), _s in tasks}
         assert schemes_seen == set(MT_SCHEMES)
-        # Every schedule pins its scheme config for the repro command.
-        for _k, scheme, sched in tasks:
+        # Every schedule pins its scheme config for the repro command,
+        # and its cell path ends in its own strategy label.
+        for _k, (scheme, strategy), sched in tasks:
+            assert strategy == sched.strategy
             assert sched.config == MT_SCHEMES[scheme]
             assert sched.seed == spec.seed
 
     def test_unknown_strategy_rejected(self):
         spec = MTCampaignSpec(kernels=["mpmc_queue"], strategies=["bogus"])
         with pytest.raises(ValueError, match="bogus"):
-            mt.build_mt_schedules(spec)
+            spec.tasks()
 
 
 class TestCLI:

@@ -142,6 +142,29 @@ class TestFailureRecovery:
         assert checked > 5
         assert divergences == [], divergences[:3]
 
+    def test_sweep_always_cuts_at_final_event(self, drf, monkeypatch):
+        """Whatever the stride, the final committed event is a checked
+        failure point (stride-sampled like the single-core checker)."""
+        total = ThreadedExecution(drf, THREADS).run().events
+        stride = 13 if (total - 1) % 13 else 11
+        assert (total - 1) % stride, "the stride walk alone misses the end"
+        cuts = []
+        real_run = ThreadedExecution.run
+
+        def spy(self, fail_after_event=None, observe=None):
+            run = real_run(self, fail_after_event, observe)
+            if fail_after_event is not None and not run.completed:
+                cuts.append(fail_after_event)
+            return run
+
+        monkeypatch.setattr(ThreadedExecution, "run", spy)
+        checked, divergences = check_threaded_crash_consistency(
+            drf, THREADS, stride=stride
+        )
+        assert divergences == [], divergences[:3]
+        assert cuts[-1] == total
+        assert checked == len(cuts) == len(range(1, total + 1, stride)) + 1
+
 
 class TestThreadedRecoveryErrorPaths:
     """Every thread's slice-and-frame rebuild is the single-core one;
