@@ -3,7 +3,9 @@ cache, and the hierarchy walk that yields a load/store's latency."""
 
 from __future__ import annotations
 
-from itertools import repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.config import CacheConfig, DRAMCacheConfig
@@ -108,28 +110,37 @@ class SetAssocCache:
 class DirectMappedCache:
     """Direct-mapped DRAM cache (Intel memory-mode style).
 
-    State is an index -> tag map plus the set of dirty indices, so a
-    range of lines with one tag can be written by C-level dict calls
-    (:meth:`fill`) instead of one Python write per line.
+    Primed lines are sorted, disjoint ``(lo, hi, tag)`` runs of indices
+    (:meth:`prime`), so priming costs O(ranges), not O(lines).  ``tags``
+    holds the indices written since; a lookup that finds no entry there
+    bisects the runs and stores what it found, once per index.
     """
 
-    __slots__ = ("n_lines", "line_bits", "hit_latency", "tags", "dirty", "hits", "misses")
+    __slots__ = ("n_lines", "line_bits", "hit_latency", "tags", "dirty", "hits",
+                 "misses", "_runs", "_order")
 
     def __init__(self, config: DRAMCacheConfig) -> None:
         self.n_lines = max(1, config.size_bytes // config.line_bytes)
         self.line_bits = config.line_bytes.bit_length() - 1
         self.hit_latency = config.hit_latency
-        #: index -> tag, in first-fill order (the snapshot order)
+        #: index -> tag written or looked up since priming; wins over the runs
         self.tags: Dict[int, int] = {}
         #: indices whose resident line is dirty
         self.dirty: Set[int] = set()
         self.hits = 0
         self.misses = 0
+        #: the primed (lo, hi, tag) runs; never mutated, so copies share it
+        self._runs: tuple = ()
+        #: first-fill order up to the last prime, as index tuples and ranges
+        self._order: tuple = ()
 
     def access(self, line_addr: int, is_write: bool) -> Tuple[bool, Optional[Tuple[int, bool]]]:
         index = line_addr % self.n_lines
         tag = line_addr // self.n_lines
-        old = self.tags.get(index)
+        tags = self.tags
+        old = tags.get(index)
+        if old is None:  # a None stored here is overwritten by the miss
+            old = tags[index] = _run_tag(self._runs, index)
         if old == tag:
             self.hits += 1
             if is_write:
@@ -139,58 +150,86 @@ class DirectMappedCache:
         evicted = None
         if old is not None:
             evicted = (old * self.n_lines + index, index in self.dirty)
-        self.tags[index] = tag
+        tags[index] = tag
         if is_write:
             self.dirty.add(index)
         else:
             self.dirty.discard(index)
         return False, evicted
 
-    def fill(self, first: int, end: int) -> None:
-        """Insert lines ``[first, end)`` clean, in order, in closed form.
+    def prime(self, spans) -> None:
+        """Insert the lines of each span ``[first, end)`` clean, in
+        order, in closed form.
 
-        Equivalent to writing each line's tag in turn.  An index's
-        *first* write lies among the range's first ``n_lines`` lines,
-        which fixes where a new index enters the map; its *last* write
-        lies among the last ``n_lines`` lines, which fixes its tag.
-        Both windows cover the same indices, and the last one spans at
-        most two tag blocks: indices at or above its start index
-        (``pivot``) get its starting tag, those below get the next.  So
-        one pass over the first window's indices, in rotation order,
-        writes every final value as at most four constant-tag runs.
+        Equivalent to writing each line's tag in turn.  Within a span an
+        index's *first* write lies among its first ``n_lines`` lines,
+        which fixes where a new index enters the first-fill order; its
+        *last* write lies among the last ``n_lines`` lines, which fixes
+        its tag.  Both windows cover the same indices, and the last one
+        spans at most two tag blocks: indices at or above its start
+        index (``pivot``) get its starting tag, those below get the
+        next.  So a span is at most four constant-tag runs over the
+        first window's indices, in rotation order, and a later run wins
+        where runs overlap.
         """
         n = self.n_lines
-        count = min(end - first, n)
-        if count <= 0:
-            return
-        start = first % n
-        last_first = end - count
-        pivot = last_first % n
-        low_tag = last_first // n
-        tags = self.tags
-        # The first window's indices in rotation order: [start, n), then
-        # the wrap-around [0, ...) when the window crosses index n.
-        for lo, hi in ((start, min(start + count, n)), (0, start + count - n)):
-            if lo >= hi:
+        runs = list(self._runs)
+        pieces: list = []
+        for first, end in spans:
+            count = min(end - first, n)
+            if count <= 0:
                 continue
-            mid = min(max(pivot, lo), hi)
-            tags.update(zip(range(lo, mid), repeat(low_tag + 1)))
-            tags.update(zip(range(mid, hi), repeat(low_tag)))
-            if self.dirty:
-                self.dirty.difference_update(range(lo, hi))
+            start = first % n
+            last_first = end - count
+            pivot = last_first % n
+            low_tag = last_first // n
+            # The first window's indices in rotation order: [start, n),
+            # then the wrap-around [0, ...) when it crosses index n.
+            for lo, hi in ((start, min(start + count, n)), (0, start + count - n)):
+                if lo < hi:
+                    pieces.append(range(lo, hi))
+                    mid = min(max(pivot, lo), hi)
+                    _paint(runs, lo, mid, low_tag + 1)
+                    _paint(runs, mid, hi, low_tag)
+        self._runs = tuple(runs)
+        # Indices written before keep their place in the order; those
+        # the spans cover take the runs' tags, clean.  (Priming precedes
+        # every access in the simulator, so both loops are empty there.)
+        tags = self.tags
+        self._order += (tuple(tags), *pieces)
+        for i in [i for i in tags if any(i in piece for piece in pieces)]:
+            del tags[i]
+        self.dirty = {i for i in self.dirty if not any(i in piece for piece in pieces)}
 
     def snapshot(self) -> dict:
-        dirty = self.dirty
-        return {
-            "lines": [[index, tag, index in dirty] for index, tag in self.tags.items()],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+        tags, runs, dirty = self.tags, self._runs, self.dirty
+        # A per-line replay first fills indices in the order of their
+        # first occurrence in the order pieces, then in ``tags``.
+        lines = [[i, tags[i] if i in tags else _run_tag(runs, i), i in dirty]
+                 for i in dict.fromkeys(chain(*self._order, tags))]
+        return {"lines": lines, "hits": self.hits, "misses": self.misses}
 
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
+
+def _run_tag(runs, index: int) -> Optional[int]:
+    """The tag of the run in sorted, disjoint *runs* covering *index*."""
+    i = bisect_left(runs, (index + 1,)) - 1  # the last run starting <= index
+    if i >= 0 and index < runs[i][1]:
+        return runs[i][2]
+    return None
+
+
+def _paint(runs: list, lo: int, hi: int, tag: int) -> None:
+    """Write run ``(lo, hi, tag)`` over sorted, disjoint *runs* in place,
+    cutting away the parts of older runs it overlaps."""
+    if lo >= hi:
+        return
+    i = bisect_right(runs, lo, key=itemgetter(1))  # the first run ending after lo
+    j = i
+    while j < len(runs) and runs[j][0] < hi:
+        j += 1
+    head = [(runs[i][0], lo, runs[i][2])] if i < j and runs[i][0] < lo else []
+    tail = [(hi, *runs[j - 1][1:])] if i < j and runs[j - 1][1] > hi else []
+    runs[i:j] = head + [(lo, hi, tag)] + tail
 
 
 class CacheHierarchy:
@@ -289,8 +328,8 @@ class CacheHierarchy:
             # Largest ranges first, so the smaller (hotter) classes win
             # direct-mapped conflicts -- the steady state a long
             # execution converges to.
-            for base, size in reversed(ranges):
-                self.dram.fill(base >> self.line_bits, (base + size) >> self.line_bits)
+            bits = self.line_bits
+            self.dram.prime([(b >> bits, (b + s) >> bits) for b, s in reversed(ranges)])
 
     def _geometry(self) -> tuple:
         return (
@@ -326,15 +365,17 @@ class CacheHierarchy:
         if (
             self._accessed()
             or any(any(level.sets.values()) for level in self.levels)
-            or (self.dram is not None and self.dram.tags)
+            or (self.dram is not None and (self.dram.tags or self.dram._runs))
         ):
             raise ValueError("copy_tags_from: target hierarchy is not untouched")
         for level, source in zip(self.levels, template.levels):
             sets = level.sets
             for index, ways in source.sets.items():
                 sets.setdefault(index, {}).update({tag: [0, False] for tag in ways})
-        if self.dram is not None:
-            self.dram.tags.update(template.dram.tags)
+        dram, source = self.dram, template.dram
+        if dram is not None:
+            dram.tags.update(source.tags)
+            dram._runs, dram._order = source._runs, source._order
 
     def snapshot(self) -> dict:
         """JSON-serializable tag state of every level and the DRAM cache."""
@@ -343,13 +384,6 @@ class CacheHierarchy:
             "shared": [level.snapshot() for level in self.levels[1:]],
             "dram": self.dram.snapshot() if self.dram is not None else None,
         }
-
-    def l1_miss_rate(self) -> float:
-        return self.levels[0].miss_rate
-
-    def llc_miss_rate(self) -> float:
-        last = self.dram if self.dram is not None else self.levels[-1]
-        return last.miss_rate
 
     def contribute(self, metrics) -> None:
         """Register per-level miss ratios (metrics spine).

@@ -67,12 +67,14 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--schemes", type=_csv, default=None,
                         help=f"multicore config schemes from {','.join(MT_SCHEMES)}")
     parser.add_argument("--seed", type=int, default=1, help="campaign RNG seed")
-    parser.add_argument("--k", type=int, default=2, help="nested-crash depth")
+    # The single-core-only numbers default to None, "not given", so a
+    # --multicore campaign rejects them instead of ignoring them.
+    parser.add_argument("--k", type=int, help="nested-crash depth (default: 2)")
     parser.add_argument("--stride", type=int, default=7, help="primary-cut stride")
     parser.add_argument("--stride2", type=int, default=5, help="nested-offset stride")
-    parser.add_argument("--torn-stride", type=int, default=7)
-    parser.add_argument("--corruption-trials", type=int, default=40)
-    parser.add_argument("--random-trials", type=int, default=30)
+    parser.add_argument("--torn-stride", type=int, help="default: 7")
+    parser.add_argument("--corruption-trials", type=int, help="default: 40")
+    parser.add_argument("--random-trials", type=int, help="default: 30")
     parser.add_argument("--jobs", type=int, default=None, help="worker processes")
     parser.add_argument("--out", default=None, help="write JSON artifact here")
     parser.add_argument("--smoke", action="store_true",
@@ -197,10 +199,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("--corruption-trials", opts.corruption_trials, 0),
         ("--random-trials", opts.random_trials, 0),
     ):
-        if value < low:
+        if value is not None and value < low:
             parser.error(f"{flag} must be at least {low}")
     if not opts.multicore and opts.schemes is not None:
         parser.error("--schemes only applies to --multicore campaigns")
+    # The single-core-only numbers that were given, by CampaignSpec field.
+    single = ("k", "torn_stride", "corruption_trials", "random_trials")
+    given = {n: getattr(opts, n) for n in single if getattr(opts, n) is not None}
+    if opts.multicore and given:
+        flag = "--" + next(iter(given)).replace("_", "-")
+        parser.error(f"{flag} only applies to single-core campaigns")
 
     mc = opts.multicore
     all_kernels = CONC_KERNELS if mc else KERNELS
@@ -229,12 +237,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             kernels=kernels,
             strategies=strategies,
             seed=opts.seed,
-            k=opts.k,
             stride=opts.stride,
             stride2=opts.stride2,
-            torn_stride=opts.torn_stride,
-            corruption_trials=opts.corruption_trials,
-            random_trials=opts.random_trials,
+            **given,
         )
     artifact = run_campaign(spec, jobs=jobs, log=print)
     print(campaign_result(artifact).format_table())

@@ -341,6 +341,10 @@ class MTCampaignSpec:
     boundary_stride: int = 3
     interleave_stride: int = 17
     max_shrink_evals: int = 150
+    #: (kernel, scheme) -> clean profiling run, shared by tasks() and sections()
+    _profiles: Dict[Tuple[str, str], MTKernelProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -356,6 +360,14 @@ class MTCampaignSpec:
             "interleave_stride": self.interleave_stride,
         }
 
+    def _profile(self, kernel: str, scheme: str) -> MTKernelProfile:
+        if (kernel, scheme) not in self._profiles:
+            module, threads, *_ = _mt_kernel_context(kernel)
+            self._profiles[kernel, scheme] = profile_conc_kernel(
+                module, kernel, threads, dict(MT_SCHEMES[scheme])
+            )
+        return self._profiles[kernel, scheme]
+
     def tasks(self) -> List[Tuple[str, Tuple[str, str], FaultSchedule]]:
         """Expand the spec into concrete (kernel, (scheme, strategy),
         schedule) tasks; every schedule pins its scheme's config."""
@@ -364,7 +376,7 @@ class MTCampaignSpec:
             module, threads, _digest, _ro, _rd = _mt_kernel_context(kernel)
             for scheme in self.schemes:
                 overrides = dict(MT_SCHEMES[scheme])
-                profile = profile_conc_kernel(module, kernel, threads, overrides)
+                profile = self._profile(kernel, scheme)
                 for name in self.strategies:
                     if name == "mt-single":
                         schedules = single_cut_sweep(profile, self.stride, name)
@@ -391,11 +403,8 @@ class MTCampaignSpec:
         """The delay-free wait account, per kernel x scheme, from clean runs."""
         delay_free: Dict[str, Dict[str, Dict[str, float]]] = {}
         for kernel in self.kernels:
-            module, threads, _d, _ro, _rd = _mt_kernel_context(kernel)
             for scheme in self.schemes:
-                profile = profile_conc_kernel(
-                    module, kernel, threads, dict(MT_SCHEMES[scheme])
-                )
+                profile = self._profile(kernel, scheme)
                 delay_free.setdefault(kernel, {})[scheme] = {
                     "sync_points": profile.sync_points,
                     "wait_slots": profile.sync_wait_slots,

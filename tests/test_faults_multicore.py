@@ -200,6 +200,21 @@ class TestCampaign:
         table = campaign_result(load_campaign(str(path))).format_table()
         assert "ticket_counter" in table and "wait/sync" in table
 
+    def test_profiles_each_kernel_scheme_once(self, monkeypatch):
+        """tasks() and the delay-free section share one clean
+        profiling run per (kernel, scheme)."""
+        calls = []
+        real = mt.profile_conc_kernel
+
+        def counting(module, name, *args, **kwargs):
+            calls.append(name)
+            return real(module, name, *args, **kwargs)
+
+        monkeypatch.setattr(mt, "profile_conc_kernel", counting)
+        spec = mt_smoke_spec()
+        run_campaign(spec, jobs=1)
+        assert len(calls) == len(spec.kernels) * len(spec.schemes) == 9
+
     def test_records_sorted_by_trial_id(self):
         """Satellite: worker completion order must not leak into the
         artifact -- per-cell counts are stable across jobs counts."""
@@ -266,6 +281,20 @@ class TestCLI:
             faults_main(["--schemes", "default"])
         assert exc.value.code == 2
         assert "--multicore" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--k", "3"), ("--torn-stride", "7"),
+         ("--corruption-trials", "40"), ("--random-trials", "0")],
+    )
+    def test_single_core_flags_rejected_under_multicore(self, capsys, flag, value):
+        # Legal values, the defaults among them: being given is the error.
+        argv = ["--multicore", "--kernels", "ticket_counter",
+                "--strategies", "mt-atomic", "--schemes", "default", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            faults_main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} only applies to single-core" in capsys.readouterr().err
 
     def test_singlecore_bad_kernel_lists_choices(self, capsys):
         with pytest.raises(SystemExit) as exc:

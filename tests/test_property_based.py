@@ -412,6 +412,74 @@ def test_prime_matches_per_line_reference(case):
     assert snapshots[0] == snapshots[1]
 
 
+@st.composite
+def primed_access_cases(draw):
+    """A prime case plus accesses after priming.  Addresses start at a
+    primed range, a pre-prime access or zero, and move up to twice the
+    DRAM cache's size and up to two tag blocks either way, so they hit
+    and miss on primed, unprimed and pre-prime-dirty indices."""
+    levels, dram, ranges, before, from_level = draw(prime_cases())
+    block = dram.size_bytes if dram is not None else 64
+    starts = [0] + [base for base, _ in ranges] + [addr for addr, _ in before]
+    addr = st.builds(
+        lambda start, offset, shift: max(0, start + offset + shift * block),
+        st.sampled_from(starts),
+        st.integers(0, 2 * block),
+        st.integers(-2, 2),
+    )
+    # (address, write, straight to the DRAM cache or through the levels)
+    after = draw(st.lists(st.tuples(addr, st.booleans(), st.booleans()), max_size=24))
+    return levels, dram, ranges, before, from_level, after
+
+
+def _access_all(hier, after):
+    """Run *after* on *hier*; return every result and the DRAM indices
+    the direct accesses touched."""
+    results, touched = [], set()
+    for addr, write, direct in after:
+        if direct and hier.dram is not None:
+            line = addr >> hier.line_bits
+            results.append(hier.dram.access(line, write))
+            touched.add(line % hier.dram.n_lines)
+        else:
+            results.append(hier.access(addr, write))
+    return results, touched
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=primed_access_cases())
+def test_primed_accesses_match_per_line_reference(case):
+    """Accesses after priming, and after copying a primed template,
+    return what they return after a per-line replay and leave the same
+    snapshot.  Each DRAM index a direct access touched holds its tag in
+    ``tags`` afterwards, so a primed index pays at most one run lookup."""
+    levels, dram, ranges, before, from_level, after = case
+
+    def primed(prime, accesses_before):
+        hier = CacheHierarchy(levels, dram)
+        for addr, write in accesses_before:
+            hier.access(addr, write)
+        prime(hier, list(ranges), from_level)
+        return hier
+
+    template = primed(CacheHierarchy.prime, ())
+    template_bytes = json.dumps(template.snapshot())
+    copied = CacheHierarchy(levels, dram)
+    copied.copy_tags_from(template)
+    pairs = (
+        (primed(CacheHierarchy.prime, before), primed(_reference_prime, before)),
+        (copied, primed(_reference_prime, ())),
+    )
+    for hier, reference in pairs:
+        got, touched = _access_all(hier, after)
+        want, _ = _access_all(reference, after)
+        assert got == want
+        assert json.dumps(hier.snapshot()) == json.dumps(reference.snapshot())
+        if hier.dram is not None:
+            assert touched <= set(hier.dram.tags)
+    assert json.dumps(template.snapshot()) == template_bytes
+
+
 class TestPackedVsReference:
     """Deterministic packed-vs-reference cases beside the property."""
 
