@@ -22,6 +22,7 @@ byte-identical stats (pinned by tests/test_golden_identity.py).
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 Event = Tuple
@@ -32,6 +33,8 @@ CODES_NO_ADDR = frozenset("abf")
 CODES_WITH_ADDR = frozenset("lscx")
 #: All valid event codes.
 CODES = CODES_NO_ADDR | CODES_WITH_ADDR
+#: Matches a string of valid codes only: one C-level scan per trace.
+_VALID_CODES = re.compile(f"[{''.join(sorted(CODES))}]*")
 
 
 class PackedTrace:
@@ -44,7 +47,7 @@ class PackedTrace:
             raise ValueError(
                 f"codes/addrs length mismatch: {len(codes)} != {len(addrs)}"
             )
-        if not set(codes) <= CODES:
+        if _VALID_CODES.fullmatch(codes) is None:
             bad = sorted(set(codes) - CODES)
             raise ValueError(
                 f"invalid event code(s) {bad}; valid codes are {sorted(CODES)}"

@@ -50,6 +50,21 @@ from repro.harness.report import campaign_result
 from repro.workloads.programs import CONC_KERNELS, KERNELS
 
 
+#: The strides a campaign runs without --stride/--stride2, in both modes.
+STRIDE, STRIDE2 = 7, 5
+
+#: The flags that shape a campaign: --smoke runs its own fixed spec, so
+#: giving one of them with it is an error.
+_CAMPAIGN_SPEC_FLAGS = (
+    "--kernels", "--strategies", "--schemes", "--k", "--stride", "--stride2",
+    "--torn-stride", "--corruption-trials", "--random-trials",
+)
+_POWER_SPEC_FLAGS = (
+    "--apps", "--schemes", "--on-fracs", "--duties", "--n-insts",
+    "--recovery-cycles",
+)
+
+
 def _csv(text: str) -> List[str]:
     return [item for item in text.split(",") if item]
 
@@ -67,11 +82,14 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--schemes", type=_csv, default=None,
                         help=f"multicore config schemes from {','.join(MT_SCHEMES)}")
     parser.add_argument("--seed", type=int, default=1, help="campaign RNG seed")
-    # The single-core-only numbers default to None, "not given", so a
-    # --multicore campaign rejects them instead of ignoring them.
+    # The spec-shaping numbers default to None, "not given", so --smoke
+    # (and, for the single-core-only ones, --multicore) rejects them
+    # instead of ignoring them.
     parser.add_argument("--k", type=int, help="nested-crash depth (default: 2)")
-    parser.add_argument("--stride", type=int, default=7, help="primary-cut stride")
-    parser.add_argument("--stride2", type=int, default=5, help="nested-offset stride")
+    parser.add_argument("--stride", type=int,
+                        help=f"primary-cut stride (default: {STRIDE})")
+    parser.add_argument("--stride2", type=int,
+                        help=f"nested-offset stride (default: {STRIDE2})")
     parser.add_argument("--torn-stride", type=int, help="default: 7")
     parser.add_argument("--corruption-trials", type=int, help="default: 40")
     parser.add_argument("--random-trials", type=int, help="default: 30")
@@ -79,6 +97,14 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write JSON artifact here")
     parser.add_argument("--smoke", action="store_true",
                         help="fast seeded CI campaign over quick kernels")
+
+
+def _reject_with_smoke(parser, opts, flags) -> None:
+    """--smoke runs a fixed spec: a spec-shaping flag with it is an error."""
+    if opts.smoke:
+        for flag in flags:
+            if getattr(opts, flag[2:].replace("-", "_")) is not None:
+                parser.error(f"{flag} cannot be combined with --smoke")
 
 
 def _validate_choices(parser, what: str, given: List[str], valid) -> None:
@@ -113,14 +139,17 @@ def _power_trace_main(argv: List[str]) -> int:
                              "run's uninterrupted cycles")
     parser.add_argument("--duties", type=_csv_floats, default=None,
                         help="power duty cycles (on-time fractions)")
-    parser.add_argument("--n-insts", type=int, default=4000)
+    parser.add_argument("--n-insts", type=int, default=None,
+                        help="trace length per run (default: 4000)")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--recovery-cycles", type=float, default=200.0,
-                        help="fixed restore cost per power-up, in cycles")
+    parser.add_argument("--recovery-cycles", type=float, default=None,
+                        help="fixed restore cost per power-up, in cycles "
+                             "(default: 200)")
     parser.add_argument("--out", default=None, help="write JSON artifact here")
     parser.add_argument("--smoke", action="store_true",
                         help="fast seeded CI sweep")
     opts = parser.parse_args(argv)
+    _reject_with_smoke(parser, opts, _POWER_SPEC_FLAGS)
     if opts.smoke:
         spec = power_smoke_spec(seed=opts.seed)
     else:
@@ -130,9 +159,13 @@ def _power_trace_main(argv: List[str]) -> int:
             schemes=tuple(opts.schemes) if opts.schemes else defaults.schemes,
             on_fracs=tuple(opts.on_fracs) if opts.on_fracs else defaults.on_fracs,
             duties=tuple(opts.duties) if opts.duties else defaults.duties,
-            n_insts=opts.n_insts,
+            n_insts=defaults.n_insts if opts.n_insts is None else opts.n_insts,
             seed=opts.seed,
-            recovery_cycles=opts.recovery_cycles,
+            recovery_cycles=(
+                defaults.recovery_cycles
+                if opts.recovery_cycles is None
+                else opts.recovery_cycles
+            ),
         )
     try:
         artifact = run_power_campaign(spec, log=print)
@@ -188,6 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.faults", description=__doc__)
     _campaign_args(parser)
     opts = parser.parse_args(argv)
+    _reject_with_smoke(parser, opts, _CAMPAIGN_SPEC_FLAGS)
     # --smoke defaults to a two-worker pool; an explicit --jobs wins.
     jobs = opts.jobs if opts.jobs is not None else (2 if opts.smoke else 1)
     for flag, value, low in (
@@ -211,6 +245,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"{flag} only applies to single-core campaigns")
 
     mc = opts.multicore
+    stride = STRIDE if opts.stride is None else opts.stride
+    stride2 = STRIDE2 if opts.stride2 is None else opts.stride2
     all_kernels = CONC_KERNELS if mc else KERNELS
     all_strategies = MT_STRATEGIES if mc else STRATEGIES
     kernels = opts.kernels if opts.kernels is not None else list(all_kernels)
@@ -229,16 +265,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             schemes=schemes,
             strategies=strategies,
             seed=opts.seed,
-            stride=opts.stride,
-            stride2=opts.stride2,
+            stride=stride,
+            stride2=stride2,
         )
     else:
         spec = CampaignSpec(
             kernels=kernels,
             strategies=strategies,
             seed=opts.seed,
-            stride=opts.stride,
-            stride2=opts.stride2,
+            stride=stride,
+            stride2=stride2,
             **given,
         )
     artifact = run_campaign(spec, jobs=jobs, log=print)

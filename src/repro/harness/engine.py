@@ -14,9 +14,10 @@ engine
    the simulator;
 3. fans cache misses out over a process pool (``--jobs N``) in
    per-app batches (:func:`form_batches`); workers regenerate traces
-   from the point key -- once per batch for points that share one --
-   so only compact :class:`~repro.arch.metrics.SimStats` metric sets
-   cross process boundaries;
+   from the point key -- once per batch for points that share one, or
+   not at all when a :class:`TraceStore` holds them -- so only compact
+   :class:`~repro.arch.metrics.SimStats` metric sets cross process
+   boundaries;
 4. re-runs each experiment's reducer against the resolved results and
    enforces its expected-shape assertions.
 
@@ -36,7 +37,9 @@ import hashlib
 import json
 import marshal
 import os
+import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -203,13 +206,99 @@ class ScanStore:
             pass  # the store is a memo: the next process parses again
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write *payload* to *path* atomically: readers never see it torn."""
+def _write_atomic(path: Path, mode: str, write: Callable) -> None:
+    """Call *write* on a pid-suffixed temp file opened with *mode*, then
+    move it to *path*: readers never see the entry torn."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    with open(tmp, mode) as fh:
+        write(fh)
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write *payload* to *path* atomically."""
+    _write_atomic(path, "w", lambda fh: json.dump(payload, fh, sort_keys=True))
+
+
+#: The trace generator's entry module.  A generated trace is a function
+#: of its arguments and of this module's import closure
+#: (``repro.workloads.synthetic``, ``repro.workloads.profiles`` and
+#: ``repro.arch.trace``), so :func:`trace_salt` hashes only that.
+_TRACE_ENTRY_MODULES = ("repro.workloads.synthetic",)
+
+
+def trace_salt(scans: Optional[ScanStore] = None) -> str:
+    """The generator salt, re-derived from the files on disk now."""
+    return recipe_salt(compute_salt_recipe(_TRACE_ENTRY_MODULES, scans))
+
+
+class TraceStore:
+    """Generated packed traces on disk, one file per trace.
+
+    An entry's key is the sha256 of the generator salt *salt* (see
+    :func:`trace_salt`) and the trace's arguments ``(app, n_insts,
+    seed, instrument)``, so an edit outside the generator's closure
+    keeps every key: a worker whose trace is stored reads it back
+    instead of generating it, and never imports NumPy.  An entry is a
+    header (format tag with the byte order, key, event count) followed
+    by the codes as ASCII bytes and the addresses as int64, about nine
+    bytes per event.  :meth:`get` serves only a complete entry written
+    under the key it is asked for: a missing, torn or foreign entry is a
+    miss.  Writes are atomic; a write that fails costs only a
+    regeneration.
+    """
+
+    _FORMAT = f"repro-trace-1-{sys.byteorder}".encode()
+
+    def __init__(self, root: Path, salt: str) -> None:
+        self.root = Path(root)
+        self.salt = salt
+
+    def key(self, app: str, n_insts: int, seed: int, instrument: Optional[str]) -> str:
+        canonical = json.dumps([self.salt, app, n_insts, seed, instrument])
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}.trace"
+
+    def _header(self, key: str, n_events: int) -> bytes:
+        return b"%s\0%s\0%d\0" % (self._FORMAT, key.encode(), n_events)
+
+    def get(self, key: str):
+        """The stored :class:`~repro.arch.trace.PackedTrace`, or None."""
+        from array import array
+
+        from repro.arch.trace import PackedTrace
+
+        try:
+            data = self._path(key).read_bytes()
+            form, stored_key, count, body = data.split(b"\0", 3)
+            n_events = int(count)
+            if (
+                form != self._FORMAT
+                or stored_key != key.encode()
+                or len(body) != 9 * n_events
+            ):
+                return None
+            addrs = array("q")
+            addrs.frombytes(memoryview(body)[n_events:])
+            return PackedTrace(body[:n_events].decode("ascii"), addrs.tolist())
+        except (OSError, ValueError):
+            return None  # missing, torn or corrupt entry: regenerate
+
+    def put(self, key: str, trace) -> None:
+        from array import array
+
+        def write(fh) -> None:
+            fh.write(self._header(key, len(trace)))
+            fh.write(trace.codes.encode("ascii"))
+            fh.write(array("q", trace.addrs))
+
+        try:
+            _write_atomic(self._path(key), "wb", write)
+        except OSError:
+            pass  # the store is a memo: the next worker generates again
 
 
 def _candidates(
@@ -355,28 +444,17 @@ def _trace_key(point: SimPoint) -> tuple:
     return ("trace", point.app, point.n_insts, point.seed, point.instrument)
 
 
-def _prime_key(point: SimPoint) -> tuple:
-    """What a single-core point's primed cache state is a pure function
-    of: the app's prime ranges and the hierarchy the simulator builds."""
-    machine = point.machine
-    dram = machine.dram_cache if point.scheme.dram_cache_enabled else None
-    return ("prime", point.app, machine.caches, dram)
-
-
 def _batch_memo(points: Sequence[Point]) -> Dict[tuple, list]:
-    """A batch-local memo holding only the keys its points share.
+    """A batch-local memo holding only the traces its points share.
 
-    Every trace or primed-state key that more than one single-core
-    point of the batch needs maps to ``[uses_left, value]``, with the
-    value built by the first of them and dropped after the last; a key
-    only one point needs is absent, so that point builds its own
-    exactly as an unbatched run does.
+    Every trace key that more than one single-core point of the batch
+    needs maps to ``[uses_left, trace]``, with the trace built by the
+    first of them and dropped after the last; a key only one point
+    needs is absent, so that point builds its own exactly as an
+    unbatched run does.
     """
     uses = Counter(
-        key
-        for point in points
-        if isinstance(point, SimPoint)
-        for key in (_trace_key(point), _prime_key(point))
+        _trace_key(point) for point in points if isinstance(point, SimPoint)
     )
     return {key: [n, None] for key, n in uses.items() if n > 1}
 
@@ -390,77 +468,80 @@ def _shared(batch: Optional[Dict[tuple, list]], key: tuple, make: Callable):
         entry[1] = make()
     entry[0] -= 1
     if entry[0] == 0:
-        del batch[key]  # its last user: free the trace or template
+        del batch[key]  # its last user: free the trace
     return entry[1]
 
 
+def _trace(
+    app: str, n_insts: int, seed: int, instrument: Optional[str],
+    traces: Optional[TraceStore] = None,
+):
+    """The packed trace of one core: read from *traces* if it holds it,
+    else generated (and then stored there)."""
+    if traces is not None:
+        key = traces.key(app, n_insts, seed, instrument)
+        trace = traces.get(key)
+        if trace is not None:
+            return trace
+    # NumPy loads with the first generated trace, never on a hit.
+    from repro.workloads.synthetic import generate_trace
+
+    trace = generate_trace(PROFILES[app], n_insts, seed, instrument=instrument, packed=True)
+    if traces is not None:
+        traces.put(key, trace)
+    return trace
+
+
 def compute_point(
-    point: Point, batch: Optional[Dict[tuple, list]] = None
+    point: Point,
+    batch: Optional[Dict[tuple, list]] = None,
+    traces: Optional[TraceStore] = None,
 ) -> SimStats:
-    """Regenerate the trace(s) for *point* and simulate it.
+    """Regenerate (or read) the trace(s) for *point* and simulate it.
 
     *batch* is the memo of the worker batch *point* belongs to (see
-    :func:`_batch_memo`): a single-core point reuses the trace and the
-    primed cache state it shares with other points of the batch
-    instead of rebuilding them -- both are pure functions of their
-    keys, so the stats are bit-identical.
+    :func:`_batch_memo`): a single-core point reuses the trace it
+    shares with other points of the batch instead of rebuilding it.
+    *traces* is a :class:`TraceStore` that traces are read from and
+    written to.  A trace is a pure function of its key, so the stats
+    are bit-identical either way.
     """
     # The simulator stack loads here, not with the engine, so a run
     # that simulates nothing never compiles it (DESIGN.md section 7e).
-    from repro.arch.caches import CacheHierarchy
     from repro.arch.machine import TimingSimulator
     from repro.arch.multicore import simulate_multicore
-    from repro.workloads.synthetic import generate_trace, prime_ranges
+    from repro.workloads.synthetic import prime_ranges
 
+    # Packed traces feed the simulators' batched fast paths; the result
+    # is value-identical to the legacy tuple lists (golden-pinned).
     if isinstance(point, MulticorePoint):
-        # Packed traces feed the fused multicore scheduling loop; the
-        # result is value-identical to the legacy tuple lists through
-        # the reference min-clock stepper (golden-pinned).
-        traces = [
-            generate_trace(
-                PROFILES[app], point.n_insts, seed=point.seed + i,
-                instrument=point.instrument, packed=True,
-            )
+        core_traces = [
+            _trace(app, point.n_insts, point.seed + i, point.instrument, traces)
             for i, app in enumerate(point.apps)
         ]
         prime = [r for app in point.prime_apps for r in prime_ranges(PROFILES[app])]
         mstats = simulate_multicore(
-            traces, point.machine, point.scheme, point.n_cores, prime=prime
+            core_traces, point.machine, point.scheme, point.n_cores, prime=prime
         )
         return mstats.merged()
-    profile = PROFILES[point.app]
-    ranges = prime_ranges(profile)
 
-    # Packed traces feed the simulator's batched fast path; the result
-    # is value-identical to the legacy tuple list (golden-pinned).
     def make_trace():
-        return generate_trace(
-            profile, point.n_insts, point.seed,
-            instrument=point.instrument, packed=True,
-        )
-
-    def make_template():
-        *_, caches, dram = _prime_key(point)
-        template = CacheHierarchy(caches, dram)
-        template.prime(ranges)
-        return template
+        return _trace(point.app, point.n_insts, point.seed, point.instrument, traces)
 
     trace = _shared(batch, _trace_key(point), make_trace)
     if trace is None:
         trace = make_trace()
     sim = TimingSimulator(point.machine, point.scheme)
-    template = _shared(batch, _prime_key(point), make_template)
-    if template is None:
-        sim.hier.prime(ranges)
-    else:
-        sim.hier.copy_tags_from(template)
+    sim.hier.prime(prime_ranges(PROFILES[point.app]))
     return sim.run(trace)
 
 
-def _execute_batch(batch: List[Point]) -> List[SimStats]:
+def _execute_batch(
+    batch: List[Point], traces: Optional[TraceStore] = None
+) -> List[SimStats]:
     """Compute one worker batch; its memo dies with it."""
     memo = _batch_memo(batch) if len(batch) > 1 else None
-    return [compute_point(point, batch=memo) for point in batch]
+    return [compute_point(point, batch=memo, traces=traces) for point in batch]
 
 
 class WorkerCrash(RuntimeError):
@@ -644,6 +725,7 @@ def compute_points(
     jobs: int = 1,
     mp_context: Optional[str] = None,
     always_pool: bool = False,
+    traces: Optional[TraceStore] = None,
 ) -> Dict[Point, SimStats]:
     """Simulate the ``(cache_key, point)`` *misses* and backfill *cache*.
 
@@ -651,13 +733,15 @@ def compute_points(
     each.  A batch's results are flushed into *cache* together as the
     batch lands, in completion order, so an interrupt or worker crash
     keeps every completed batch and loses only the batches in flight.
+    Workers read and write their traces in *traces*, if given.
     Returns ``{point: stats}`` in the order of *misses*.
     """
-    if misses:
+    if misses and mp_context != "spawn":
         # Load the simulator stack and NumPy once, before the pool forks
         # workers that inherit them (multicore imports machine, caches,
         # queues and trace).  Simulator first: compiled after NumPy, it
         # left forked workers about 0.5 MB larger (sweep-cold peak RSS).
+        # Spawned workers inherit nothing, so a spawning parent skips it.
         import repro.arch.multicore  # noqa: F401
         import repro.workloads.synthetic  # noqa: F401
         import numpy  # noqa: F401
@@ -673,7 +757,7 @@ def compute_points(
             computed[i] = stats
 
     parallel_map(
-        _execute_batch,
+        partial(_execute_batch, traces=traces),
         work,
         jobs=jobs,
         ordered=False,
@@ -817,6 +901,7 @@ class Engine:
         salt: Optional[str] = None,
         mp_context: Optional[str] = None,
         always_pool: bool = False,
+        traces: Optional[TraceStore] = None,
     ) -> None:
         self.jobs = jobs
         self.cache = MemoryCache() if cache is None else cache
@@ -829,6 +914,9 @@ class Engine:
         #: serve loop passes ``mp_context="spawn", always_pool=True``.
         self.mp_context = mp_context
         self.always_pool = always_pool
+        #: Where workers read and write traces (the serve loop's
+        #: :class:`TraceStore`); None generates every trace.
+        self.traces = traces
         self.last_run: Optional[RunInfo] = None
         #: Scheme provenance per experiment name, from the last run.
         self.provenance: Dict[str, Dict[str, object]] = {}
@@ -876,6 +964,7 @@ class Engine:
             jobs=self.jobs,
             mp_context=self.mp_context,
             always_pool=self.always_pool,
+            traces=self.traces,
         )
 
     def resolve(

@@ -17,15 +17,19 @@ edits by recomputing *only the dirty delta*:
 3. **Recompute.**  Dirty points fan out over the worker pool.  Workers
    are **spawned fresh** (``mp_context="spawn"``, pool forced even for
    ``--jobs 1``) so they import the edited simulator code from disk
-   rather than inheriting this process's stale modules.
+   rather than inheriting this process's stale modules.  They read
+   each trace from the :class:`~repro.harness.engine.TraceStore` under
+   ``<cache-dir>/trace/`` when the generator's own salt still matches,
+   so an edit outside the generator regenerates no trace.
 4. **Publish.**  Figure JSON artifacts and the serve-owned
    EXPERIMENTS.md (one :func:`splice_section` block per experiment)
    are rewritten atomically (pid-suffixed temp + ``os.replace``), and
    one canonical-JSON line is appended to the **generation ledger**
-   (``generations.jsonl``): generation number, changed modules per the
-   salt recipe, dirty/clean/planned counts, per-phase wall time, cache
-   hit rate, and a digest over the published artifact bytes.  A no-op
-   edit provably republishes byte-identical artifacts (same digest).
+   (``generations.jsonl``): generation number, the result and trace
+   salts, changed modules per the salt recipe, dirty/clean/planned
+   counts, per-phase wall time, cache hit rate, and a digest over the
+   published artifact bytes.  A no-op edit provably republishes
+   byte-identical artifacts (same digest).
 
 Subscribers (``python -m repro.harness subscribe``, or a campaign via
 ``python -m repro.explore --live-server``) follow the monotonically
@@ -58,9 +62,11 @@ from repro.harness.engine import (
     CACHE_DIR,
     Engine,
     ResultCache,
+    TraceStore,
     compute_salt_recipe,
     module_file,
     recipe_salt,
+    trace_salt,
 )
 from repro.harness.experiments_md import experiment_section, splice_section
 from repro.perf.timers import PhaseTimer
@@ -196,6 +202,7 @@ class ResultsServer:
         with timer.phase("plan"):
             recipe = compute_salt_recipe(scans=self.scans)
             salt = recipe_salt(recipe)
+            generator_salt = trace_salt(self.scans)
             specs, names = self._load_specs(
                 reload=self.config.specs_module in changed
             )
@@ -207,6 +214,11 @@ class ResultsServer:
                 salt=salt,
                 mp_context="spawn",
                 always_pool=True,
+                # Traces outlive generations: an edit outside the
+                # generator's closure keeps every one of their keys.
+                traces=TraceStore(
+                    Path(self.config.cache_dir) / "trace", generator_salt
+                ),
             )
             tasks = engine.plan(specs)
         with timer.phase("classify"):
@@ -230,6 +242,7 @@ class ResultsServer:
             "generation": self.generation,
             "reason": reason,
             "salt": salt,
+            "trace_salt": generator_salt,
             "changed_modules": sorted(changed),
             "planned": planned,
             "dirty": len(dirty),

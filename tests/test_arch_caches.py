@@ -1,15 +1,7 @@
 """Cache models: LRU, dirty eviction, direct-mapped DRAM, priming."""
 
-import json
-
-import pytest
-
 from repro.arch.caches import CacheHierarchy, DirectMappedCache, SetAssocCache
-from repro.arch.config import CacheConfig, DRAMCacheConfig, skylake_machine
-from repro.arch.machine import TimingSimulator
-from repro.schemes import cwsp
-from repro.workloads.profiles import PROFILES
-from repro.workloads.synthetic import prime_ranges
+from repro.arch.config import CacheConfig, DRAMCacheConfig
 
 
 def tiny_cache(ways=2, sets=2):
@@ -165,61 +157,3 @@ class TestHierarchy:
         _, to_nvm, _, _ = h.access(0, False)
         assert to_nvm
 
-
-class TestCopyTagsFrom:
-    """A copy of a primed template is the state a direct prime leaves."""
-
-    RANGES = prime_ranges(PROFILES["lbm"])
-
-    def _template(self, machine):
-        template = CacheHierarchy(machine.caches, machine.dram_cache)
-        template.prime(self.RANGES)
-        return template
-
-    def test_packed_fast_simulator_matches_direct_prime(self):
-        machine = skylake_machine(scaled=True)
-        direct = TimingSimulator(machine, cwsp())
-        direct.hier.prime(self.RANGES)
-        copied = TimingSimulator(machine, cwsp())
-        l1_sets = copied.hier.levels[0].sets
-        pre_created = {i: ways for i, ways in l1_sets.items()}
-        copied.hier.copy_tags_from(self._template(machine))
-        assert json.dumps(copied.hier.snapshot()) == json.dumps(direct.hier.snapshot())
-        # The fused loop holds the pre-created L1 set dicts: same objects.
-        assert copied.hier.levels[0].sets is l1_sets
-        assert all(l1_sets[i] is ways for i, ways in pre_created.items())
-        assert list(l1_sets) == list(direct.hier.levels[0].sets)
-
-    def test_bare_hierarchy_matches_direct_prime(self):
-        machine = skylake_machine()  # three levels, full-size
-        direct = CacheHierarchy(machine.caches, machine.dram_cache)
-        direct.prime(self.RANGES)
-        copied = CacheHierarchy(machine.caches, machine.dram_cache)
-        template = self._template(machine)
-        copied.copy_tags_from(template)
-        assert json.dumps(copied.snapshot()) == json.dumps(direct.snapshot())
-        # Fresh entries: running the copy leaves the template primed.
-        copied.access(self.RANGES[0][0], True)
-        assert json.dumps(template.snapshot()) == json.dumps(direct.snapshot())
-
-    def test_touched_target_raises(self):
-        machine = skylake_machine(scaled=True)
-        template = self._template(machine)
-        for touch in (
-            lambda h: h.access(0, False),
-            lambda h: h.prime(self.RANGES),
-            lambda h: h.dram.access(0, False),
-        ):
-            target = CacheHierarchy(machine.caches, machine.dram_cache)
-            touch(target)
-            with pytest.raises(ValueError, match="not untouched"):
-                target.copy_tags_from(template)
-        template.access(0, False)
-        with pytest.raises(ValueError, match="accessed since priming"):
-            CacheHierarchy(machine.caches, machine.dram_cache).copy_tags_from(template)
-
-    def test_geometry_mismatch_raises(self):
-        machine = skylake_machine(scaled=True)
-        template = self._template(machine)
-        with pytest.raises(ValueError, match="geometry"):
-            CacheHierarchy(machine.caches, None).copy_tags_from(template)

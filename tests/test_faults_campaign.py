@@ -330,6 +330,34 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--multicore"]], ids=["single", "multicore"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--kernels", "counter"), ("--strategies", "torn"), ("--schemes", "default"),
+         ("--k", "2"), ("--stride", "7"), ("--stride2", "5"), ("--torn-stride", "7"),
+         ("--corruption-trials", "40"), ("--random-trials", "30")],
+    )
+    def test_spec_flags_rejected_with_smoke(self, capsys, mode, flag, value):
+        # The defaults among the values: being given is the error.
+        with pytest.raises(SystemExit) as exc:
+            faults_main([*mode, "--smoke", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag} cannot be combined with --smoke" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--multicore"]], ids=["single", "multicore"])
+    def test_smoke_keeps_seed_jobs_and_out(self, monkeypatch, tmp_path, mode):
+        import repro.faults.__main__ as cli
+
+        def capture(spec, jobs, log):
+            raise RuntimeError((spec, jobs))
+
+        monkeypatch.setattr(cli, "run_campaign", capture)
+        argv = [*mode, "--smoke", "--seed", "4", "--jobs", "1", "--out", str(tmp_path / "a")]
+        with pytest.raises(RuntimeError) as exc:
+            faults_main(argv)
+        smoke = cli.mt_smoke_spec if mode else cli.smoke_spec
+        assert exc.value.args[0] == (smoke(seed=4), 1)
+
     @pytest.mark.parametrize(
         "flag, value, low",
         [

@@ -4,7 +4,9 @@ import pytest
 
 from repro.arch.config import skylake_machine
 from repro.arch.machine import simulate
+from repro.faults.__main__ import main as faults_main
 from repro.faults.power import (
+    PowerCampaignSpec,
     PowerTrace,
     power_smoke_spec,
     run_intermittent,
@@ -92,3 +94,40 @@ class TestPowerModel:
         assert any(
             row["completed"] for row in rows if row["scheme"] != "baseline"
         )
+
+
+class TestCLI:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--apps", "astar"), ("--schemes", "cwsp"), ("--on-fracs", "0.1"),
+         ("--duties", "0.5"), ("--n-insts", "4000"), ("--recovery-cycles", "200")],
+    )
+    def test_spec_flags_rejected_with_smoke(self, capsys, flag, value):
+        # The defaults among the values: being given is the error.
+        with pytest.raises(SystemExit) as exc:
+            faults_main(["--power-trace", "--smoke", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag} cannot be combined with --smoke" in capsys.readouterr().err
+
+    def test_smoke_keeps_seed_and_out(self, monkeypatch, tmp_path):
+        import repro.faults.power as power
+
+        def capture(spec, log):
+            raise RuntimeError(spec)
+
+        monkeypatch.setattr(power, "run_power_campaign", capture)
+        argv = ["--power-trace", "--smoke", "--seed", "4", "--out", str(tmp_path / "a")]
+        with pytest.raises(RuntimeError) as exc:
+            faults_main(argv)
+        assert exc.value.args[0] == power_smoke_spec(seed=4)
+
+    def test_unset_numbers_take_the_spec_defaults(self, monkeypatch):
+        import repro.faults.power as power
+
+        def capture(spec, log):
+            raise RuntimeError(spec)
+
+        monkeypatch.setattr(power, "run_power_campaign", capture)
+        with pytest.raises(RuntimeError) as exc:
+            faults_main(["--power-trace"])
+        assert exc.value.args[0] == PowerCampaignSpec()

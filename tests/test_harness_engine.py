@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,11 +16,14 @@ from repro.harness.engine import (
     MemoryCache,
     NullCache,
     ResultCache,
+    TraceStore,
     code_salt,
     compute_point,
     form_batches,
     parallel_map,
     point_cache_key,
+    recipe_salt,
+    trace_salt,
 )
 from repro.harness.report import FigureResult
 from repro.harness.spec import (
@@ -31,6 +35,8 @@ from repro.harness.spec import (
     SimPoint,
 )
 from repro.schemes import baseline, cwsp
+from repro.workloads.profiles import PROFILES
+from repro.workloads.synthetic import generate_trace
 
 N = 2000
 
@@ -373,26 +379,20 @@ class TestBatchFormation:
                 by_app.setdefault(point.app, []).append(len(batch))
         assert all(max(sizes) - min(sizes) <= 1 for sizes in by_app.values())
 
-    def test_batch_shares_trace_and_primed_state(self, monkeypatch):
-        """A batch of one app generates each trace and primes each
-        geometry once; a point that shares nothing takes the direct path."""
-        from repro.arch.caches import CacheHierarchy
+    def test_batch_shares_each_trace(self, monkeypatch):
+        """A batch of one app generates each trace once; a point that
+        shares nothing takes the direct path."""
         from repro.harness import engine as engine_mod
         from repro.workloads import synthetic
 
-        calls = {"trace": 0, "prime": 0}
-        real_trace, real_prime = synthetic.generate_trace, CacheHierarchy.prime
+        calls = []
+        real_trace = synthetic.generate_trace
 
         def counting_trace(*args, **kwargs):
-            calls["trace"] += 1
+            calls.append(args)
             return real_trace(*args, **kwargs)
 
-        def counting_prime(self, *args, **kwargs):
-            calls["prime"] += 1
-            return real_prime(self, *args, **kwargs)
-
         monkeypatch.setattr(synthetic, "generate_trace", counting_trace)
-        monkeypatch.setattr(CacheHierarchy, "prime", counting_prime)
         machine = skylake_machine(scaled=True)
         batch = [
             (f"key-{i}", SimPoint("lbm", scheme, machine, instrument, N, 1))
@@ -401,16 +401,15 @@ class TestBatchFormation:
             )
         ]
         stats = engine_mod._execute_batch([point for _key, point in batch])
-        # Two distinct traces, one shared primed state.
-        assert calls == {"trace": 2, "prime": 1}
+        assert len(calls) == 2  # two distinct traces
         for (_key, point), got in zip(batch, stats):
             assert json.dumps(got.to_dict()) == json.dumps(compute_point(point).to_dict())
-        calls.update(trace=0, prime=0)
+        calls.clear()
         engine_mod._execute_batch([batch[0][1]])
-        assert calls == {"trace": 1, "prime": 1}
+        assert len(calls) == 1
 
 
-def _die_on_seed_666(point, batch=None):
+def _die_on_seed_666(point, batch=None, traces=None):
     import os as _os
     import signal as _signal
     import time as _time
@@ -797,6 +796,112 @@ class TestScanStore:
         cli.main(["tab01", "--no-cache", "--cache-dir", str(tmp_path / "cache")])
         assert engine_mod._salt_recipe is not None  # the walk did run
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTraceStore:
+    """Stored traces: a hit is the generated trace, and an entry that is
+    missing, torn, truncated, renamed or written under another key is a
+    miss."""
+
+    ARGS = ("lbm", 500, 3, "pruned")
+
+    def _filled(self, tmp_path, salt="generator-salt"):
+        store = TraceStore(tmp_path / "trace", salt)
+        key = store.key(*self.ARGS)
+        store.put(key, self._generated())
+        return store, key
+
+    def _generated(self):
+        app, n_insts, seed, instrument = self.ARGS
+        return generate_trace(
+            PROFILES[app], n_insts, seed, instrument=instrument, packed=True
+        )
+
+    def test_hit_is_the_generated_trace(self, tmp_path):
+        store, key = self._filled(tmp_path)
+        assert store.get(key) == self._generated()
+        assert [p.name for p in store.root.iterdir()] == [f"{key}.trace"]
+        # About nine bytes per event, plus a short header.
+        size = (store.root / f"{key}.trace").stat().st_size
+        assert 0 < size - 9 * len(self._generated()) < 100
+
+    def test_every_key_part_changes_the_key(self, tmp_path):
+        store = TraceStore(tmp_path, "a")
+        keys = {store.key(*self.ARGS), TraceStore(tmp_path, "b").key(*self.ARGS)}
+        for i, other in enumerate(("namd", 501, 4, None)):
+            args = list(self.ARGS)
+            args[i] = other
+            keys.add(store.key(*args))
+        assert len(keys) == 6
+
+    def test_missing_entry_is_a_miss(self, tmp_path):
+        store = TraceStore(tmp_path / "trace", "generator-salt")
+        assert store.get(store.key(*self.ARGS)) is None
+
+    @pytest.mark.parametrize("cut", [10, 80, -1, -9])
+    def test_torn_or_truncated_entry_is_a_miss(self, tmp_path, cut):
+        store, key = self._filled(tmp_path)
+        path = store.root / f"{key}.trace"
+        path.write_bytes(path.read_bytes()[:cut])
+        assert store.get(key) is None
+
+    def test_corrupt_codes_are_a_miss(self, tmp_path):
+        store, key = self._filled(tmp_path)
+        path = store.root / f"{key}.trace"
+        data = bytearray(path.read_bytes())
+        data[len(store._header(key, len(self._generated())))] = ord("q")  # code 0
+        path.write_bytes(bytes(data))
+        assert store.get(key) is None
+
+    def test_renamed_entry_is_a_miss(self, tmp_path):
+        store, key = self._filled(tmp_path)
+        other = store.key("lbm", 500, 4, "pruned")  # another seed
+        (store.root / f"{key}.trace").rename(store.root / f"{other}.trace")
+        assert store.get(other) is None
+
+    def test_entry_of_another_generator_salt_is_a_miss(self, tmp_path):
+        old, key = self._filled(tmp_path, salt="old")
+        new = TraceStore(old.root, "new")
+        new_key = new.key(*self.ARGS)
+        shutil.copy(old.root / f"{key}.trace", new.root / f"{new_key}.trace")
+        assert new.get(new_key) is None
+        assert old.get(key) == self._generated()
+
+    def test_failed_write_costs_only_a_regeneration(self, tmp_path):
+        (tmp_path / "trace").write_text("not a directory")
+        store = TraceStore(tmp_path / "trace", "generator-salt")
+        key = store.key(*self.ARGS)
+        store.put(key, self._generated())
+        assert store.get(key) is None
+
+    def test_multicore_point_stores_one_trace_per_core(self, tmp_path, monkeypatch):
+        from repro.workloads import synthetic
+
+        machine = skylake_machine(scaled=True)
+        point = MulticorePoint(
+            ("lbm", "namd"), ("lbm", "namd"), cwsp(), machine, None, N, 1
+        )
+        store = TraceStore(tmp_path / "trace", "generator-salt")
+        want = json.dumps(compute_point(point).to_dict())
+        assert json.dumps(compute_point(point, traces=store).to_dict()) == want
+        assert len(list(store.root.iterdir())) == 2
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a stored trace was generated again")
+
+        monkeypatch.setattr(synthetic, "generate_trace", no_generation)
+        assert json.dumps(compute_point(point, traces=store).to_dict()) == want
+
+    def test_generator_salt_covers_only_the_generator(self):
+        from repro.harness.engine import _TRACE_ENTRY_MODULES, compute_salt_recipe
+
+        recipe = compute_salt_recipe(_TRACE_ENTRY_MODULES)
+        assert sorted(recipe["modules"]) == [
+            "repro.arch.trace",
+            "repro.workloads.profiles",
+            "repro.workloads.synthetic",
+        ]
+        assert trace_salt() == recipe_salt(recipe) != code_salt()
 
 
 # ----------------------------------------------------------------------

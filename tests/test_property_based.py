@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,7 +29,7 @@ from repro.compiler import (
     check_regions_replayable,
     compile_module,
 )
-from repro.harness.engine import NullCache, compute_point, resolve_points
+from repro.harness.engine import NullCache, TraceStore, compute_point, resolve_points
 from repro.harness.spec import SimPoint
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Module
@@ -449,35 +451,26 @@ def _access_all(hier, after):
 @settings(max_examples=200, deadline=None)
 @given(case=primed_access_cases())
 def test_primed_accesses_match_per_line_reference(case):
-    """Accesses after priming, and after copying a primed template,
-    return what they return after a per-line replay and leave the same
-    snapshot.  Each DRAM index a direct access touched holds its tag in
-    ``tags`` afterwards, so a primed index pays at most one run lookup."""
+    """Accesses after priming return what they return after a per-line
+    replay and leave the same snapshot.  Each DRAM index a direct access
+    touched holds its tag in ``tags`` afterwards, so a primed index pays
+    at most one run lookup."""
     levels, dram, ranges, before, from_level, after = case
 
-    def primed(prime, accesses_before):
+    def primed(prime):
         hier = CacheHierarchy(levels, dram)
-        for addr, write in accesses_before:
+        for addr, write in before:
             hier.access(addr, write)
         prime(hier, list(ranges), from_level)
         return hier
 
-    template = primed(CacheHierarchy.prime, ())
-    template_bytes = json.dumps(template.snapshot())
-    copied = CacheHierarchy(levels, dram)
-    copied.copy_tags_from(template)
-    pairs = (
-        (primed(CacheHierarchy.prime, before), primed(_reference_prime, before)),
-        (copied, primed(_reference_prime, ())),
-    )
-    for hier, reference in pairs:
-        got, touched = _access_all(hier, after)
-        want, _ = _access_all(reference, after)
-        assert got == want
-        assert json.dumps(hier.snapshot()) == json.dumps(reference.snapshot())
-        if hier.dram is not None:
-            assert touched <= set(hier.dram.tags)
-    assert json.dumps(template.snapshot()) == template_bytes
+    hier, reference = primed(CacheHierarchy.prime), primed(_reference_prime)
+    got, touched = _access_all(hier, after)
+    want, _ = _access_all(reference, after)
+    assert got == want
+    assert json.dumps(hier.snapshot()) == json.dumps(reference.snapshot())
+    if hier.dram is not None:
+        assert touched <= set(hier.dram.tags)
 
 
 class TestPackedVsReference:
@@ -658,6 +651,31 @@ def test_batched_resolve_matches_per_point_compute_two_jobs():
         )
     ]
     _assert_batched_equals_per_point(misses, jobs=2)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    app=st.sampled_from(sorted(PROFILES)),
+    n_insts=st.integers(0, 3000),
+    seed=st.integers(0, 2**32),
+    instrument=st.sampled_from([None, "unpruned", "pruned"]),
+)
+def test_trace_store_round_trip(app, n_insts, seed, instrument):
+    """A stored trace reads back equal to the generated one, and a
+    point computed through the store, on the miss that fills it and on
+    the hit, has the stats it has without one."""
+    point = SimPoint(app, cwsp(), _BATCH_MACHINES[0], instrument, n_insts, seed)
+    want = _stats_json(compute_point(point))
+    with tempfile.TemporaryDirectory() as root:
+        store = TraceStore(Path(root), "generator-salt")
+        key = store.key(app, n_insts, seed, instrument)
+        assert store.get(key) is None
+        assert _stats_json(compute_point(point, traces=store)) == want
+        stored = store.get(key)
+        assert stored == generate_trace(
+            PROFILES[app], n_insts, seed, instrument=instrument, packed=True
+        )
+        assert _stats_json(compute_point(point, traces=store)) == want
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ subprocess against a *copied* checkout and edits modules under it,
 proving the acceptance criteria: a comment appended to the spec module
 reloads it and triggers a generation with zero recomputed points and a
 byte-identical artifacts digest, while a salted edit
-(``repro.arch.machine``) recomputes the whole affected grid.
+(``repro.arch.machine``) recomputes the whole affected grid on the
+stored traces, and an edit to the trace generator
+(``repro.workloads.synthetic``) regenerates every trace too.
 """
 
 import json
@@ -243,6 +245,11 @@ def _wait_for_lines(path, n, deadline=180.0):
     )
 
 
+def _trace_entries(root):
+    """The names of the daemon's stored traces."""
+    return {path.name for path in (root / "cache" / "trace").iterdir()}
+
+
 class TestServeEndToEnd:
     def test_live_edits_drive_exact_dirty_deltas(self, tmp_path):
         shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
@@ -254,7 +261,7 @@ class TestServeEndToEnd:
             [
                 sys.executable, "-m", "repro.harness", "serve", "tiny",
                 "--specs-module", "tiny_live_specs",
-                "--interval", "0.2", "--max-generations", "3",
+                "--interval", "0.2", "--max-generations", "4",
                 "--out", "out", "--cache-dir", "cache",
             ],
             cwd=tmp_path, env=env,
@@ -268,10 +275,18 @@ class TestServeEndToEnd:
             with open(tmp_path / "tiny_live_specs.py", "a") as fh:
                 fh.write("\n# serve e2e: no-op edit\n")
             _wait_for_lines(ledger, 2)
-            # A salted edit: every dependent point recomputes.
+            stored = _trace_entries(tmp_path)
+            # A salted edit: every dependent point recomputes, on the
+            # stored traces.
             with open(tmp_path / "src/repro/arch/machine.py", "a") as fh:
                 fh.write("\n# serve e2e: salted edit\n")
-            entries = _wait_for_lines(ledger, 3)
+            _wait_for_lines(ledger, 3)
+            assert _trace_entries(tmp_path) == stored
+            # An edit to the trace generator regenerates every trace.
+            with open(tmp_path / "src/repro/workloads/synthetic.py", "a") as fh:
+                fh.write("\n# serve e2e: generator edit\n")
+            entries = _wait_for_lines(ledger, 4)
+            regenerated = _trace_entries(tmp_path)
             assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
@@ -279,9 +294,10 @@ class TestServeEndToEnd:
                 proc.wait()
             out = proc.stdout.read() if proc.stdout else ""
 
-        g0, g1, g2 = entries[:3]
-        assert [g0["generation"], g1["generation"], g2["generation"]] == [0, 1, 2]
+        g0, g1, g2, g3 = entries[:4]
+        assert [g["generation"] for g in (g0, g1, g2, g3)] == [0, 1, 2, 3]
         assert g0["dirty"] == g0["planned"] > 0
+        assert len(stored) == 4  # an original and a pruned trace per app
 
         assert g1["changed_modules"] == ["tiny_live_specs"], out
         assert g1["dirty"] == 0
@@ -292,18 +308,26 @@ class TestServeEndToEnd:
         assert g2["changed_modules"] == ["repro.arch.machine"], out
         assert g2["dirty"] == g2["planned"]
         assert g2["salt"] != g0["salt"]
+        assert g2["trace_salt"] == g0["trace_salt"]
+        assert g2["artifacts_digest"] == g0["artifacts_digest"]
+
+        assert g3["changed_modules"] == ["repro.workloads.synthetic"], out
+        assert g3["dirty"] == g3["planned"]
+        assert g3["trace_salt"] != g2["trace_salt"]
+        assert len(regenerated - stored) == len(stored)
+        assert g3["artifacts_digest"] == g0["artifacts_digest"]
 
         # The subscribe CLI replays the same ledger.
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.harness", "subscribe", "out",
-                "--from", "-1", "--max", "3",
+                "--from", "-1", "--max", "4",
             ],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         lines = result.stdout.strip().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 4
         assert "gen 0" in lines[0]
         assert f"dirty=0/{g0['planned']}" in lines[1]
         assert "changed=repro.arch.machine" in lines[2]

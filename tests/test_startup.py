@@ -13,7 +13,9 @@ by their packages, and the process-pool
 stack loads inside ``parallel_map``.  The simulator itself (machine,
 caches, multicore, queues, trace and the trace generator) loads where a
 point simulates, and ``compute_points`` imports it before the fork as
-it does numpy.  A warm run also parses no salted module: the salt
+it does numpy -- unless the workers are spawned, as the serve daemon's
+are: they inherit nothing, and one whose trace is stored never loads
+numpy at all.  A warm run also parses no salted module: the salt
 walk's parses are stored beside the results.
 
 Each check runs in a fresh interpreter: the test process itself has
@@ -133,6 +135,63 @@ assert len(resolved) == 2
 print(sorted(set(preloaded) - set(sys.modules)))
 """
     assert _python(f"SIMULATOR = {SIMULATOR!r}" + code, tmp_path) == "[]"
+
+
+def test_serve_daemon_loads_neither_numpy_nor_the_simulator(tmp_path):
+    """Its workers are spawned and inherit nothing, so the daemon skips
+    the pre-fork import even in a generation that simulates."""
+    code = """
+import sys
+from repro.harness.serve import ResultsServer, ServeConfig
+config = ServeConfig(
+    names=["multicore"], out_dir="out", cache_dir="cache", jobs=2, n_insts=500
+)
+entry = ResultsServer(config).run_generation("initial", [])
+assert entry["dirty"] == entry["executed"] == entry["planned"] > 0, entry
+print(sorted({"numpy", "repro.arch.machine"} & set(sys.modules)))
+"""
+    assert _python(code, tmp_path) == "[]"
+
+
+#: Runs one batch in a pool worker with a trace store and reports the
+#: stats and whether the worker imported numpy.
+PROBE = """
+import sys
+from repro.harness.engine import _execute_batch
+
+
+def probe(store, batch):
+    stats = _execute_batch(batch, traces=store)
+    return [s.to_dict() for s in stats], "numpy" in sys.modules
+"""
+
+
+def test_spawned_worker_on_a_stored_trace_does_not_load_numpy(tmp_path):
+    (tmp_path / "trace_probe.py").write_text(PROBE)
+    code = """
+from functools import partial
+from pathlib import Path
+from repro.arch import skylake_machine
+from repro.harness.engine import TraceStore, parallel_map, trace_salt
+from repro.harness.spec import SimPoint
+from repro.schemes import cwsp
+import trace_probe
+
+point = SimPoint("lbm", cwsp(), skylake_machine(scaled=True), "pruned", 500, 1)
+store = TraceStore(Path("trace"), trace_salt())
+
+
+def run():
+    fn = partial(trace_probe.probe, store)
+    return parallel_map(fn, [[point]], mp_context="spawn", always_pool=True)[0]
+
+
+generated, generated_numpy = run()
+stored, stored_numpy = run()
+assert stored == generated
+print(generated_numpy, stored_numpy, len(list(Path("trace").iterdir())))
+"""
+    assert _python(code, tmp_path) == "True False 1"
 
 
 @pytest.mark.parametrize("package", ["repro.arch", "repro.workloads"])
