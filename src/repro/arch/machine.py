@@ -210,11 +210,12 @@ class TimingSimulator:
     ):
         """The event loop, as a coroutine: commits ``trace[start:]``.
 
-        Every committed event in the simulator goes through here.  The
-        ``a``/``l``/``s``/``c`` cases (the bulk of every stream) are
-        inlined with all hot state held in locals; the rare
-        ``b``/``f``/``x`` cases sync state back to ``self``, call
-        :meth:`_boundary`/:meth:`_sync`/:meth:`_store`, and reload.
+        Every committed event in the simulator goes through here, every
+        event code inlined with the core-private state (clock, L1 LRU
+        state, PB and RBT clocks and occupancy integrals) held in
+        locals.  Only the store of an atomic (``x``) and the checkpoint
+        stores a boundary synthesizes sync state back to ``self``, call
+        :meth:`_store`, and reload.
         See DESIGN.md ("Hot-loop optimization invariants") for what
         this loop may and may not reorder -- every float operation
         below happens in the same order, on the same values, as in the
@@ -231,12 +232,14 @@ class TimingSimulator:
         ``(limit_cycle, limit_idx)`` -- the smallest pre-event
         ``(clock, core)`` pair among the *other* cores.  Events that
         touch only core-private state (ALU ops, L1 hits, fences,
-        coalesced persists) run unconditionally; before an event that
-        touches shared state (L2+/DRAM tags, WPQs, NVM bandwidth) the
-        generator yields its own pre-event clock while it is not the
-        minimum, and the scheduler resumes whichever core is.  The
-        generator frame keeps every localized scalar alive across
-        yields, so blocking costs one comparison, not a state reload.
+        coalesced persists, boundaries that synthesize no checkpoint
+        stores) run unconditionally; before an event that touches
+        shared state (L2+/DRAM tags, WPQs, NVM bandwidth) the generator
+        yields its own pre-event clock while it is not the minimum, and
+        the scheduler resumes whichever core is.  The generator frame
+        keeps every localized scalar alive across yields, so blocking
+        costs one comparison, not a state reload; no shared state is
+        ever held in a local across a yield.
         """
         # -- constants ------------------------------------------------
         commit_cost = self._commit_cost
@@ -252,10 +255,13 @@ class TimingSimulator:
         wpq_drain = self._wpq_drain_overhead
         line_bits = self._line_bits
         extra_store_cost = self._extra_store_cost
+        extra_region_cost = self._extra_region_cost
         scheme = self.scheme
         persist_stores = scheme.persist_stores
-        persist_bytes = scheme.persist_bytes
         coalesce = scheme.coalesce_lines
+        ckpt_per_region = scheme.ckpt_stores_per_region
+        mc_speculation = scheme.mc_speculation
+        stall_at_boundary = scheme.stall_at_boundary
         wpq_delay_on = persist_stores and scheme.wpq_load_delay
         wb_delay_on = persist_stores and scheme.wb_delay
         # -- bound callables / shared containers ----------------------
@@ -286,6 +292,10 @@ class TimingSimulator:
         pb_entries = pb.entries
         pb_capacity = pb.capacity
         pb_admit = pb.admit
+        rbt = self.rbt
+        rbt_entries = rbt.entries
+        rbt_capacity = rbt.capacity
+        rbt_admit = rbt.admit
         wpq = self.wpq
         wpq_capacity = wpq[0].capacity
         nvm_free = self.nvm_free
@@ -293,18 +303,30 @@ class TimingSimulator:
         wpq_word_done = self.wpq_word_done
         region_lines = self._region_lines
         # -- mutable scalars, localized -------------------------------
+        # Core-private only: the shared WPQ clocks, nvm_free,
+        # wpq_word_done and L2+/DRAM tags are read and written in place.
         cycle = self.cycle
         path_free = self.path_free
         region_last_persist = self.region_last_persist
+        prev_region_complete = self.prev_region_complete
         l1_tick = l1._tick
         l1_hits = l1.hits
         l1_misses = l1.misses
+        pb_last, pb_occ = pb._last_t, pb.occ_integral
+        rbt_last, rbt_occ = rbt._last_t, rbt.occ_integral
         n_nvm_reads = 0
-        n_nvm_writes = 0
-        n_path_bytes = 0
+        n_llc_writes = 0
+        n_persists = 0
         n_wb_delays = 0
         n_wpq_hits = 0
-        n_df_stale = 0.0
+        # Float counters continue from their records' values, so every
+        # addition happens in the reference order.
+        c_stall = self._c_boundary_stall
+        c_df_sync = self._c_df_sync
+        c_df_stale = self._c_df_stale
+        n_stall = c_stall.value
+        n_df_sync = c_df_sync.value
+        n_df_stale = c_df_stale.value
 
         # -- the event slice --------------------------------------------
         # The start rides on the itertools "consume" recipe, at C speed;
@@ -461,7 +483,7 @@ class TimingSimulator:
                         free = nvm_free[mc]
                         begin = cycle if cycle > free else free
                         nvm_free[mc] = begin + llc_wb_cost
-                        n_nvm_writes += 1
+                        n_llc_writes += 1
                 elif code == "s" or code == "c":
                     # ---- inlined _store ('c' is a store: is_ckpt is
                     # latency-neutral in the reference method) ------------
@@ -571,7 +593,7 @@ class TimingSimulator:
                             free = nvm_free[mc]
                             begin = cycle if cycle > free else free
                             nvm_free[mc] = begin + llc_wb_cost
-                            n_nvm_writes += 1
+                            n_llc_writes += 1
                     if not persist_stores:
                         continue
                     # ---- inlined _persist -------------------------------
@@ -579,22 +601,21 @@ class TimingSimulator:
                         if l1_line in region_lines:
                             continue  # merged into the buffered dirty line
                         region_lines.add(l1_line)
-                    # pb.admit(cycle), advance unrolled (full PB is rare
-                    # and delegates to the reference method).
-                    last = pb._last_t
-                    occ = pb.occ_integral
+                    # pb.admit(cycle), advance unrolled on the local PB
+                    # clock (a full PB is rare and delegates to the
+                    # reference method, around a write-back).
                     while pb_entries and pb_entries[0] <= cycle:
                         t = pb_entries.popleft()
-                        if t > last:
-                            occ += (len(pb_entries) + 1) * (t - last)
-                            last = t
-                    if cycle > last:
-                        occ += len(pb_entries) * (cycle - last)
-                        last = cycle
-                    pb._last_t = last
-                    pb.occ_integral = occ
+                        if t > pb_last:
+                            pb_occ += (len(pb_entries) + 1) * (t - pb_last)
+                            pb_last = t
+                    if cycle > pb_last:
+                        pb_occ += len(pb_entries) * (cycle - pb_last)
+                        pb_last = cycle
                     if len(pb_entries) >= pb_capacity:
+                        pb._last_t, pb.occ_integral = pb_last, pb_occ
                         cycle = pb_admit(cycle)
+                        pb_last, pb_occ = pb._last_t, pb.occ_integral
                     send = cycle if cycle > path_free else path_free
                     path_free = send + path_send
                     mc = (addr // interleave) % mc_count
@@ -623,13 +644,12 @@ class TimingSimulator:
                     nvm_free[mc] = begin + media
                     drain_done = begin + media + wpq_drain
                     # wpq[mc].push(drain_done) / pb.push(admitted): FIFO
-                    # completion clamp, counted on the queue objects.
+                    # completion clamp; the PB's pushes are n_persists.
                     q.pushes += 1
                     if we and drain_done < we[-1]:
                         we.append(we[-1])
                     else:
                         we.append(drain_done)
-                    pb.pushes += 1
                     if pb_entries and admitted < pb_entries[-1]:
                         pb_entries.append(pb_entries[-1])
                     else:
@@ -642,40 +662,86 @@ class TimingSimulator:
                     words[addr >> 3] = drain_done
                     if len(words) > 8192:
                         wpq_word_done[mc] = {w: t for w, t in words.items() if t > cycle}
-                    n_path_bytes += persist_bytes
-                    n_nvm_writes += 1
+                    n_persists += 1
                 elif code == "b" or code == "f" or code == "x":
-                    # Rare events: run through the reference methods.  A
-                    # fence orders only this core's stream (private); a
-                    # boundary can synthesize checkpoint stores and an
-                    # atomic is store+fence, so both are gated as shared.
-                    if code != "f":
+                    # ---- inlined boundary / fence / atomic --------------
+                    # Private (RBT, region bookkeeping, the local clock),
+                    # except an atomic's store and the checkpoint stores
+                    # a boundary synthesizes: those are gated as shared
+                    # and run the reference _store, sync-call-reload.
+                    stores = code == "x" or (ckpt_per_region and code == "b")
+                    if stores:
                         while cycle > limit_c or (cycle == limit_c and idx > limit_i):
                             limit_c, limit_i = yield cycle
                     cycle += commit_cost
-                    self.cycle = cycle
-                    self.path_free = path_free
-                    self.region_last_persist = region_last_persist
-                    l1._tick = l1_tick
-                    l1.hits = l1_hits
-                    l1.misses = l1_misses
-                    if code == "b":
-                        self._boundary()
-                        if boundary_log is not None:
-                            boundary_log.append(
-                                (n - length_hint(codes_iter), self.prev_region_complete)
-                            )
-                    elif code == "f":
-                        self._sync()
-                    else:
-                        self._store(addr, is_ckpt=False)
-                        self._sync()
-                    cycle = self.cycle
-                    path_free = self.path_free
-                    region_last_persist = self.region_last_persist
-                    l1_tick = l1._tick
-                    l1_hits = l1.hits
-                    l1_misses = l1.misses
+                    if extra_region_cost and code == "b":
+                        cycle += extra_region_cost
+                    if stores:
+                        self.cycle, self.path_free = cycle, path_free
+                        self.region_last_persist = region_last_persist
+                        l1._tick, l1.hits, l1.misses = l1_tick, l1_hits, l1_misses
+                        pb._last_t, pb.occ_integral = pb_last, pb_occ
+                        if code == "x":
+                            self._store(addr, is_ckpt=False)
+                        else:
+                            self._ckpt_accum += ckpt_per_region
+                            while self._ckpt_accum >= 1.0:
+                                self._ckpt_accum -= 1.0
+                                self._ckpt_addr += 8
+                                if self._ckpt_addr > _CKPT_SYNTH_BASE + 4096:
+                                    self._ckpt_addr = _CKPT_SYNTH_BASE
+                                self._store(self._ckpt_addr, is_ckpt=True)
+                        cycle, path_free = self.cycle, self.path_free
+                        region_last_persist = self.region_last_persist
+                        l1_tick, l1_hits, l1_misses = l1._tick, l1.hits, l1.misses
+                        pb_last, pb_occ = pb._last_t, pb.occ_integral
+                    if code != "b":
+                        if persist_stores:
+                            # Sync: every prior store persists first.
+                            if region_last_persist >= prev_region_complete:
+                                target = region_last_persist
+                            else:
+                                target = prev_region_complete
+                            if target > cycle:
+                                n_stall += target - cycle
+                                n_df_sync += target - cycle
+                                cycle = target
+                        continue
+                    if persist_stores:
+                        if coalesce:
+                            region_lines.clear()
+                        if prev_region_complete <= region_last_persist:
+                            prev_region_complete = region_last_persist
+                        region_last_persist = 0.0
+                        if mc_speculation:
+                            # rbt.admit(cycle) / rbt.push(complete), the PB
+                            # unrolling; the RBT's pushes are the boundaries.
+                            while rbt_entries and rbt_entries[0] <= cycle:
+                                t = rbt_entries.popleft()
+                                if t > rbt_last:
+                                    rbt_occ += (len(rbt_entries) + 1) * (t - rbt_last)
+                                    rbt_last = t
+                            if cycle > rbt_last:
+                                rbt_occ += len(rbt_entries) * (cycle - rbt_last)
+                                rbt_last = cycle
+                            if len(rbt_entries) >= rbt_capacity:
+                                rbt._last_t, rbt.occ_integral = rbt_last, rbt_occ
+                                before = cycle
+                                cycle = rbt_admit(cycle)
+                                n_stall += cycle - before
+                                rbt_last, rbt_occ = rbt._last_t, rbt.occ_integral
+                            if rbt_entries and prev_region_complete < rbt_entries[-1]:
+                                rbt_entries.append(rbt_entries[-1])
+                            else:
+                                rbt_entries.append(prev_region_complete)
+                        elif stall_at_boundary and prev_region_complete > cycle:
+                            n_stall += prev_region_complete - cycle
+                            cycle = prev_region_complete
+                        # Neither: a battery-backed redo buffer never stalls.
+                    if boundary_log is not None:
+                        boundary_log.append(
+                            (n - length_hint(codes_iter), prev_region_complete)
+                        )
                 else:  # pragma: no cover - generator bug guard
                     raise ValueError(f"unknown event code {code!r}")
             else:
@@ -687,26 +753,38 @@ class TimingSimulator:
             self.cycle = cycle
             self.path_free = path_free
             self.region_last_persist = region_last_persist
+            self.prev_region_complete = prev_region_complete
             l1._tick = l1_tick
             l1.hits = l1_hits
             l1.misses = l1_misses
+            pb._last_t, pb.occ_integral = pb_last, pb_occ
+            rbt._last_t, rbt.occ_integral = rbt_last, rbt_occ
+            c_stall.value = n_stall
+            c_df_sync.value = n_df_sync
+            c_df_stale.value = n_df_stale
             # Counter flushes are integer-valued additions: exact in
             # float (well below 2^53), so batching them preserves value
             # identity.  Event-class totals come from C-speed counts
             # over the executed codes -- the loop never increments them
-            # (rare-path methods update their own counters directly and
-            # are not re-counted).
+            # (the rare-path _store updates its own counters directly
+            # and is not re-counted).  Every inlined persist pushes one
+            # PB entry, sends persist_bytes and writes NVM once; every
+            # boundary pushes one RBT entry when the RBT is in use.
+            boundaries = codes.count("b", start, end)
             self._c_insts.value += end - start
             self._c_loads.value += codes.count("l", start, end)
             self._c_stores.value += codes.count("s", start, end) + codes.count(
                 "c", start, end
             )
+            self._c_boundaries.value += boundaries
+            if persist_stores and mc_speculation:
+                rbt.pushes += boundaries
+            pb.pushes += n_persists
             self._c_nvm_reads.value += n_nvm_reads
-            self._c_nvm_writes.value += n_nvm_writes
-            self._c_path_bytes.value += n_path_bytes
+            self._c_nvm_writes.value += n_llc_writes + n_persists
+            self._c_path_bytes.value += n_persists * scheme.persist_bytes
             self._c_wb_delays.value += n_wb_delays
             self._c_wpq_hits.value += n_wpq_hits
-            self._c_df_stale.value += n_df_stale
 
     def finalize(self, shared_owner: bool = True) -> SimStats:
         """Drain outstanding persists and collect component metrics.
@@ -801,50 +879,6 @@ class TimingSimulator:
             start = max(self.cycle, self.nvm_free[mc])
             self.nvm_free[mc] = start + self._llc_wb_cost
             self._c_nvm_writes.value += 1
-
-    def _boundary(self) -> None:
-        self._c_boundaries.value += 1
-        if self._extra_region_cost:
-            self.cycle += self._extra_region_cost
-        scheme = self.scheme
-        if scheme.ckpt_stores_per_region:
-            self._ckpt_accum += scheme.ckpt_stores_per_region
-            while self._ckpt_accum >= 1.0:
-                self._ckpt_accum -= 1.0
-                self._ckpt_addr += 8
-                if self._ckpt_addr > _CKPT_SYNTH_BASE + 4096:
-                    self._ckpt_addr = _CKPT_SYNTH_BASE
-                self._store(self._ckpt_addr, is_ckpt=True)
-        if not scheme.persist_stores:
-            return
-        if scheme.coalesce_lines:
-            self._region_lines.clear()
-        complete = max(self.region_last_persist, self.prev_region_complete)
-        self.prev_region_complete = complete
-        self.region_last_persist = 0.0
-        if scheme.mc_speculation:
-            before = self.cycle
-            self.cycle = self.rbt.admit(self.cycle)
-            self._c_boundary_stall.value += self.cycle - before
-            self.rbt.push(complete)
-        elif scheme.stall_at_boundary:
-            if complete > self.cycle:
-                self._c_boundary_stall.value += complete - self.cycle
-                self.cycle = complete
-        else:
-            # Capri-style battery-backed redo buffer: no boundary stall;
-            # buffering capacity is modelled by the PB queue.
-            pass
-
-    def _sync(self) -> None:
-        """Fence/atomic: all prior stores must persist before commit."""
-        if not self.scheme.persist_stores:
-            return
-        target = max(self.region_last_persist, self.prev_region_complete)
-        if target > self.cycle:
-            self._c_boundary_stall.value += target - self.cycle
-            self._c_df_sync.value += target - self.cycle
-            self.cycle = target
 
 
 def simulate(

@@ -19,13 +19,15 @@ local clock consumes its next event, so shared-queue contention is
 observed in approximately global time order.  One scheduler
 (:meth:`MulticoreSimulator._schedule`) implements that order over one
 packed-trace coroutine per core (:meth:`TimingSimulator._packed_gen`),
-consulted only at events that touch shared state.  Each core runs ahead through its core-private
-events (ALU, L1 hits, fences, coalesced persists) without consulting
-the scheduler -- private events commute -- and blocks before a shared
-event until it holds the minimum ``(clock, core)`` pair, so every
-shared interaction happens in exactly the order of a per-event
-min-clock stepper.  That stepper is kept in ``tests/sim_oracle.py``
-as the oracle the tests diff the scheduler against.
+consulted only at events that touch shared state.  Each core runs
+ahead through its core-private events (ALU, L1 hits, fences, coalesced
+persists, boundaries that synthesize no checkpoint stores) without
+consulting the scheduler -- private events commute -- and blocks
+before a shared event until it holds the minimum ``(clock, core)``
+pair, so every shared interaction happens in exactly the order of a
+per-event min-clock stepper.  That stepper is kept in
+``tests/sim_oracle.py`` as the oracle the tests diff the scheduler
+against.
 """
 
 from __future__ import annotations

@@ -49,10 +49,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.harness.report import campaign_result
 from repro.workloads.programs import CONC_KERNELS, KERNELS
 
-
-#: The strides a campaign runs without --stride/--stride2, in both modes.
-STRIDE, STRIDE2 = 7, 5
-
 #: The flags that shape a campaign: --smoke runs its own fixed spec, so
 #: giving one of them with it is an error.
 _CAMPAIGN_SPEC_FLAGS = (
@@ -85,14 +81,23 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     # The spec-shaping numbers default to None, "not given", so --smoke
     # (and, for the single-core-only ones, --multicore) rejects them
     # instead of ignoring them.
-    parser.add_argument("--k", type=int, help="nested-crash depth (default: 2)")
+    # Each help text prints the spec's own default: a flag left out
+    # leaves the spec field at that default.
+    single, multi = CampaignSpec, MTCampaignSpec
+    parser.add_argument("--k", type=int,
+                        help=f"nested-crash depth (default: {single.k})")
     parser.add_argument("--stride", type=int,
-                        help=f"primary-cut stride (default: {STRIDE})")
+                        help=f"primary-cut stride (default: {single.stride}; "
+                             f"--multicore: {multi.stride})")
     parser.add_argument("--stride2", type=int,
-                        help=f"nested-offset stride (default: {STRIDE2})")
-    parser.add_argument("--torn-stride", type=int, help="default: 7")
-    parser.add_argument("--corruption-trials", type=int, help="default: 40")
-    parser.add_argument("--random-trials", type=int, help="default: 30")
+                        help=f"nested-offset stride (default: {single.stride2}; "
+                             f"--multicore: {multi.stride2})")
+    parser.add_argument("--torn-stride", type=int,
+                        help=f"default: {single.torn_stride}")
+    parser.add_argument("--corruption-trials", type=int,
+                        help=f"default: {single.corruption_trials}")
+    parser.add_argument("--random-trials", type=int,
+                        help=f"default: {single.random_trials}")
     parser.add_argument("--jobs", type=int, default=None, help="worker processes")
     parser.add_argument("--out", default=None, help="write JSON artifact here")
     parser.add_argument("--smoke", action="store_true",
@@ -245,8 +250,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"{flag} only applies to single-core campaigns")
 
     mc = opts.multicore
-    stride = STRIDE if opts.stride is None else opts.stride
-    stride2 = STRIDE2 if opts.stride2 is None else opts.stride2
+    # The strides apply to both modes; only the given ones reach the spec.
+    for name in ("stride", "stride2"):
+        if getattr(opts, name) is not None:
+            given[name] = getattr(opts, name)
     all_kernels = CONC_KERNELS if mc else KERNELS
     all_strategies = MT_STRATEGIES if mc else STRATEGIES
     kernels = opts.kernels if opts.kernels is not None else list(all_kernels)
@@ -265,16 +272,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             schemes=schemes,
             strategies=strategies,
             seed=opts.seed,
-            stride=stride,
-            stride2=stride2,
+            **given,
         )
     else:
         spec = CampaignSpec(
             kernels=kernels,
             strategies=strategies,
             seed=opts.seed,
-            stride=stride,
-            stride2=stride2,
             **given,
         )
     artifact = run_campaign(spec, jobs=jobs, log=print)

@@ -253,6 +253,61 @@ def bench_machine_multicore(config: BenchConfig) -> BenchResult:
     )
 
 
+#: The single-class streams of ``machine.event_classes``: each class's
+#: event code and the address of its i-th event, for an L1 of ``l1``
+#: bytes.  Hits cycle over 8 lines; misses sweep 4x the L1 in line
+#: steps, so LRU evicts every line before its reuse (they hit L2).
+_EVENT_CLASSES = {
+    "alu": ("a", lambda i, l1: 0),
+    "load_l1_hit": ("l", lambda i, l1: (i % 8) << 6),
+    "load_l1_miss": ("l", lambda i, l1: (i << 6) % (4 * l1)),
+    "store_persisted": ("s", lambda i, l1: (i % 8) << 6),
+    "boundary": ("b", lambda i, l1: 0),
+    "fence": ("f", lambda i, l1: 0),
+}
+
+
+@bench("machine.event_classes")
+def bench_event_classes(config: BenchConfig) -> BenchResult:
+    """Loop cost per event class: ns/event of single-class cwsp streams."""
+    from repro.arch.machine import TimingSimulator
+    from repro.arch.trace import PackedTrace
+    from repro.perf.timers import Stopwatch
+    from repro.schemes import cwsp
+
+    n = config.size("n_insts") // 3
+    reps = config.size("reps")
+    machine = _machine()
+    l1_bytes = machine.caches[0].size_bytes
+    ns_per_event: Dict[str, float] = {}
+    seconds = 0.0
+    for name, (code, addr) in _EVENT_CLASSES.items():
+        trace = PackedTrace(code * n, [addr(i, l1_bytes) for i in range(n)])
+        # Best-of-N seconds of the loop alone: construction stays out.
+        best = None
+        for _ in range(reps):
+            sim = TimingSimulator(machine, cwsp())
+            with Stopwatch() as sw:
+                sim.run(trace)
+            if best is None or sw.seconds < best:
+                best = sw.seconds
+        ns_per_event[name] = best / n * 1e9
+        seconds += best
+    # One number per class is the point; the value is their mean, and
+    # single-class streams are too short and too uneven to gate (a
+    # store-only stream keeps the PB full, so it times full admits).
+    return BenchResult(
+        name="machine.event_classes",
+        value=sum(ns_per_event.values()) / len(ns_per_event),
+        unit="ns/event",
+        higher_is_better=False,
+        seconds=seconds,
+        reps=reps,
+        gated=False,
+        meta={"ns_per_event": ns_per_event, "n_events": n, "scheme": "cwsp"},
+    )
+
+
 @bench("queues.ops")
 def bench_queue_ops(config: BenchConfig) -> BenchResult:
     """CompletionQueue admit+push+advance throughput (the WPQ pattern)."""

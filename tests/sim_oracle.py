@@ -2,16 +2,16 @@
 
 ``OracleSimulator`` is :class:`TimingSimulator` with the original
 one-dispatch-per-event-tuple loop (``_step``, ``_run_events``,
-``_load`` and the reference ``run_until``), kept verbatim as the
-specification the fused ``_packed_gen`` loop must reproduce byte for
-byte: the same ``SimStats``, the same cut index, the same boundary log
-and the same ``snapshot()``.  ``OracleMulticore`` is
+``_load``, ``_boundary``, ``_sync`` and the reference ``run_until``),
+kept verbatim as the specification the fused ``_packed_gen`` loop must
+reproduce byte for byte: the same ``SimStats``, the same cut index, the
+same boundary log and the same ``snapshot()``.  ``OracleMulticore`` is
 :class:`MulticoreSimulator` with the per-event min-clock heap stepper,
 the specification of the fused scheduler's order.  Both inherit
-construction, the rare-path methods (``_store``, ``_persist``,
-``_evictions``, ``_boundary``, ``_sync``) and ``snapshot()``
-unchanged, so oracle and simulator differ only in how events are
-dispatched.
+construction, the store methods the fused loop still calls for atomics
+and synthesized checkpoint stores (``_store``, ``_persist``,
+``_evictions``) and ``snapshot()`` unchanged, so oracle and simulator
+differ only in how events are dispatched.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
-from repro.arch.machine import Event, SimStats, TimingSimulator
+from repro.arch.machine import _CKPT_SYNTH_BASE, Event, SimStats, TimingSimulator
 from repro.arch.multicore import MulticoreSimulator, MulticoreStats
 from repro.arch.scheme import Scheme
 from repro.arch.trace import unpack_events
@@ -103,6 +103,50 @@ class OracleSimulator(TimingSimulator):
         elif penalty > 0:
             self.cycle += penalty * self._mlp
         self._evictions(l1_ev, llc_ev)
+
+    def _boundary(self) -> None:
+        self._c_boundaries.value += 1
+        if self._extra_region_cost:
+            self.cycle += self._extra_region_cost
+        scheme = self.scheme
+        if scheme.ckpt_stores_per_region:
+            self._ckpt_accum += scheme.ckpt_stores_per_region
+            while self._ckpt_accum >= 1.0:
+                self._ckpt_accum -= 1.0
+                self._ckpt_addr += 8
+                if self._ckpt_addr > _CKPT_SYNTH_BASE + 4096:
+                    self._ckpt_addr = _CKPT_SYNTH_BASE
+                self._store(self._ckpt_addr, is_ckpt=True)
+        if not scheme.persist_stores:
+            return
+        if scheme.coalesce_lines:
+            self._region_lines.clear()
+        complete = max(self.region_last_persist, self.prev_region_complete)
+        self.prev_region_complete = complete
+        self.region_last_persist = 0.0
+        if scheme.mc_speculation:
+            before = self.cycle
+            self.cycle = self.rbt.admit(self.cycle)
+            self._c_boundary_stall.value += self.cycle - before
+            self.rbt.push(complete)
+        elif scheme.stall_at_boundary:
+            if complete > self.cycle:
+                self._c_boundary_stall.value += complete - self.cycle
+                self.cycle = complete
+        else:
+            # Capri-style battery-backed redo buffer: no boundary stall;
+            # buffering capacity is modelled by the PB queue.
+            pass
+
+    def _sync(self) -> None:
+        """Fence/atomic: all prior stores must persist before commit."""
+        if not self.scheme.persist_stores:
+            return
+        target = max(self.region_last_persist, self.prev_region_complete)
+        if target > self.cycle:
+            self._c_boundary_stall.value += target - self.cycle
+            self._c_df_sync.value += target - self.cycle
+            self.cycle = target
 
 
 class OracleMulticore(MulticoreSimulator):

@@ -358,6 +358,37 @@ class TestCLI:
         smoke = cli.mt_smoke_spec if mode else cli.smoke_spec
         assert exc.value.args[0] == (smoke(seed=4), 1)
 
+    @pytest.mark.parametrize("mode", [[], ["--multicore"]], ids=["single", "multicore"])
+    @pytest.mark.parametrize("strides", [[], ["--stride", "11"], ["--stride2", "3"]],
+                             ids=["none", "stride", "stride2"])
+    def test_strides_default_to_the_spec_of_the_mode(self, monkeypatch, mode, strides):
+        """Without stride flags a campaign runs its spec's own strides, so
+        the CLI and ``run_campaign(MTCampaignSpec())`` run one schedule."""
+        import repro.faults.__main__ as cli
+
+        def capture(spec, jobs, log):
+            raise RuntimeError(spec)
+
+        monkeypatch.setattr(cli, "run_campaign", capture)
+        with pytest.raises(RuntimeError) as exc:
+            faults_main([*mode, *strides])
+        spec = exc.value.args[0]
+        want = cli.MTCampaignSpec() if mode else cli.CampaignSpec()
+        for flag, value in zip(strides[::2], strides[1::2]):
+            setattr(want, flag[2:], int(value))
+        assert type(spec) is type(want)
+        assert (spec.stride, spec.stride2) == (want.stride, want.stride2)
+
+    def test_help_prints_each_specs_stride_defaults(self, capsys):
+        import repro.faults.__main__ as cli
+
+        with pytest.raises(SystemExit):
+            faults_main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        single, multi = cli.CampaignSpec, cli.MTCampaignSpec
+        assert f"(default: {single.stride}; --multicore: {multi.stride})" in out
+        assert f"(default: {single.stride2}; --multicore: {multi.stride2})" in out
+
     @pytest.mark.parametrize(
         "flag, value, low",
         [

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.perf.bench import BENCHMARKS, BenchConfig, BenchResult, run_benchmarks
+from repro.perf.bench import (
+    _EVENT_CLASSES,
+    BENCHMARKS,
+    BenchConfig,
+    BenchResult,
+    _machine,
+    run_benchmarks,
+)
 from repro.perf.cli import compare_documents, document, main
 from repro.perf.timers import PhaseTimer, Stopwatch, best_of
 
@@ -52,12 +59,40 @@ class TestRegistry:
             "tracegen.synthetic",
             "harness.cold",
             "harness.warm",
+            "machine.event_classes",
         }
         assert expected <= set(BENCHMARKS)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             run_benchmarks(BenchConfig(quick=True), ["no.such.bench"])
+
+    def test_event_class_bench_reports_every_class(self):
+        result = run_benchmarks(
+            BenchConfig(quick=True, reps=1), ["machine.event_classes"]
+        )
+        res = result["machine.event_classes"]
+        assert (res.unit, res.higher_is_better, res.gated) == ("ns/event", False, False)
+        assert set(res.meta["ns_per_event"]) == set(_EVENT_CLASSES)
+        assert all(ns > 0 for ns in res.meta["ns_per_event"].values())
+
+    def test_event_class_streams_are_their_class(self):
+        """Hit loads hit, miss loads miss, stores persist, under cwsp."""
+        from repro.arch.machine import simulate
+        from repro.arch.trace import PackedTrace
+        from repro.schemes import cwsp
+
+        machine = _machine()
+        n = 4_000
+        stats = {}
+        for name, (code, addr) in _EVENT_CLASSES.items():
+            addrs = [addr(i, machine.caches[0].size_bytes) for i in range(n)]
+            stats[name] = simulate(PackedTrace(code * n, addrs), machine, cwsp())
+        miss_rate = {k: s.metrics.value("cache.l1.miss_rate") for k, s in stats.items()}
+        assert miss_rate["load_l1_hit"] < 0.01
+        assert miss_rate["load_l1_miss"] == 1.0
+        assert stats["store_persisted"].metrics.value("pb.pushes") == n
+        assert stats["boundary"].metrics.value("core.boundaries") == n
 
     def test_queue_bench_runs(self):
         result = run_benchmarks(BenchConfig(quick=True, reps=1), ["queues.ops"])

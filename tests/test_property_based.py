@@ -262,6 +262,9 @@ def test_printer_parser_roundtrip_random_programs(spec):
 #: events (boundaries, fences, atomics, checkpoint stores); the second
 #: approximates a real stream, mostly ALU ops and loads.
 _TRACE_ALPHABETS = ("alscbfx", "aaaaaaaaalllllsssscbfx")
+#: Mostly boundaries, fences and atomics, with enough stores between
+#: them that regions have persists to wait for.
+_RARE_ALPHABETS = ("bfxbfxsl", "bbbffxxsscla")
 _NO_ADDR = frozenset("abf")
 _CATALOG = {
     "baseline": baseline,
@@ -274,8 +277,8 @@ _CATALOG = {
 
 
 @st.composite
-def packed_traces(draw, max_size=200):
-    alphabet = draw(st.sampled_from(_TRACE_ALPHABETS))
+def packed_traces(draw, max_size=200, alphabets=_TRACE_ALPHABETS):
+    alphabet = draw(st.sampled_from(alphabets))
     # Draw the length first: st.lists alone averages a handful of
     # events, too few to fill a cache set or a queue.
     n = draw(st.integers(0, max_size))
@@ -306,10 +309,33 @@ def _schemes():
         dram_cache_enabled=st.booleans(),
         extra_insts_per_store=st.sampled_from([0, 1, 2]),
         extra_insts_per_region=st.sampled_from([0, 4]),
-        ckpt_stores_per_region=st.sampled_from([0.0, 2.0]),
-        pb_entries_override=st.sampled_from([None, 2]),
-        rbt_entries_override=st.sampled_from([None, 1]),
+        ckpt_stores_per_region=st.sampled_from([0.0, 0.5, 2.0]),
+        pb_entries_override=st.sampled_from([None, 1, 2]),
+        rbt_entries_override=st.sampled_from([None, 1, 2]),
         coalesce_lines=st.booleans(),
+    )
+
+
+@st.composite
+def boundary_schemes(draw):
+    """Knobs the inlined boundary, fence and atomic bodies branch on:
+    every boundary mode, and one- or two-entry PB and RBT, so that
+    full-queue admits run."""
+    mode = draw(st.sampled_from(["mc_speculation", "stall_at_boundary", "neither"]))
+    return Scheme(
+        name="fuzz",
+        persist_stores=draw(st.sampled_from([True, True, True, False])),
+        persist_bytes=draw(st.sampled_from([8, 64])),
+        mc_speculation=mode == "mc_speculation",
+        stall_at_boundary=mode == "stall_at_boundary",
+        wb_delay=draw(st.booleans()),
+        wpq_load_delay=draw(st.booleans()),
+        extra_insts_per_store=draw(st.sampled_from([0, 1])),
+        extra_insts_per_region=draw(st.sampled_from([0, 4])),
+        ckpt_stores_per_region=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        pb_entries_override=draw(st.sampled_from([1, 2])),
+        rbt_entries_override=draw(st.sampled_from([1, 2])),
+        coalesce_lines=draw(st.booleans()),
     )
 
 
@@ -728,11 +754,14 @@ def _event_clocks(trace, machine, scheme, prime):
     return clocks
 
 
-def _single_cut(cls, trace, machine, scheme, prime, cut, start=0):
+def _single_cut(cls, trace, machine, scheme, prime, cut, start=0, finalize=False):
     sim = _primed(cls, machine, scheme, prime)
     log = []
     index = sim.run_until(trace, cut, start, log)
-    return index, log, json.dumps(sim.snapshot(), sort_keys=True)
+    state = json.dumps(sim.snapshot(), sort_keys=True)
+    if finalize:
+        return index, log, state, _stats_json(sim.finalize())
+    return index, log, state
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -743,6 +772,23 @@ def test_random_cut_matches_reference_cut(case, data):
     start = data.draw(st.integers(0, len(trace)))
     args = (trace, machine, scheme, prime, cut, start)
     assert _single_cut(TimingSimulator, *args) == _single_cut(OracleSimulator, *args)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    trace=packed_traces(alphabets=_RARE_ALPHABETS),
+    scheme=boundary_schemes(),
+    machine=st.sampled_from(_BATCH_MACHINES),
+    data=st.data(),
+)
+def test_rare_dense_cut_matches_reference_cut(trace, scheme, machine, data):
+    """The inlined boundary, fence and atomic bodies, and the PB and RBT
+    state they keep in locals: cut index, boundary log, ``snapshot()``
+    at the cut and the stats finalized there, against the oracle."""
+    cut = data.draw(_cut_points(_event_clocks(trace, machine, scheme, ())))
+    args = (trace, machine, scheme, (), cut)
+    fused = _single_cut(TimingSimulator, *args, finalize=True)
+    assert fused == _single_cut(OracleSimulator, *args, finalize=True)
 
 
 class TestExactCuts:
@@ -808,6 +854,25 @@ def _multicore_run(cls, machine, scheme, traces, prime):
 def test_multicore_run_matches_reference(case):
     """Per-core stats and final state over random 2-4-core mixes and
     cache geometries."""
+    assert _multicore_run(MulticoreSimulator, *case) == _multicore_run(
+        OracleMulticore, *case
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    traces=st.lists(
+        packed_traces(max_size=120, alphabets=_RARE_ALPHABETS), min_size=2, max_size=4
+    ),
+    scheme=boundary_schemes(),
+    machine=st.sampled_from(_BATCH_MACHINES),
+)
+def test_rare_dense_multicore_matches_reference(traces, scheme, machine):
+    """Boundaries run ahead of the scheduler unless they synthesize
+    checkpoint stores: per-core stats and state against the per-event
+    min-clock stepper, on streams dense in boundaries, fences and
+    atomics."""
+    case = (machine, scheme, traces, ())
     assert _multicore_run(MulticoreSimulator, *case) == _multicore_run(
         OracleMulticore, *case
     )
