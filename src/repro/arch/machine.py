@@ -85,7 +85,6 @@ class TimingSimulator:
         self._path_lat = machine.persist_lat_cycles()
         self._mc_extra = [machine.ns(x) for x in machine.mc_extra_ns]
         self._nvm_read_cyc = machine.ns(machine.nvm.total_read_ns)
-        self._nvm_write_cyc = machine.ns(machine.nvm.total_write_ns)
         self._nvm_cpb = machine.nvm_write_cycles_per_byte()
         self._nvm_write_bytes = scheme.persist_bytes * scheme.nvm_write_amp
         self._wpq_drain_overhead = machine.ns(5.0)
@@ -485,8 +484,7 @@ class TimingSimulator:
                         nvm_free[mc] = begin + llc_wb_cost
                         n_llc_writes += 1
                 elif code == "s" or code == "c":
-                    # ---- inlined _store ('c' is a store: is_ckpt is
-                    # latency-neutral in the reference method) ------------
+                    # ---- inlined _store ('c' is a plain store) ----------
                     # Shared iff the L1 probe misses (L2+/DRAM tags) or the
                     # persist path engages (WPQ/NVM); a store merged into
                     # an already-buffered dirty line never leaves the core.
@@ -682,7 +680,7 @@ class TimingSimulator:
                         l1._tick, l1.hits, l1.misses = l1_tick, l1_hits, l1_misses
                         pb._last_t, pb.occ_integral = pb_last, pb_occ
                         if code == "x":
-                            self._store(addr, is_ckpt=False)
+                            self._store(addr)
                         else:
                             self._ckpt_accum += ckpt_per_region
                             while self._ckpt_accum >= 1.0:
@@ -690,7 +688,7 @@ class TimingSimulator:
                                 self._ckpt_addr += 8
                                 if self._ckpt_addr > _CKPT_SYNTH_BASE + 4096:
                                     self._ckpt_addr = _CKPT_SYNTH_BASE
-                                self._store(self._ckpt_addr, is_ckpt=True)
+                                self._store(self._ckpt_addr)
                         cycle, path_free = self.cycle, self.path_free
                         region_last_persist = self.region_last_persist
                         l1_tick, l1_hits, l1_misses = l1._tick, l1.hits, l1.misses
@@ -808,7 +806,7 @@ class TimingSimulator:
         return self.stats
 
     # ------------------------------------------------------------------
-    def _store(self, addr: int, is_ckpt: bool) -> None:
+    def _store(self, addr: int) -> None:
         self._c_stores.value += 1
         if self._extra_store_cost:
             self.cycle += self._extra_store_cost

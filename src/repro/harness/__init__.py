@@ -1,9 +1,9 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-``repro.harness.figures`` describes each experiment (``fig01`` ..
-``fig27``, ``tab01``, ``hardware_overhead``, ``recovery_check``) as a
+``repro.harness.figures.SPECS`` describes each experiment (``fig01``
+.. ``fig27``, ``tab01``, ``hw``, ``multicore``, ``recovery``, ...) as a
 declarative :class:`~repro.harness.spec.ExperimentSpec` -- a point grid
-plus a pure reducer plus expected-shape assertions.  The
+plus a pure reducer plus the paper claims its result must show.  The
 :class:`~repro.harness.engine.Engine` dedupes points across
 experiments, fans cache misses over a process pool, and serves warm
 reruns from a content-addressed on-disk cache.  Run it all from the

@@ -29,6 +29,7 @@ from typing import List, Optional
 
 from repro.harness.engine import CACHE_DIR, Engine, NullCache, ResultCache
 from repro.harness.figures import SPECS
+from repro.harness.spec import ShapeError
 
 
 def artifact_dict(name: str, result, engine: Engine) -> dict:
@@ -134,9 +135,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     t0 = time.time()
 
     def run():
-        return engine.run(
-            [SPECS[n] for n in names], progress=lambda msg: print(msg, flush=True)
-        )
+        try:
+            return engine.run(
+                [SPECS[n] for n in names], progress=lambda msg: print(msg, flush=True)
+            )
+        except ShapeError as exc:
+            raise SystemExit(f"check failed: {exc}") from None
 
     if args.profile:
         import cProfile

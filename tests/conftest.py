@@ -83,3 +83,25 @@ def straightline() -> Module:
 @pytest.fixture
 def call_chain() -> Module:
     return build_call_chain()
+
+
+#: Every experiment the figure tests read, at a size where each spec's
+#: check claims the paper's shape (``n_insts >= 2000``).
+FIGURE_NAMES = [
+    "fig01", "fig06", "fig08", "fig13", "fig14", "fig15", "tab01", "fig17",
+    "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25",
+    "fig26", "fig27", "hw", "multicore",
+]
+
+
+@pytest.fixture(scope="session")
+def figure_results():
+    """One engine batch of :data:`FIGURE_NAMES` at 3000 instructions.
+
+    One batch, so every normalized-slowdown figure shares its baseline
+    points; the engine runs each spec's check on the way out.
+    """
+    from repro.harness.engine import Engine
+    from repro.harness.figures import SPECS
+
+    return Engine(n_insts=3000).run([SPECS[n] for n in FIGURE_NAMES])

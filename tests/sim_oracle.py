@@ -66,16 +66,14 @@ class OracleSimulator(TimingSimulator):
             return
         if code == "l":
             self._load(ev[1])
-        elif code == "s":
-            self._store(ev[1], is_ckpt=False)
-        elif code == "c":
-            self._store(ev[1], is_ckpt=True)
+        elif code == "s" or code == "c":
+            self._store(ev[1])
         elif code == "b":
             self._boundary()
         elif code == "f":
             self._sync()
         elif code == "x":
-            self._store(ev[1], is_ckpt=False)
+            self._store(ev[1])
             self._sync()
         else:  # pragma: no cover - generator bug guard
             raise ValueError(f"unknown event code {code!r}")
@@ -116,7 +114,7 @@ class OracleSimulator(TimingSimulator):
                 self._ckpt_addr += 8
                 if self._ckpt_addr > _CKPT_SYNTH_BASE + 4096:
                     self._ckpt_addr = _CKPT_SYNTH_BASE
-                self._store(self._ckpt_addr, is_ckpt=True)
+                self._store(self._ckpt_addr)
         if not scheme.persist_stores:
             return
         if scheme.coalesce_lines:

@@ -42,48 +42,38 @@ class TestFigureResult:
 
 
 class TestFigureFunctions:
-    """Tiny-n smoke runs of every figure entry point."""
+    """Small-n runs of the figure specs (one shared engine batch)."""
 
-    def test_fig13_structure(self):
-        from repro.harness.figures import fig13
-
-        result = fig13(n_insts=3000)
+    def test_fig13_structure(self, figure_results):
+        result = figure_results["fig13"]
         assert len([r for r in result.rows if not str(r[0]).startswith("[")]) == 37
         assert result.rows[-1][0] == "[All gmean]"
         assert 1.0 <= result.summary["all_gmean"] < 1.5
 
-    def test_tab01_lists_cxl_devices(self):
-        from repro.harness.figures import tab01
-
-        result = tab01()
+    def test_tab01_lists_cxl_devices(self, figure_results):
+        result = figure_results["tab01"]
         assert [r[0] for r in result.rows] == ["CXL-A", "CXL-B", "CXL-C", "CXL-D"]
 
-    def test_hw_overhead_is_176_bytes(self):
-        from repro.harness.figures import hardware_overhead
-
-        result = hardware_overhead()
+    def test_hw_overhead_is_176_bytes(self, figure_results):
+        result = figure_results["hw"]
         assert result.summary["rbt_bytes"] == 176.0
 
-    def test_fig22_rbt_monotone(self):
-        from repro.harness.figures import fig22
-
-        result = fig22(n_insts=4000)
+    def test_fig22_rbt_monotone(self, figure_results):
+        result = figure_results["fig22"]
         row = result.rows[-1]
         assert row[1] >= row[2] >= row[3] * 0.99  # smaller RBT never faster
 
-    def test_fig01_depth_monotone(self):
-        from repro.harness.figures import fig01
-
-        result = fig01(n_insts=4000)
+    def test_fig01_depth_monotone(self, figure_results):
+        result = figure_results["fig01"]
         row = result.rows[-1]  # all-gmean
         assert row[1] > row[4]  # 2-level slowdown worse than 5-level
 
     def test_experiment_registry_complete(self):
-        from repro.harness.figures import ALL_EXPERIMENTS
+        from repro.harness.figures import SPECS
 
-        expected = {
+        assert set(SPECS) == {
             "fig01", "fig06", "fig08", "fig13", "fig14", "fig15", "tab01",
             "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
-            "fig24", "fig25", "fig26", "fig27", "hw", "recovery",
+            "fig24", "fig25", "fig26", "fig27", "hw", "multicore", "recovery",
+            "faults", "intermittent", "delayfree",
         }
-        assert expected <= set(ALL_EXPERIMENTS)

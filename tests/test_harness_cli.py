@@ -63,6 +63,29 @@ class TestCli:
         b = json.loads((tmp_path / "s2" / "fig13.json").read_text())
         assert a["rows"] != b["rows"]  # the seed is not hard-coded
 
+    def test_violated_check_is_a_clean_failure(self, tmp_path):
+        # A spec whose check fails, patched into the registry the CLI reads.
+        script = (
+            "from repro.harness import cli\n"
+            "from repro.harness.report import FigureResult\n"
+            "from repro.harness.spec import ExperimentSpec\n"
+            "def build(r, ctx):\n"
+            "    result = FigureResult('Broken', 'd', ['k', 'v'])\n"
+            "    result.add('x', 1.0)\n"
+            "    return result\n"
+            "def check(result):\n"
+            "    assert result.rows[0][1] > 2.0, 'the value exceeds two'\n"
+            "cli.SPECS['broken'] = ExperimentSpec(\n"
+            "    'broken', 'broken', build, simulates=False, check=check)\n"
+            "cli.main(['broken', '--no-cache'])\n"
+        )
+        proc = _run_module([script], tmp_path, flag="-c")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert "broken" in lines[0] and "the value exceeds two" in lines[0]
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize("flag", ["--jobs", "--n-insts"])
     @pytest.mark.parametrize(
@@ -115,11 +138,12 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
 
-def _run_module(args, cwd):
-    """``python -m *args`` in a child process, on this checkout's sources."""
+def _run_module(args, cwd, flag="-m"):
+    """``python -m *args`` (or ``-c``) in a child process, on this
+    checkout's sources."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-m"] + args,
+        [sys.executable, flag] + args,
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )

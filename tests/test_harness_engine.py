@@ -715,7 +715,7 @@ class TestScanStore:
         return ResultCache(str(tmp_path / "cache")).scans
 
     @staticmethod
-    def _entry(store, tree, rel):
+    def _entry_file(store, tree, rel):
         return store.root / f"{hashlib.sha256((tree / rel).read_bytes()).hexdigest()}.json"
 
     def test_no_store_state_changes_the_recipe(self, fixture_tree, parses, tmp_path):
@@ -728,13 +728,13 @@ class TestScanStore:
         parses.clear()
         assert self._recipe(store) == expected  # filled store: no parse
         assert parses == []
-        torn = self._entry(store, fixture_tree, "fx_entry.py")
+        torn = self._entry_file(store, fixture_tree, "fx_entry.py")
         torn.write_text(torn.read_text()[:20])
         assert self._recipe(store) == expected
         assert parses == [(fixture_tree / "fx_entry.py").read_bytes()]
         # An entry copied under another file's digest: fx_plain imports
         # nothing, so serving it for fx_entry would drop the closure.
-        torn.write_bytes(self._entry(store, fixture_tree, "fx_plain.py").read_bytes())
+        torn.write_bytes(self._entry_file(store, fixture_tree, "fx_plain.py").read_bytes())
         parses.clear()
         assert self._recipe(store) == expected
         assert parses == [(fixture_tree / "fx_entry.py").read_bytes()]
@@ -771,13 +771,13 @@ class TestScanStore:
         assert parses == [edited.read_bytes()]
         assert "repro.fx_plain" not in recipe["modules"]  # the dropped import
         after = set(store.root.iterdir())
-        assert after - before == {self._entry(store, fixture_tree, "fx_entry.py")}
+        assert after - before == {self._entry_file(store, fixture_tree, "fx_entry.py")}
         assert len(after) == len(before) + 1
 
     def test_an_entry_from_another_scanner_is_a_miss(self, fixture_tree, parses, tmp_path):
         store = self._store(tmp_path)
         expected = self._recipe(store)
-        entry = self._entry(store, fixture_tree, "fx_entry.py")
+        entry = self._entry_file(store, fixture_tree, "fx_entry.py")
         data = json.loads(entry.read_text())
         data["scanner"], data["candidates"] = "0" * 64, []
         entry.write_text(json.dumps(data))

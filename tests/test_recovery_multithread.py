@@ -127,11 +127,12 @@ class TestFailureRecovery:
         resumed = execu.recover_and_resume(interrupted.model)
         assert resumed.memory.load(SHARED_COUNTER) == 12
 
-    def test_full_sweep_default_config(self, drf):
+    @pytest.mark.parametrize("stride, min_points", [(13, 10), (7, 20)])
+    def test_full_sweep_default_config(self, drf, stride, min_points):
         checked, divergences = check_threaded_crash_consistency(
-            drf, THREADS, stride=13
+            drf, THREADS, stride=stride
         )
-        assert checked > 10
+        assert checked > min_points
         assert divergences == [], divergences[:3]
 
     def test_full_sweep_skewed_mcs(self, drf):
