@@ -217,8 +217,8 @@ def _write_atomic(path: Path, mode: str, write: Callable) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write *payload* to *path* atomically."""
-    _write_atomic(path, "w", lambda fh: json.dump(payload, fh, sort_keys=True))
+    """Write *payload* to *path* atomically (``dumps`` is C; ``dump`` is not)."""
+    _write_atomic(path, "w", lambda fh: fh.write(json.dumps(payload, sort_keys=True)))
 
 
 #: The trace generator's entry module.  A generated trace is a function
@@ -582,8 +582,6 @@ def parallel_map(
     chunksize: int = 1,
     ordered: bool = True,
     on_result: Optional[Callable[[int, object], None]] = None,
-    mp_context: Optional[str] = None,
-    always_pool: bool = False,
 ) -> List:
     """Map *fn* over *tasks*, optionally across a process pool.
 
@@ -599,17 +597,11 @@ def parallel_map(
     *cleanly* on any failure: KeyboardInterrupt and worker death both
     cancel queued futures, terminate and reap every worker process (no
     orphans), then re-raise -- worker death as :class:`WorkerCrash`.
-
-    ``mp_context`` picks the multiprocessing start method (the serve
-    loop passes ``"spawn"`` so workers re-import freshly edited
-    simulator code instead of inheriting the parent's stale modules);
-    ``always_pool`` forces the pool path even for ``jobs=1`` for the
-    same reason.
     """
     tasks = list(tasks)
     if not tasks:
         return []
-    if not always_pool and (jobs <= 1 or len(tasks) <= 1):
+    if jobs <= 1 or len(tasks) <= 1:
         results = []
         for index, task in enumerate(tasks):
             result = fn(task)
@@ -619,12 +611,10 @@ def parallel_map(
         return results
     # The pool stack loads here, in the parent and before any fork, so
     # runs that never pool (a warm cache, --jobs 1) never import it.
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    ctx = multiprocessing.get_context(mp_context) if mp_context else None
-    executor = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+    executor = ProcessPoolExecutor(max_workers=jobs)
     results: List = []
     try:
         if ordered:
@@ -723,8 +713,6 @@ def compute_points(
     misses: Sequence[Tuple[str, Point]],
     cache,
     jobs: int = 1,
-    mp_context: Optional[str] = None,
-    always_pool: bool = False,
     traces: Optional[TraceStore] = None,
 ) -> Dict[Point, SimStats]:
     """Simulate the ``(cache_key, point)`` *misses* and backfill *cache*.
@@ -736,15 +724,16 @@ def compute_points(
     Workers read and write their traces in *traces*, if given.
     Returns ``{point: stats}`` in the order of *misses*.
     """
-    if misses and mp_context != "spawn":
+    if misses:
         # Load the simulator stack and NumPy once, before the pool forks
         # workers that inherit them (multicore imports machine, caches,
         # queues and trace).  Simulator first: compiled after NumPy, it
         # left forked workers about 0.5 MB larger (sweep-cold peak RSS).
-        # Spawned workers inherit nothing, so a spawning parent skips it.
+        # With a trace store NumPy loads only where a trace is missing.
         import repro.arch.multicore  # noqa: F401
         import repro.workloads.synthetic  # noqa: F401
-        import numpy  # noqa: F401
+        if traces is None:
+            import numpy  # noqa: F401
 
     batches = form_batches(misses, jobs)
     work = [[misses[i][1] for i in batch] for batch in batches]
@@ -762,8 +751,6 @@ def compute_points(
         jobs=jobs,
         ordered=False,
         on_result=_flush,
-        mp_context=mp_context,
-        always_pool=always_pool,
     )
     return {point: computed[i] for i, (_key, point) in enumerate(misses)}
 
@@ -772,8 +759,6 @@ def resolve_points(
     tasks: Sequence[Tuple[str, Point]],
     cache,
     jobs: int = 1,
-    mp_context: Optional[str] = None,
-    always_pool: bool = False,
 ) -> Tuple[Dict[Point, SimStats], int]:
     """Serve ``(cache_key, point)`` *tasks* from *cache*, simulating
     misses over the worker pool and backfilling the cache.
@@ -787,12 +772,7 @@ def resolve_points(
     completed batch.  Returns ``({point: stats}, n_simulated)``.
     """
     resolved, misses = classify_points(tasks, cache)
-    resolved.update(
-        compute_points(
-            misses, cache, jobs=jobs,
-            mp_context=mp_context, always_pool=always_pool,
-        )
-    )
+    resolved.update(compute_points(misses, cache, jobs=jobs))
     return resolved, len(misses)
 
 
@@ -899,8 +879,6 @@ class Engine:
         seed: int = 1,
         n_insts: Optional[int] = None,
         salt: Optional[str] = None,
-        mp_context: Optional[str] = None,
-        always_pool: bool = False,
         traces: Optional[TraceStore] = None,
     ) -> None:
         self.jobs = jobs
@@ -909,11 +887,6 @@ class Engine:
         #: Global n_insts override; ``None`` uses each spec's default.
         self.n_insts = n_insts
         self._salt = salt
-        #: Worker start method + pool forcing, for callers that must
-        #: not run simulations in this (possibly stale) process -- the
-        #: serve loop passes ``mp_context="spawn", always_pool=True``.
-        self.mp_context = mp_context
-        self.always_pool = always_pool
         #: Where workers read and write traces (the serve loop's
         #: :class:`TraceStore`); None generates every trace.
         self.traces = traces
@@ -958,14 +931,7 @@ class Engine:
 
     def compute(self, dirty: Sequence[Tuple[str, Point]]) -> Dict[Point, SimStats]:
         """Simulate the *dirty* tasks over the pool and backfill the cache."""
-        return compute_points(
-            dirty,
-            self.cache,
-            jobs=self.jobs,
-            mp_context=self.mp_context,
-            always_pool=self.always_pool,
-            traces=self.traces,
-        )
+        return compute_points(dirty, self.cache, jobs=self.jobs, traces=self.traces)
 
     def resolve(
         self, tasks: Sequence[Tuple[str, Point]]

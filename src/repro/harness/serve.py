@@ -1,35 +1,35 @@
 """Always-on incremental results service: ``python -m repro.harness serve``.
 
-A long-lived daemon that plans the experiment grid once, then keeps
-the published results continuously correct under live code and spec
-edits by recomputing *only the dirty delta*:
+A long-lived daemon that keeps the published results continuously
+correct under live code and spec edits by recomputing *only the dirty
+delta*:
 
 1. **Watch.**  Every poll tick the daemon re-derives the dependency-
    sliced salt closure from disk (:func:`compute_salt_recipe`) and
    content-hashes every file in it, plus the experiment-spec module.
    No inotify: plain sha256 polling, so it works on any filesystem.
-2. **Classify.**  On change, the grid is re-planned and every point is
-   classified clean or dirty through the content-addressed cache keys
-   (point + new salt): an edit to a salted module flips the salt, so
-   exactly the affected points miss; an edit to the spec module that
-   changes no point (a comment, say) leaves every key warm and
-   recomputes *zero* points.
-3. **Recompute.**  Dirty points fan out over the worker pool.  Workers
-   are **spawned fresh** (``mp_context="spawn"``, pool forced even for
-   ``--jobs 1``) so they import the edited simulator code from disk
-   rather than inheriting this process's stale modules.  They read
-   each trace from the :class:`~repro.harness.engine.TraceStore` under
-   ``<cache-dir>/trace/`` when the generator's own salt still matches,
-   so an edit outside the generator regenerates no trace.
+2. **Classify.**  On change (and once at boot) the daemon forks a child
+   that imports ``repro`` and the spec module afresh (so it runs only
+   the code now on disk), re-plans the grid and classifies every point
+   clean or dirty through the content-addressed cache keys (point + new
+   salt): an edit to a salted module flips the salt, so exactly the
+   affected points miss; an edit to the spec module that changes no
+   point (a comment, say) leaves every key warm and recomputes *zero*
+   points.
+3. **Recompute.**  Dirty points fan out over a pool forked from the
+   child.  Workers read each trace from the
+   :class:`~repro.harness.engine.TraceStore` under ``<cache-dir>/trace/``
+   when the generator's own salt still matches, so an edit outside the
+   generator regenerates no trace.
 4. **Publish.**  Figure JSON artifacts and the serve-owned
    EXPERIMENTS.md (one :func:`splice_section` block per experiment)
-   are rewritten atomically (pid-suffixed temp + ``os.replace``), and
-   one canonical-JSON line is appended to the **generation ledger**
-   (``generations.jsonl``): generation number, the result and trace
-   salts, changed modules per the salt recipe, dirty/clean/planned
-   counts, per-phase wall time, cache hit rate, and a digest over the
-   published artifact bytes.  A no-op edit provably republishes
-   byte-identical artifacts (same digest).
+   are rewritten atomically (pid-suffixed temp + ``os.replace``); once
+   the daemon has reaped the child, it appends one canonical-JSON line
+   to the **generation ledger** (``generations.jsonl``): generation
+   number, the result and trace salts, changed modules per the salt
+   recipe, dirty/clean/planned counts, per-phase wall time, cache hit
+   rate, and a digest over the published artifact bytes.  A no-op edit
+   provably republishes byte-identical artifacts (same digest).
 
 Subscribers (``python -m repro.harness subscribe``, or a campaign via
 ``python -m repro.explore --live-server``) follow the monotonically
@@ -38,12 +38,6 @@ numbered ledger and ``status.json`` -- deltas, not polling races.
 Artifacts are pure functions of the results: no timestamps or
 generation numbers, so the ledger's ``artifacts_digest`` is the
 byte-identity witness CI greps for.
-
-Known restart-required edits: the daemon reloads the spec module when
-its file changes, but structural edits to the point dataclasses
-themselves (``repro.harness.spec``) or to config-class *fields* need a
-restart -- the planning pass runs in this process.  Behavioral edits
-to any salted simulator module are the designed-for case.
 """
 
 from __future__ import annotations
@@ -53,10 +47,11 @@ import hashlib
 import importlib
 import json
 import os
+import signal
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.harness.engine import (
     CACHE_DIR,
@@ -131,37 +126,20 @@ class ResultsServer:
         # Import the spec registry up front so unknown experiment names
         # fail at boot, and so the module's __file__ lands in the watch
         # set even for registries outside the repro tree.
-        self._specs_mod = importlib.import_module(config.specs_module)
-        self._validate_names()
+        registry = importlib.import_module(config.specs_module).SPECS
+        self.names = config.names or list(registry)
+        unknown = [n for n in self.names if n not in registry]
+        if unknown:
+            raise SystemExit(
+                f"unknown experiment(s) {unknown}; "
+                f"{config.specs_module} offers {list(registry)}"
+            )
+        self.specs = [registry[n] for n in self.names]
         #: Number of generations produced by *this* process.
         self.produced = 0
         #: Next generation number; continues a prior daemon's ledger so
         #: subscribers see one monotone sequence across restarts.
         self.generation = self._last_ledger_generation() + 1
-
-    # -- spec registry -------------------------------------------------
-    def _validate_names(self) -> None:
-        specs = getattr(self._specs_mod, "SPECS")
-        unknown = [n for n in (self.config.names or []) if n not in specs]
-        if unknown:
-            raise SystemExit(
-                f"unknown experiment(s) {unknown}; "
-                f"{self.config.specs_module} offers {list(specs)}"
-            )
-
-    def _load_specs(self, reload: bool) -> Tuple[List, List[str]]:
-        """The (specs, names) to serve, optionally re-imported from disk."""
-        if reload:
-            self._specs_mod = importlib.reload(self._specs_mod)
-        registry = getattr(self._specs_mod, "SPECS")
-        names = self.config.names or list(registry)
-        missing = [n for n in names if n not in registry]
-        if missing:
-            raise RuntimeError(
-                f"experiment(s) {missing} vanished from "
-                f"{self.config.specs_module} after reload"
-            )
-        return [registry[n] for n in names], names
 
     # -- watching ------------------------------------------------------
     def watch_paths(self) -> Dict[str, Path]:
@@ -196,31 +174,29 @@ class ResultsServer:
         return digests
 
     # -- the generation ------------------------------------------------
-    def run_generation(self, reason: str, changed: List[str]) -> Dict[str, object]:
-        """One incremental recomputation; returns the ledger entry."""
-        timer = PhaseTimer()
+    def build_generation(
+        self, reason: str, changed: List[str], timer: Optional[PhaseTimer] = None
+    ) -> Dict[str, object]:
+        """One incremental recomputation in this process; returns the ledger
+        entry.  *timer* may hold time already spent on the ``plan`` phase."""
+        timer = PhaseTimer() if timer is None else timer
         with timer.phase("plan"):
             recipe = compute_salt_recipe(scans=self.scans)
             salt = recipe_salt(recipe)
             generator_salt = trace_salt(self.scans)
-            specs, names = self._load_specs(
-                reload=self.config.specs_module in changed
-            )
             engine = Engine(
                 jobs=self.config.jobs,
                 cache=self.cache,
                 seed=self.config.seed,
                 n_insts=self.config.n_insts,
                 salt=salt,
-                mp_context="spawn",
-                always_pool=True,
                 # Traces outlive generations: an edit outside the
                 # generator's closure keeps every one of their keys.
                 traces=TraceStore(
                     Path(self.config.cache_dir) / "trace", generator_salt
                 ),
             )
-            tasks = engine.plan(specs)
+            tasks = engine.plan(self.specs)
         with timer.phase("classify"):
             clean, dirty = engine.classify(tasks)
         self.say(
@@ -234,11 +210,11 @@ class ResultsServer:
             resolved = {**clean, **engine.compute(dirty)}
             executed = len(dirty)
         with timer.phase("reduce"):
-            results = engine.reduce(specs, resolved)
+            results = engine.reduce(self.specs, resolved)
         with timer.phase("publish"):
-            digest = self.publish(names, results, engine)
+            digest = self.publish(self.names, results, engine)
         planned = len(tasks)
-        entry: Dict[str, object] = {
+        return {
             "generation": self.generation,
             "reason": reason,
             "salt": salt,
@@ -251,17 +227,45 @@ class ResultsServer:
             "cache_hit_rate": round(len(clean) / planned, 4) if planned else 1.0,
             "phase_seconds": {k: round(v, 3) for k, v in timer.seconds.items()},
             "artifacts_digest": digest,
-            "experiments": names,
+            "experiments": self.names,
         }
+
+    def fork_generation(self, reason: str, changed: List[str]) -> int:
+        """Build a generation in a child (:func:`_fresh_generation`); once it
+        is reaped, record its entry and return its exit code.  An interrupt
+        is passed on to the child, which reaps its workers, and re-raised."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=_fresh_generation,
+            args=(self.config, self.say, reason, changed, writer),
+        )
+        child.start()
+        try:
+            writer.close()
+            entry = reader.recv()
+        except EOFError:
+            pass  # the child died without an entry; its exit code says how
+        except KeyboardInterrupt:
+            if child.is_alive():
+                os.kill(child.pid, signal.SIGINT)
+            raise
+        finally:
+            reader.close()
+            child.join()
+        if child.exitcode != 0:  # it exits 0 only once its entry is sent
+            return child.exitcode
         self._append_ledger(entry)
-        self._write_status(entry, state="serving")
+        self._write_status(entry)
         self.say(
             f"serve: generation {self.generation} published: "
-            f"{executed} simulated, artifacts {digest}"
+            f"{entry['executed']} simulated, artifacts {entry['artifacts_digest']}"
         )
         self.generation += 1
         self.produced += 1
-        return entry
+        return 0
 
     # -- publishing ----------------------------------------------------
     def publish(self, names: List[str], results, engine: Engine) -> str:
@@ -315,10 +319,10 @@ class ResultsServer:
             fh.write(line + "\n")
             fh.flush()
 
-    def _write_status(self, entry: Dict[str, object], state: str) -> None:
+    def _write_status(self, entry: Dict[str, object]) -> None:
         status = {
             "pid": os.getpid(),
-            "state": state,
+            "state": "serving",
             "generation": entry["generation"],
             "salt": entry["salt"],
             "planned": entry["planned"],
@@ -343,10 +347,11 @@ class ResultsServer:
     def serve_forever(self) -> int:
         """Generation 0, then poll-and-recompute until the limit (if any).
 
-        A failed generation (half-saved spec module, crashed worker)
-        is logged and retried on the next tick -- the watch snapshot
-        only advances after a generation lands, so the daemon keeps
-        trying until the tree is importable and simulable again.
+        A failed generation 0 ends the daemon; a later one (half-saved
+        module, crashed worker) is logged and retried on the next tick --
+        the watch snapshot only advances after a generation lands, so the
+        daemon keeps trying until the tree is importable and simulable
+        again.
         """
         self.out.mkdir(parents=True, exist_ok=True)
         watch = self.snapshot()
@@ -354,7 +359,9 @@ class ResultsServer:
             f"serve: watching {len(watch)} modules, polling every "
             f"{self.config.interval}s (cache {self.config.cache_dir})"
         )
-        self.run_generation("initial", [])
+        code = self.fork_generation("initial", [])
+        if code != 0:
+            raise SystemExit(f"serve: generation 0 failed (child exit {code})")
         while not self._done():
             time.sleep(self.config.interval)
             current = self.snapshot()
@@ -365,11 +372,10 @@ class ResultsServer:
             )
             if not changed:
                 continue
-            try:
-                self.run_generation("edit", changed)
-            except Exception as exc:
+            code = self.fork_generation("edit", changed)
+            if code != 0:
                 self.say(
-                    f"serve: generation failed ({type(exc).__name__}: {exc}); "
+                    f"serve: generation failed (child exit {code}); "
                     "retrying on next tick"
                 )
                 continue
@@ -379,6 +385,35 @@ class ResultsServer:
             "exiting"
         )
         return 0
+
+
+def _interrupt_once(signum, frame) -> None:
+    """A generation child's SIGINT handler: the first unwinds it, reaping its
+    pool; later ones (Ctrl-C reaches the group, and the daemon passes its
+    own on) are ignored."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
+def _fresh_generation(config, progress, reason, changed, conn) -> None:
+    """A generation child: drop every ``repro`` module and the spec module
+    from ``sys.modules``, so the imports below (of this very module too,
+    timed as ``plan``) read the files now on disk, build the generation
+    and send its ledger entry over *conn*."""
+    signal.signal(signal.SIGINT, _interrupt_once)
+    try:
+        timer = PhaseTimer()
+        with timer.phase("plan"):
+            for name in list(sys.modules):
+                if name.split(".")[0] == "repro" or name == config.specs_module:
+                    del sys.modules[name]
+            importlib.invalidate_caches()
+            from repro.harness.serve import ResultsServer as FreshServer
+
+            server = FreshServer(config, progress)
+        conn.send(server.build_generation(reason, changed, timer))
+    except KeyboardInterrupt:
+        sys.exit(130)
 
 
 def build_parser():
@@ -404,8 +439,7 @@ def build_parser():
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for dirty points (default: 1; workers are "
-        "always spawned fresh so they see edited code)",
+        help="worker processes for dirty points (default: 1)",
     )
     parser.add_argument(
         "--n-insts", type=int, default=None, metavar="N",

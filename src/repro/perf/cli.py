@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro.perf                         # full suite -> BENCH_PR8.json
+    python -m repro.perf --out bench.json        # full suite -> bench.json
     python -m repro.perf --quick                 # CI-sized runs
     python -m repro.perf machine.run.cwsp        # a subset
     python -m repro.perf --list                  # what exists
@@ -61,7 +61,7 @@ def numpy_version() -> str:
 
 
 def document(results: Dict[str, BenchResult], config: BenchConfig) -> dict:
-    """The machine-readable benchmark document (BENCH_PR8.json)."""
+    """The machine-readable benchmark document (``--out``)."""
     from repro.arch.config import skylake_machine
 
     machine = skylake_machine(scaled=True)
@@ -186,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_PR8.json",
+        default=None,
         metavar="PATH",
-        help="benchmark JSON output (default: BENCH_PR8.json)",
+        help="write the benchmark JSON document here (default: write no file)",
     )
     parser.add_argument(
         "--compare",

@@ -165,6 +165,30 @@ class TestKeyIdentity:
             written = cache._path(key).read_text()
             assert written == json.dumps(expected, sort_keys=True), key
 
+    def test_entry_bytes_match_the_streaming_encoder(self, tmp_path):
+        # Entries are encoded by one json.dumps; the bytes are the ones
+        # json.dump streamed to the file before, simulated floats included.
+        import repro.harness.engine as engine_mod
+
+        point = SimPoint("namd", cwsp(), skylake_machine(scaled=True), "pruned", 2000, 1)
+        stats = compute_point(point)
+        key = point_cache_key(point, self.SALT)
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put(key, point, stats)
+        candidates = [("repro.arch", "machine"), ("repro.x", None)]
+        cache.scans.put("d" * 64, candidates)
+        pairs = [
+            (cache._path(key), dict(_oracle_payload(point), key=key, stats=stats.to_dict())),
+            (
+                cache.scans._path("d" * 64),
+                {"candidates": candidates, "digest": "d" * 64, "scanner": engine_mod._SCANNER},
+            ),
+        ]
+        for path, payload in pairs:
+            with open(tmp_path / "streamed.json", "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         scheme=_replaced(cwsp()),
@@ -964,20 +988,5 @@ class TestParallelMapShutdown:
         assert set(flushed.values()) == {"a", "b", "c"}
         assert _live_children() <= baseline
 
-    def test_always_pool_forces_out_of_process_execution(self):
-        # jobs=1 + a single task normally runs inline; always_pool is
-        # how the serve loop guarantees fresh-code workers.
-        assert parallel_map(_worker_pid, [0], jobs=1) == [__import__("os").getpid()]
-        (other,) = parallel_map(
-            _worker_pid, [0], jobs=1, always_pool=True, mp_context="spawn"
-        )
-        assert other != __import__("os").getpid()
-
     def test_empty_task_list_never_spins_a_pool(self):
-        assert parallel_map(_square, [], jobs=4, always_pool=True) == []
-
-
-def _worker_pid(_task):
-    import os as _os
-
-    return _os.getpid()
+        assert parallel_map(_square, [], jobs=4) == []

@@ -187,6 +187,11 @@ class TestCLI:
         assert doc["config"]["machine"] == "skylake_machine(scaled=True)"
         assert "queues.ops" in doc["results"]
 
+    def test_run_without_out_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["queues.ops", "--quick", "--reps", "1"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_and_gate(self, tmp_path, capsys):
         """End-to-end: write a doc, then gate a second run against it."""
         out = tmp_path / "bench.json"

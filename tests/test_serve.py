@@ -1,19 +1,22 @@
 """The serve daemon: dirty-delta recomputation, generation ledger, subscribe.
 
 In-process tests drive :class:`ResultsServer` generation by generation;
-the end-to-end test boots the real ``python -m repro.harness serve``
-subprocess against a *copied* checkout and edits modules under it,
+the end-to-end tests boot the real ``python -m repro.harness serve``
+subprocess against a *copied* checkout and edit modules under it,
 proving the acceptance criteria: a comment appended to the spec module
-reloads it and triggers a generation with zero recomputed points and a
-byte-identical artifacts digest, while a salted edit
+re-imports it and triggers a generation with zero recomputed points and
+a byte-identical artifacts digest, while a salted edit
 (``repro.arch.machine``) recomputes the whole affected grid on the
 stored traces, and an edit to the trace generator
-(``repro.workloads.synthetic``) regenerates every trace too.
+(``repro.workloads.synthetic``) regenerates every trace too.  A reducer
+that reads an edited module publishes the edited value, and an
+interrupt mid-generation ends the daemon and every process it started.
 """
 
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -75,10 +78,16 @@ def _server(tmp_path, tiny_specs, **overrides):
     return ResultsServer(config)
 
 
+def _generation(server, reason, changed):
+    """One generation on the daemon's own path; returns its ledger entry."""
+    assert server.fork_generation(reason, changed) == 0
+    return read_entries(server.ledger_path)[-1]
+
+
 class TestResultsServer:
     def test_initial_generation_simulates_everything(self, tmp_path, tiny_specs):
         server = _server(tmp_path, tiny_specs)
-        entry = server.run_generation("initial", [])
+        entry = _generation(server, "initial", [])
         assert entry["generation"] == 0
         assert entry["planned"] == 4  # 2 apps x (baseline + cwsp)
         assert entry["dirty"] == entry["planned"]
@@ -97,13 +106,13 @@ class TestResultsServer:
 
     def test_warm_generation_is_clean_and_byte_identical(self, tmp_path, tiny_specs):
         server = _server(tmp_path, tiny_specs)
-        first = server.run_generation("initial", [])
+        first = _generation(server, "initial", [])
         artifact = (tmp_path / "out" / "artifacts" / "tiny.json").read_bytes()
-        # A no-op edit to the spec module: it reloads and replans the
-        # same points, so nothing recomputes.
+        # A no-op edit to the spec module: the generation imports it
+        # afresh and replans the same points, so nothing recomputes.
         with open(tmp_path / f"{tiny_specs}.py", "a") as fh:
             fh.write("\n# serve test: no-op edit\n")
-        second = server.run_generation("edit", [tiny_specs])
+        second = _generation(server, "edit", [tiny_specs])
         assert second["generation"] == 1
         assert second["dirty"] == 0
         assert second["clean"] == second["planned"]
@@ -132,22 +141,22 @@ class TestResultsServer:
         server.cache = CountingCache()
         for reason in ("initial", "edit"):
             gets.clear()
-            entry = server.run_generation(reason, [])
+            entry = server.build_generation(reason, [])
             assert len(gets) == len(set(gets)) == entry["planned"]
         assert entry["dirty"] == 0
 
     def test_generation_numbering_survives_restart(self, tmp_path, tiny_specs):
-        _server(tmp_path, tiny_specs).run_generation("initial", [])
+        _generation(_server(tmp_path, tiny_specs), "initial", [])
         reborn = _server(tmp_path, tiny_specs)
         assert reborn.generation == 1
-        entry = reborn.run_generation("initial", [])
+        entry = _generation(reborn, "initial", [])
         assert entry["generation"] == 1
         gens = [e["generation"] for e in read_entries(reborn.ledger_path)]
         assert gens == [0, 1]
 
     def test_status_json_reflects_last_generation(self, tmp_path, tiny_specs):
         server = _server(tmp_path, tiny_specs)
-        entry = server.run_generation("initial", [])
+        entry = _generation(server, "initial", [])
         status = json.loads((tmp_path / "out" / "status.json").read_text())
         assert status["generation"] == 0
         assert status["salt"] == entry["salt"]
@@ -178,6 +187,15 @@ class TestResultsServer:
         server = _server(tmp_path, tiny_specs, max_generations=1)
         assert server.serve_forever() == 0
         assert len(read_entries(server.ledger_path)) == 1
+
+    def test_failed_generation_zero_ends_the_daemon(self, tmp_path, tiny_specs):
+        # The generation imports the spec module from disk, as it is now.
+        server = _server(tmp_path, tiny_specs, max_generations=1)
+        with open(tmp_path / f"{tiny_specs}.py", "a") as fh:
+            fh.write("\nthis is not python\n")
+        with pytest.raises(SystemExit, match="generation 0 failed"):
+            server.serve_forever()
+        assert read_entries(server.ledger_path) == []
 
 
 class TestLedgerAndSubscribe:
@@ -331,3 +349,142 @@ class TestServeEndToEnd:
         assert "gen 0" in lines[0]
         assert f"dirty=0/{g0['planned']}" in lines[1]
         assert "changed=repro.arch.machine" in lines[2]
+
+
+# A reducer that simulates nothing and reads the scheme catalog: its
+# result changes only if the generation runs the catalog now on disk.
+AMP_SPECS = '''\
+"""One-row registry publishing cWSP's NVM write amplification."""
+from repro.harness.report import FigureResult
+from repro.harness.spec import ExperimentSpec
+from repro.schemes import cwsp
+
+
+def _build(r, ctx):
+    result = FigureResult("amp", "cWSP NVM write amplification", ["scheme", "amp"])
+    result.add("cwsp", cwsp().nvm_write_amp)
+    return result
+
+
+SPECS = {"amp": ExperimentSpec("amp", "amp", _build, simulates=False)}
+'''
+
+# A reducer that holds a pool of two sleeping workers: a generation of
+# it keeps the daemon, the generation and two workers alive.
+SLEEPY_SPECS = '''\
+"""A registry whose one reducer sleeps in a two-worker pool."""
+import time
+
+from repro.harness.engine import parallel_map
+from repro.harness.report import FigureResult
+from repro.harness.spec import ExperimentSpec
+
+
+def _build(r, ctx):
+    parallel_map(time.sleep, [120, 120], jobs=2)
+    return FigureResult("sleepy", "sleeps", ["x"])
+
+
+SPECS = {"sleepy": ExperimentSpec("sleepy", "sleepy", _build, simulates=False)}
+'''
+
+
+def _copied_checkout(tmp_path, specs_name, specs_source):
+    """A copy of ``src/`` plus a spec module, and the env that runs it."""
+    shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
+    (tmp_path / f"{specs_name}.py").write_text(specs_source)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{tmp_path / 'src'}{os.pathsep}{tmp_path}"
+    return env
+
+
+def _serve(tmp_path, env, args, **popen):
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.harness", "serve", *args,
+            "--interval", "0.2", "--out", "out", "--cache-dir", "cache",
+        ],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, **popen,
+    )
+
+
+def _group(pgid):
+    """Pids of the live (non-zombie) processes in process group *pgid*."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+class TestServeRunsFreshCode:
+    def test_reducer_publishes_the_edited_catalog(self, tmp_path):
+        env = _copied_checkout(tmp_path, "amp_specs", AMP_SPECS)
+        ledger = tmp_path / "out" / "generations.jsonl"
+        artifact = tmp_path / "out" / "artifacts" / "amp.json"
+        proc = _serve(
+            tmp_path, env,
+            ["amp", "--specs-module", "amp_specs", "--max-generations", "2"],
+        )
+        try:
+            _wait_for_lines(ledger, 1)
+            before = json.loads(artifact.read_text())["rows"]
+            catalog = tmp_path / "src" / "repro" / "schemes" / "catalog.py"
+            text = catalog.read_text()
+            edited = text.replace(
+                "nvm_write_amp=2.0,  # background undo log", "nvm_write_amp=2.5,  #"
+            )
+            assert edited != text
+            catalog.write_text(edited)
+            g0, g1 = _wait_for_lines(ledger, 2)[:2]
+            after = json.loads(artifact.read_text())["rows"]
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            err = proc.stderr.read()
+        assert before == [["cwsp", 2.0]], err
+        assert g1["changed_modules"] == ["repro.schemes.catalog"], err
+        assert after == [["cwsp", 2.5]], err
+        assert g1["artifacts_digest"] != g0["artifacts_digest"]
+
+    # Ctrl-C in a terminal interrupts the whole group; ``kill -INT``
+    # only the daemon, which passes it on.
+    @pytest.mark.parametrize("interrupt", [os.killpg, os.kill], ids=["group", "daemon"])
+    def test_interrupt_mid_generation_ends_the_whole_group(self, tmp_path, interrupt):
+        env = _copied_checkout(tmp_path, "sleepy_specs", SLEEPY_SPECS)
+        proc = _serve(
+            tmp_path, env, ["sleepy", "--specs-module", "sleepy_specs"],
+            start_new_session=True,
+        )
+        try:
+            # At least two live processes besides the daemon: the generation
+            # is under way.
+            deadline = time.monotonic() + 120
+            while len(_group(proc.pid)) < 3:
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, _group(proc.pid)
+                time.sleep(0.1)
+            time.sleep(0.5)  # let the pool finish starting its workers
+            interrupt(proc.pid, signal.SIGINT)
+            code = proc.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while _group(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            left = _group(proc.pid)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # whatever is left
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert code == 130, proc.stderr.read()
+        assert left == []

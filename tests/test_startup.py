@@ -13,10 +13,12 @@ by their packages, and the process-pool
 stack loads inside ``parallel_map``.  The simulator itself (machine,
 caches, multicore, queues, trace and the trace generator) loads where a
 point simulates, and ``compute_points`` imports it before the fork as
-it does numpy -- unless the workers are spawned, as the serve daemon's
-are: they inherit nothing, and one whose trace is stored never loads
-numpy at all.  A warm run also parses no salted module: the salt
-walk's parses are stored beside the results.
+it does numpy -- numpy only when no trace store is given: the serve
+daemon's generations read stored traces, and a process whose traces
+are stored never loads numpy at all.  The daemon itself only watches:
+each generation runs in a child forked for it, which imports the
+simulator.  A warm run also parses no salted module: the salt walk's
+parses are stored beside the results.
 
 Each check runs in a fresh interpreter: the test process itself has
 long since imported all of these.
@@ -137,61 +139,61 @@ print(sorted(set(preloaded) - set(sys.modules)))
     assert _python(f"SIMULATOR = {SIMULATOR!r}" + code, tmp_path) == "[]"
 
 
-def test_serve_daemon_loads_neither_numpy_nor_the_simulator(tmp_path):
-    """Its workers are spawned and inherit nothing, so the daemon skips
-    the pre-fork import even in a generation that simulates."""
+def test_serve_supervisor_loads_neither_numpy_nor_the_simulator(tmp_path):
+    """Generations run in forked children, so the daemon that forks them
+    imports neither, even when a generation simulates."""
     code = """
 import sys
 from repro.harness.serve import ResultsServer, ServeConfig
 config = ServeConfig(
+    names=["multicore"], out_dir="out", cache_dir="cache", jobs=2,
+    n_insts=500, max_generations=1,
+)
+server = ResultsServer(config)
+assert server.serve_forever() == 0
+landed = server.generation, len(open("out/generations.jsonl").readlines())
+assert landed == (1, 1), landed
+print(sorted(set(["numpy"] + SIMULATOR) & set(sys.modules)))
+"""
+    assert _python(f"SIMULATOR = {SIMULATOR!r}" + code, tmp_path) == "[]"
+
+
+def test_generation_on_stored_traces_loads_numpy_nowhere(tmp_path):
+    """An audit hook, inherited by every fork, logs each numpy import
+    with its process id: generation 0 generates (and stores) its traces
+    in the workers, and a second generation on the filled trace store,
+    with every result dirty, imports numpy in neither the child nor its
+    workers."""
+    code = """
+import json, os, shutil, sys
+from pathlib import Path
+from repro.harness.serve import ResultsServer, ServeConfig
+
+def log_numpy(event, args):
+    if event == "import" and args[0] == "numpy":
+        with open("numpy-imports", "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+
+sys.addaudithook(log_numpy)
+config = ServeConfig(
     names=["multicore"], out_dir="out", cache_dir="cache", jobs=2, n_insts=500
 )
-entry = ResultsServer(config).run_generation("initial", [])
-assert entry["dirty"] == entry["executed"] == entry["planned"] > 0, entry
-print(sorted({"numpy", "repro.arch.machine"} & set(sys.modules)))
+server = ResultsServer(config)
+assert server.fork_generation("initial", []) == 0
+generated = set(Path("numpy-imports").read_text().split())
+assert generated and str(os.getpid()) not in generated, generated
+os.remove("numpy-imports")
+traces = sorted(os.listdir("cache/trace"))
+for entry in os.listdir("cache"):
+    if len(entry) == 2:
+        shutil.rmtree(os.path.join("cache", entry))
+assert server.fork_generation("edit", []) == 0
+last = json.loads(open("out/generations.jsonl").readlines()[-1])
+assert last["dirty"] == last["planned"] > 0, last
+assert sorted(os.listdir("cache/trace")) == traces
+print(os.path.exists("numpy-imports"), "numpy" in sys.modules)
 """
-    assert _python(code, tmp_path) == "[]"
-
-
-#: Runs one batch in a pool worker with a trace store and reports the
-#: stats and whether the worker imported numpy.
-PROBE = """
-import sys
-from repro.harness.engine import _execute_batch
-
-
-def probe(store, batch):
-    stats = _execute_batch(batch, traces=store)
-    return [s.to_dict() for s in stats], "numpy" in sys.modules
-"""
-
-
-def test_spawned_worker_on_a_stored_trace_does_not_load_numpy(tmp_path):
-    (tmp_path / "trace_probe.py").write_text(PROBE)
-    code = """
-from functools import partial
-from pathlib import Path
-from repro.arch import skylake_machine
-from repro.harness.engine import TraceStore, parallel_map, trace_salt
-from repro.harness.spec import SimPoint
-from repro.schemes import cwsp
-import trace_probe
-
-point = SimPoint("lbm", cwsp(), skylake_machine(scaled=True), "pruned", 500, 1)
-store = TraceStore(Path("trace"), trace_salt())
-
-
-def run():
-    fn = partial(trace_probe.probe, store)
-    return parallel_map(fn, [[point]], mp_context="spawn", always_pool=True)[0]
-
-
-generated, generated_numpy = run()
-stored, stored_numpy = run()
-assert stored == generated
-print(generated_numpy, stored_numpy, len(list(Path("trace").iterdir())))
-"""
-    assert _python(code, tmp_path) == "True False 1"
+    assert _python(code, tmp_path) == "False False"
 
 
 @pytest.mark.parametrize("package", ["repro.arch", "repro.workloads"])
