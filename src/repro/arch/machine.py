@@ -30,6 +30,7 @@ specification the tests diff it against.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import islice
 from operator import length_hint
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -45,6 +46,55 @@ Event = Tuple  # (code,) or (code, addr)
 
 _CKPT_SYNTH_BASE = 0x0F80_0000
 INF = float("inf")
+
+#: The completion queues whose capacities :func:`queue_capacities`
+#: returns, in its order.
+QUEUES = ("wb", "pb", "rbt", "wpq")
+
+Sibling = Tuple[str, Tuple[int, ...]]
+
+
+def queue_capacities(machine: MachineConfig, scheme: Scheme) -> Tuple[int, ...]:
+    """Entries of each of :data:`QUEUES` in a run of *scheme* on *machine*
+    (a scheme's PB/RBT sizing wins over the machine's)."""
+    return (
+        machine.wb_entries,
+        scheme.pb_entries_override or machine.pb_entries,
+        scheme.rbt_entries_override or machine.rbt_entries,
+        machine.wpq_entries,
+    )
+
+
+def sibling(machine: MachineConfig, scheme: Scheme) -> Sibling:
+    """``(rest, capacities)``: everything else of *machine* and *scheme*,
+    rendered by ``repr`` (which tells ``1``, ``1.0`` and ``True`` apart),
+    and :func:`queue_capacities`.  Single-core points of one trace whose
+    ``rest`` is equal are capacity siblings."""
+    rest = (
+        replace(machine, wb_entries=0, pb_entries=0, rbt_entries=0, wpq_entries=0),
+        replace(scheme, pb_entries_override=None, rbt_entries_override=None),
+    )
+    return repr(rest), queue_capacities(machine, scheme)
+
+
+def serves(witness: Sibling, stats: SimStats, point: Sibling) -> bool:
+    """Whether a single-core run of *witness* that produced *stats* is, on
+    the same trace, also the run of *point*.
+
+    The loop reads a queue's capacity only in its full check, and every
+    full admit counts in ``<queue>.full_stalls``.  A run that never
+    filled a queue therefore takes the same path at any larger capacity
+    of it (Mattson et al.'s inclusion property, for completion queues).
+    So *witness* serves *point* when ``rest`` is equal and each capacity
+    is equal, or larger where the witness never filled that queue.
+    """
+    if witness[0] != point[0]:
+        return False
+    metrics = stats.metrics
+    return all(
+        mine == theirs or (mine > theirs and not metrics.value(f"{queue}.full_stalls"))
+        for queue, theirs, mine in zip(QUEUES, witness[1], point[1])
+    )
 
 
 class TimingSimulator:
@@ -62,11 +112,12 @@ class TimingSimulator:
         self.cycle = 0.0
         #: Index of the first unexecuted event of the last trace run.
         self.cursor = 0
-        self.wb = CompletionQueue(machine.wb_entries)
-        self.pb = CompletionQueue(scheme.pb_entries_override or machine.pb_entries)
-        self.rbt = CompletionQueue(scheme.rbt_entries_override or machine.rbt_entries)
+        wb, pb, rbt, wpq = queue_capacities(machine, scheme)
+        self.wb = CompletionQueue(wb)
+        self.pb = CompletionQueue(pb)
+        self.rbt = CompletionQueue(rbt)
         self.wpq: List[CompletionQueue] = [
-            CompletionQueue(machine.wpq_entries) for _ in range(machine.mc_count)
+            CompletionQueue(wpq) for _ in range(machine.mc_count)
         ]
         self.path_free = 0.0
         self.nvm_free = [0.0] * machine.mc_count

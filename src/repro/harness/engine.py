@@ -17,7 +17,9 @@ engine
    from the point key -- once per batch for points that share one, or
    not at all when a :class:`TraceStore` holds them -- so only compact
    :class:`~repro.arch.metrics.SimStats` metric sets cross process
-   boundaries;
+   boundaries; a run that never filled a queue also serves the
+   batch's points that differ from it only in larger sizes of that
+   queue (:func:`_execute_batch`);
 4. re-runs each experiment's reducer against the resolved results and
    enforces its expected-shape assertions.
 
@@ -38,6 +40,7 @@ import json
 import marshal
 import os
 import sys
+from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -78,21 +81,22 @@ _code_salt: Optional[str] = None
 _salt_recipe: Optional[Dict[str, object]] = None
 
 
-def _src_root() -> Path:
+def _src_root() -> str:
     import repro
 
-    return Path(repro.__file__).parent.parent
+    return os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def module_file(name: str) -> Optional[Path]:
-    """Source file for dotted module *name*, or None if it is not ours."""
-    rel = Path(*name.split("."))
-    as_module = _src_root() / rel.with_suffix(".py")
-    if as_module.is_file():
-        return as_module
-    as_package = _src_root() / rel / "__init__.py"
-    if as_package.is_file():
-        return as_package
+    """Source file for dotted module *name*, or None if it is not ours.
+
+    String paths, not ``pathlib``: a salt walk resolves every imported
+    name this way, most of them not modules.
+    """
+    base = os.path.join(_src_root(), *name.split("."))
+    for file in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(file):
+            return Path(file)
     return None
 
 
@@ -363,27 +367,25 @@ def recipe_salt(recipe: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def salt_recipe(
-    refresh: bool = False, scans: Optional[ScanStore] = None
-) -> Dict[str, object]:
+def salt_recipe(scans: Optional[ScanStore] = None) -> Dict[str, object]:
     """What the cache salt hashes, as data (recorded in lockfiles).
 
     ``{"entries": [...], "modules": {name: sha256}}``
     -- the dependency-sliced module set a simulation point executes,
     with one content hash per module file.  Deterministic for a given
     tree; :func:`code_salt` is the digest of this recipe's canonical
-    JSON form.  Cached after the first call; ``refresh=True`` re-reads
-    the tree (the serve loop's view of "the code changed").  *scans*
-    is the caller's scan store, if it owns a result cache directory.
+    JSON form.  Cached after the first call for the life of the
+    process (the serve daemon re-reads the tree with
+    :func:`compute_salt_recipe`).  *scans* is the caller's scan store,
+    if it owns a result cache directory.
     """
-    global _salt_recipe, _code_salt
-    if _salt_recipe is None or refresh:
+    global _salt_recipe
+    if _salt_recipe is None:
         _salt_recipe = compute_salt_recipe(scans=scans)
-        _code_salt = None
     return _salt_recipe
 
 
-def code_salt(refresh: bool = False, scans: Optional[ScanStore] = None) -> str:
+def code_salt(scans: Optional[ScanStore] = None) -> str:
     """Hash of the source modules a simulation result depends on.
 
     Editing the simulator, the workload generator, or the scheme
@@ -392,9 +394,8 @@ def code_salt(refresh: bool = False, scans: Optional[ScanStore] = None) -> str:
     see :func:`salt_recipe` for exactly what is hashed.
     """
     global _code_salt
-    recipe = salt_recipe(refresh=refresh, scans=scans)
     if _code_salt is None:
-        _code_salt = recipe_salt(recipe)
+        _code_salt = recipe_salt(salt_recipe(scans=scans))
     return _code_salt
 
 
@@ -466,10 +467,17 @@ def _shared(batch: Optional[Dict[tuple, list]], key: tuple, make: Callable):
         return None
     if entry[1] is None:
         entry[1] = make()
-    entry[0] -= 1
-    if entry[0] == 0:
-        del batch[key]  # its last user: free the trace
+    _release(batch, key)
     return entry[1]
+
+
+def _release(batch: Optional[Dict[tuple, list]], key: tuple) -> None:
+    """Count one use of *batch*'s shared *key*; free it after the last."""
+    entry = batch.get(key) if batch else None
+    if entry is not None:
+        entry[0] -= 1
+        if entry[0] == 0:
+            del batch[key]
 
 
 def _trace(
@@ -536,12 +544,51 @@ def compute_point(
     return sim.run(trace)
 
 
+def _sibling_group(point: SimPoint) -> Tuple[tuple, Tuple[int, ...]]:
+    """``(group, capacities)`` of a single-core *point*.  The points of a
+    group share one trace and differ at most in their queue capacities
+    (:func:`repro.arch.machine.sibling`): they are capacity siblings."""
+    from repro.arch.machine import sibling
+
+    rest, capacities = sibling(point.machine, point.scheme)
+    return (_trace_key(point), rest), capacities
+
+
 def _execute_batch(
     batch: List[Point], traces: Optional[TraceStore] = None
 ) -> List[SimStats]:
-    """Compute one worker batch; its memo dies with it."""
+    """Compute one worker batch; its memo dies with it.
+
+    Each group of capacity siblings is walked in ascending capacity
+    order, and a point is simulated only if no earlier run of its group
+    serves it (:func:`repro.arch.machine.serves`).  A served point gets
+    its own copy of the witness's stats: the object a cache read of the
+    same entry returns.
+    """
+    from repro.arch.machine import serves
+
     memo = _batch_memo(batch) if len(batch) > 1 else None
-    return [compute_point(point, batch=memo, traces=traces) for point in batch]
+    results: List[Optional[SimStats]] = [None] * len(batch)
+    groups: Dict[tuple, List[Tuple[Tuple[int, ...], int]]] = {}
+    for index, point in enumerate(batch):
+        if isinstance(point, MulticorePoint):
+            results[index] = compute_point(point, traces=traces)
+        else:
+            group, capacities = _sibling_group(point)
+            groups.setdefault(group, []).append((capacities, index))
+    for (trace_key, rest), members in groups.items():
+        runs: List[tuple] = []  # (sibling, stats) of the group's runs
+        for capacities, index in sorted(members):
+            this = (rest, capacities)
+            witness = next((s for ran, s in runs if serves(ran, s, this)), None)
+            if witness is None:
+                stats = compute_point(batch[index], batch=memo, traces=traces)
+                runs.append((this, stats))
+            else:
+                _release(memo, trace_key)
+                stats = SimStats.from_dict(witness.to_dict())
+            results[index] = stats
+    return results
 
 
 class WorkerCrash(RuntimeError):
@@ -666,27 +713,34 @@ def form_batches(
 ) -> List[List[int]]:
     """Group *misses* into worker batches, as lists of indices.
 
-    Single-core points of one app form near-equal chunks of at most
-    ``ceil(len(misses) / (BATCHES_PER_JOB * jobs))`` points, in plan
-    order.  A multicore point (its per-core traces barely repeat) is a
-    batch of its own.
+    Single-core points of one app are cut, in plan order, into
+    near-equal chunks of at most ``ceil(len(misses) / (BATCHES_PER_JOB
+    * jobs))`` points, except that a group of capacity siblings
+    (:func:`_sibling_group`) is never split: it joins whole the chunk
+    its first point falls in.  A multicore point (its per-core traces
+    barely repeat) is a batch of its own.
     """
     cap = -(-len(misses) // (BATCHES_PER_JOB * max(1, jobs)))
     batches: List[List[int]] = []
-    by_app: Dict[str, List[int]] = {}
+    by_app: Dict[str, Dict[tuple, List[int]]] = {}
     for index, (_key, point) in enumerate(misses):
         if isinstance(point, MulticorePoint):
             batches.append([index])
         else:
-            by_app.setdefault(point.app, []).append(index)
-    for group in by_app.values():
-        n_chunks = -(-len(group) // cap)
-        size, extra = divmod(len(group), n_chunks)
+            groups = by_app.setdefault(point.app, {})
+            groups.setdefault(_sibling_group(point)[0], []).append(index)
+    for groups in by_app.values():
+        total = sum(map(len, groups.values()))
+        n_chunks = -(-total // cap)
+        size, extra = divmod(total, n_chunks)
+        # Where each chunk ends: the first `extra` hold size + 1 points.
+        ends = [(k + 1) * size + min(k + 1, extra) for k in range(n_chunks)]
+        chunks: List[List[int]] = [[] for _ in range(n_chunks)]
         start = 0
-        for chunk in range(n_chunks):
-            end = start + size + (chunk < extra)
-            batches.append(group[start:end])
-            start = end
+        for group in groups.values():
+            chunks[bisect_right(ends, start)].extend(group)
+            start += len(group)
+        batches.extend(chunk for chunk in chunks if chunk)
     return batches
 
 
@@ -718,22 +772,24 @@ def compute_points(
     """Simulate the ``(cache_key, point)`` *misses* and backfill *cache*.
 
     Misses run in the batches :func:`form_batches` cuts, one pool task
-    each.  A batch's results are flushed into *cache* together as the
+    each, where sibling runs serve what they can (:func:`_execute_batch`).
+    A batch's results are flushed into *cache* together as the
     batch lands, in completion order, so an interrupt or worker crash
     keeps every completed batch and loses only the batches in flight.
     Workers read and write their traces in *traces*, if given.
     Returns ``{point: stats}`` in the order of *misses*.
     """
-    if misses:
-        # Load the simulator stack and NumPy once, before the pool forks
-        # workers that inherit them (multicore imports machine, caches,
-        # queues and trace).  Simulator first: compiled after NumPy, it
-        # left forked workers about 0.5 MB larger (sweep-cold peak RSS).
-        # With a trace store NumPy loads only where a trace is missing.
-        import repro.arch.multicore  # noqa: F401
-        import repro.workloads.synthetic  # noqa: F401
-        if traces is None:
-            import numpy  # noqa: F401
+    if not misses:
+        return {}
+    # Load the simulator stack and NumPy once, before the pool forks
+    # workers that inherit them (multicore imports machine, caches,
+    # queues and trace).  Simulator first: compiled after NumPy, it
+    # left forked workers about 0.5 MB larger (sweep-cold peak RSS).
+    # With a trace store NumPy loads only where a trace is missing.
+    import repro.arch.multicore  # noqa: F401
+    import repro.workloads.synthetic  # noqa: F401
+    if traces is None:
+        import numpy  # noqa: F401
 
     batches = form_batches(misses, jobs)
     work = [[misses[i][1] for i in batch] for batch in batches]

@@ -4,10 +4,11 @@ A long-lived daemon that keeps the published results continuously
 correct under live code and spec edits by recomputing *only the dirty
 delta*:
 
-1. **Watch.**  Every poll tick the daemon re-derives the dependency-
-   sliced salt closure from disk (:func:`compute_salt_recipe`) and
-   content-hashes every file in it, plus the experiment-spec module.
-   No inotify: plain sha256 polling, so it works on any filesystem.
+1. **Watch.**  Every poll tick the daemon re-derives from disk
+   (:func:`compute_salt_recipe`) the module closure of the simulation,
+   the experiment-spec module and the publish path, and
+   content-hashes every file in it.  No inotify: plain sha256
+   polling, so it works on any filesystem.
 2. **Classify.**  On change (and once at boot) the daemon forks a child
    that imports ``repro`` and the spec module afresh (so it runs only
    the code now on disk), re-plans the grid and classifies every point
@@ -54,12 +55,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.harness.engine import (
+    _SALT_ENTRY_MODULES,
     CACHE_DIR,
     Engine,
     ResultCache,
     TraceStore,
     compute_salt_recipe,
-    module_file,
     recipe_salt,
     trace_salt,
 )
@@ -70,6 +71,11 @@ LEDGER_NAME = "generations.jsonl"
 STATUS_NAME = "status.json"
 ARTIFACTS_DIR = "artifacts"
 DEFAULT_SPECS_MODULE = "repro.harness.figures"
+
+#: The publish path: this module, and the artifact writer it imports
+#: lazily.  Their closure (the EXPERIMENTS.md renderer, the report and
+#: spec types, the engine) shapes the published bytes.
+_PUBLISH_MODULES = ("repro.harness.serve", "repro.harness.cli")
 
 #: Seed document for the serve-owned EXPERIMENTS.md (deterministic: no
 #: timestamps -- the artifacts digest depends on it).
@@ -142,36 +148,28 @@ class ResultsServer:
         self.generation = self._last_ledger_generation() + 1
 
     # -- watching ------------------------------------------------------
-    def watch_paths(self) -> Dict[str, Path]:
-        """Module name -> file for everything that can trigger a generation.
-
-        The salt recipe's module closure (re-derived from disk, so a
-        newly added import joins the watch set on the next tick) and
-        the experiment spec module.
-        """
-        recipe = compute_salt_recipe(scans=self.scans)
-        names = set(recipe["modules"])
-        names.add(self.config.specs_module)
-        paths: Dict[str, Path] = {}
-        for name in sorted(names):
-            path = module_file(name)
-            if path is None:
-                module = sys.modules.get(name)
-                file = getattr(module, "__file__", None) if module else None
-                path = Path(file) if file else None
-            if path is not None:
-                paths[name] = path
-        return paths
-
     def snapshot(self) -> Dict[str, Optional[str]]:
-        """Content hash per watched module (None for a vanished file)."""
-        digests: Dict[str, Optional[str]] = {}
-        for name, path in self.watch_paths().items():
+        """Content hash per watched module (None for a vanished file).
+
+        One walk from disk (so a newly added import joins the watch set
+        on the next tick) over the module closure of the simulation (the
+        salt's entries), the experiment spec module and the publish
+        path: this module and the artifact writer it imports lazily.  A
+        spec module outside the ``repro`` tree the walk follows is
+        hashed by its file.
+        """
+        name = self.config.specs_module
+        recipe = compute_salt_recipe(
+            (*_SALT_ENTRY_MODULES, name, *_PUBLISH_MODULES), self.scans
+        )
+        snapshot: Dict[str, Optional[str]] = dict(recipe["modules"])
+        file = getattr(sys.modules.get(name), "__file__", None)
+        if name not in snapshot and file:
             try:
-                digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                snapshot[name] = hashlib.sha256(Path(file).read_bytes()).hexdigest()
             except OSError:
-                digests[name] = None
-        return digests
+                snapshot[name] = None
+        return snapshot
 
     # -- the generation ------------------------------------------------
     def build_generation(

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +19,7 @@ from repro.harness.engine import (
     ResultCache,
     TraceStore,
     code_salt,
+    compute_salt_recipe,
     compute_point,
     form_batches,
     parallel_map,
@@ -433,6 +435,84 @@ class TestBatchFormation:
         assert len(calls) == 1
 
 
+SWEEP_SPEC = Path(__file__).resolve().parents[1] / "bench" / "sweep.json"
+
+
+def _sweep_misses():
+    """The 100 points of the repository benchmark's design sweep."""
+    from repro.explore.spec import expand, load_spec
+
+    plan = expand(load_spec(str(SWEEP_SPEC)))
+    return [(f"key-{i}", point) for i, point in enumerate(plan.points)]
+
+
+class TestCapacitySiblings:
+    """A run that never filled a queue serves the points that differ from
+    it only in larger capacities of that queue."""
+
+    def test_sweep_resolves_100_points_with_24_runs(self, monkeypatch):
+        from repro.arch.machine import TimingSimulator
+        from repro.harness.engine import resolve_points
+
+        runs = []
+        real_run = TimingSimulator.run
+
+        def counting_run(sim, events):
+            runs.append(sim)
+            return real_run(sim, events)
+
+        monkeypatch.setattr(TimingSimulator, "run", counting_run)
+        misses = _sweep_misses()
+        resolved, n_simulated = resolve_points(misses, NullCache(), jobs=1)
+        assert (len(misses), n_simulated, len(runs)) == (100, 100, 24)
+        assert len({id(stats) for stats in resolved.values()}) == 100
+        monkeypatch.undo()
+        for _key, point in misses:
+            assert json.dumps(resolved[point].to_dict()) == json.dumps(
+                compute_point(point).to_dict()
+            )
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_batches_keep_sibling_groups_whole(self, jobs):
+        from repro.harness.engine import _sibling_group
+
+        misses = _sweep_misses()
+        batches = form_batches(misses, jobs)
+        assert sorted(i for batch in batches for i in batch) == list(range(100))
+        homes = {}
+        for n, batch in enumerate(batches):
+            for i in batch:
+                homes.setdefault(_sibling_group(misses[i][1])[0], set()).add(n)
+        assert len(homes) == 4 + 3 * 4  # baselines; schemes x apps
+        assert all(len(home) == 1 for home in homes.values())
+
+    def test_serves_only_unfilled_larger_queues(self):
+        from repro.arch.machine import serves, sibling
+
+        machine = skylake_machine(scaled=True)
+        scheme = cwsp()
+        witness = sibling(machine, scheme)
+        unfilled = SimStats(scheme.name)
+        filled = SimStats(scheme.name)
+        filled.metrics.counter("pb.full_stalls").value = 3
+
+        def at(**sizes):
+            return sibling(dataclasses.replace(machine, **sizes), scheme)
+
+        assert serves(witness, filled, at())
+        assert serves(witness, unfilled, at(pb_entries=51, wb_entries=33))
+        assert not serves(witness, filled, at(pb_entries=51))
+        assert serves(witness, filled, at(wpq_entries=25))
+        assert not serves(witness, unfilled, at(pb_entries=49))
+        # A scheme's sizing wins over the machine's.
+        assert serves(witness, filled, sibling(dataclasses.replace(
+            machine, pb_entries=8), dataclasses.replace(scheme, pb_entries_override=50)))
+        # Any other field differs: a different run.
+        assert not serves(witness, unfilled, sibling(
+            dataclasses.replace(machine, commit_width=2.0), scheme))
+        assert not serves(witness, unfilled, sibling(machine, scheme.with_name("x")))
+
+
 def _die_on_seed_666(point, batch=None, traces=None):
     import os as _os
     import signal as _signal
@@ -772,13 +852,13 @@ class TestScanStore:
 
         monkeypatch.setattr(engine_mod, "_salt_recipe", None)
         monkeypatch.setattr(engine_mod, "_code_salt", None)
-        plain = engine_mod.code_salt(refresh=True)
+        plain = recipe_salt(compute_salt_recipe())
         store = self._store(tmp_path)
         engine_mod._CANDIDATES_BY_DIGEST.clear()
-        assert engine_mod.code_salt(refresh=True, scans=store) == plain
+        assert engine_mod.code_salt(scans=store) == plain
         engine_mod._CANDIDATES_BY_DIGEST.clear()
         parses.clear()
-        assert engine_mod.code_salt(refresh=True, scans=store) == plain
+        assert recipe_salt(compute_salt_recipe(scans=store)) == plain
         assert parses == []
         assert len(list(store.root.iterdir())) == 11
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.arch.caches import CacheHierarchy
 from repro.arch.config import CacheConfig, DRAMCacheConfig, skylake_machine
@@ -578,9 +578,10 @@ class TestPackedVsReference:
 # ----------------------------------------------------------------------
 #
 # ``resolve_points`` runs cache misses in per-app batches that share
-# one trace and one primed cache state per key.  Whatever mix of
-# points lands in a batch, every point's stats must be the bytes a
-# lone ``compute_point`` call produces.
+# one trace per key, and serves a point from a sibling's run where
+# ``repro.arch.machine.serves`` allows it.  Whatever mix of points
+# lands in a batch, every point's stats, simulated or served, must be
+# the bytes a lone ``compute_point`` call produces.
 
 _BATCH_MACHINES = (
     # Power-of-two set counts throughout.
@@ -625,20 +626,38 @@ def test_batch_machines_cover_both_loops():
 
 @st.composite
 def batch_misses(draw):
-    # Few values per field, so batches repeat trace and prime keys.
-    def few(values):
-        return st.sampled_from(draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)))
+    # Few values per field, so batches repeat trace and prime keys and
+    # hold capacity siblings: points that differ only in queue sizes.
+    # Sizes of 1-64 entries fill the queues of short traces too, so a
+    # sibling is served by a run only where that run left it unfilled.
+    def few(strategy):
+        return st.sampled_from(draw(st.lists(strategy, min_size=1, max_size=2, unique=True)))
 
+    entries = st.integers(1, 64)
+    machine = st.builds(
+        replace,
+        few(st.sampled_from(_BATCH_MACHINES)),
+        wb_entries=few(entries),
+        pb_entries=few(entries),
+        rbt_entries=few(entries),
+        wpq_entries=few(entries),
+    )
+    scheme = st.builds(
+        replace,
+        few(st.sampled_from(_BATCH_SCHEMES)),
+        pb_entries_override=few(st.none() | entries),
+        rbt_entries_override=few(st.none() | entries),
+    )
     points = draw(
         st.lists(
             st.builds(
                 SimPoint,
-                app=few(sorted(PROFILES)),
-                scheme=st.sampled_from(_BATCH_SCHEMES),
-                machine=few(_BATCH_MACHINES),
-                instrument=few([None, "unpruned", "pruned"]),
-                n_insts=few([0, 40, 300]),
-                seed=few([1, 2]),
+                app=few(st.sampled_from(sorted(PROFILES))),
+                scheme=scheme,
+                machine=machine,
+                instrument=few(st.sampled_from([None, "unpruned", "pruned"])),
+                n_insts=few(st.sampled_from([0, 40, 300])),
+                seed=few(st.sampled_from([1, 2])),
             ),
             min_size=1,
             max_size=20,
@@ -658,8 +677,25 @@ def _assert_batched_equals_per_point(misses, jobs):
         assert _stats_json(resolved[point]) == _stats_json(compute_point(point))
 
 
+# A one-entry PB fills on this trace; a 50-entry one, given by the
+# machine or by a scheme override, does not.  The first point serves
+# neither of the others, though their capacities are larger; the
+# third, whose PB is 1 by the machine, has the first's capacities.
+_FILLED_SIBLINGS = [
+    (f"key-{i}", SimPoint("astar", scheme, machine, "pruned", 300, 1))
+    for i, (scheme, machine) in enumerate(
+        (
+            (replace(cwsp(), pb_entries_override=1), _BATCH_MACHINES[0]),
+            (cwsp(), _BATCH_MACHINES[0]),
+            (cwsp(), replace(_BATCH_MACHINES[0], pb_entries=1)),
+        )
+    )
+]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(misses=batch_misses())
+@example(misses=_FILLED_SIBLINGS)
 def test_batched_resolve_matches_per_point_compute(misses):
     _assert_batched_equals_per_point(misses, jobs=1)
 

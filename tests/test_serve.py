@@ -9,7 +9,8 @@ a byte-identical artifacts digest, while a salted edit
 (``repro.arch.machine``) recomputes the whole affected grid on the
 stored traces, and an edit to the trace generator
 (``repro.workloads.synthetic``) regenerates every trace too.  A reducer
-that reads an edited module publishes the edited value, and an
+that reads an edited module publishes the edited value, an edit to the
+EXPERIMENTS.md renderer starts a generation with nothing dirty, and an
 interrupt mid-generation ends the daemon and every process it started.
 """
 
@@ -166,12 +167,14 @@ class TestResultsServer:
         assert status["pid"] == os.getpid()
 
     def test_watch_covers_salted_and_spec_modules(self, tmp_path, tiny_specs):
-        watched = _server(tmp_path, tiny_specs).watch_paths()
+        watched = _server(tmp_path, tiny_specs).snapshot()
         assert "repro.arch.machine" in watched       # salted
         assert tiny_specs in watched                 # the spec registry
-        assert "repro.harness.engine" not in watched
-        for path in watched.values():
-            assert path.is_file()
+        # What renders the published bytes: the publish path's closure.
+        for name in ("experiments_md", "report", "spec", "cli", "engine", "serve"):
+            assert f"repro.harness.{name}" in watched
+        assert "repro.faults.campaign" not in watched
+        assert None not in watched.values()
 
     def test_unknown_experiment_fails_at_boot(self, tmp_path, tiny_specs):
         config = ServeConfig(
@@ -455,6 +458,30 @@ class TestServeRunsFreshCode:
         assert g1["changed_modules"] == ["repro.schemes.catalog"], err
         assert after == [["cwsp", 2.5]], err
         assert g1["artifacts_digest"] != g0["artifacts_digest"]
+
+    def test_renderer_edit_republishes_with_nothing_dirty(self, tmp_path):
+        env = _copied_checkout(tmp_path, "tiny_md_specs", TINY_SPECS)
+        ledger = tmp_path / "out" / "generations.jsonl"
+        proc = _serve(
+            tmp_path, env,
+            ["tiny", "--specs-module", "tiny_md_specs", "--max-generations", "2"],
+        )
+        try:
+            _wait_for_lines(ledger, 1)
+            renderer = tmp_path / "src" / "repro" / "harness" / "experiments_md.py"
+            with open(renderer, "a") as fh:
+                fh.write("\n# serve test: renderer edit\n")
+            g0, g1 = _wait_for_lines(ledger, 2)[:2]
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            err = proc.stderr.read()
+        assert g1["changed_modules"] == ["repro.harness.experiments_md"], err
+        assert g1["dirty"] == 0
+        assert g1["salt"] == g0["salt"]
+        assert g1["artifacts_digest"] == g0["artifacts_digest"]
 
     # Ctrl-C in a terminal interrupts the whole group; ``kill -INT``
     # only the daemon, which passes it on.
