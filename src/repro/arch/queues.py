@@ -126,9 +126,6 @@ class OccupancyProbe:
     def sample(self, tag: int, occupancy: int) -> None:
         self.samples.append((tag, occupancy))
 
-    def max_occupancy(self) -> int:
-        return max((occ for _, occ in self.samples), default=0)
-
     def argmax(self) -> Optional[int]:
         """Tag of the first sample reaching the maximum occupancy."""
         best: Optional[int] = None

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,6 +34,8 @@ from repro.explore.lockfile import (
 )
 from repro.explore.spec import CampaignPlan, SweepSpec, expand
 from repro.harness.engine import (
+    RunInfo,
+    _write_atomic,
     code_salt,
     point_cache_key,
     resolve_points,
@@ -56,10 +57,19 @@ class CampaignCounters:
 
     planned: int = 0
     simulated: int = 0
+    #: Simulator runs: fewer than ``simulated`` when runs served
+    #: capacity siblings.
+    runs: int = 0
     cache_hits: int = 0
     resumed_points: int = 0
     shards_total: int = 0
     shards_resumed: int = 0
+
+    def count(self, info: RunInfo) -> None:
+        """Add one shard's resolve."""
+        self.simulated += info.simulated
+        self.runs += info.runs
+        self.cache_hits += info.cached
 
     @property
     def served_without_simulation(self) -> int:
@@ -74,8 +84,8 @@ class CampaignCounters:
         return (
             f"{self.planned} points in {self.shards_total} shards: "
             f"{self.resumed_points} resumed from {self.shards_resumed} shard files, "
-            f"{self.cache_hits} cache hits, {self.simulated} simulated "
-            f"(cache hits: {pct:.0f}%)"
+            f"{self.cache_hits} cache hits, {self.simulated} simulated in "
+            f"{self.runs} runs (cache hits: {pct:.0f}%)"
         )
 
 
@@ -140,7 +150,6 @@ def _write_shard(
     keys: List[str],
     results: Dict[str, Dict],
 ) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": SHARD_VERSION,
         "campaign": spec.name,
@@ -150,12 +159,11 @@ def _write_shard(
         "keys": keys,
         "results": results,
     }
-    # pid-suffixed temp name so two concurrent writers in the same
-    # directory (a serve daemon plus a manual campaign) cannot tear or
-    # cross-publish each other's shard; the rename stays atomic.
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    tmp.replace(path)  # atomic: a killed campaign never leaves torn shards
+    # Atomic, through a pid-suffixed temp file: a killed campaign never
+    # leaves a torn shard, and two writers in one directory (a serve
+    # daemon plus a manual campaign) never cross-publish.
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    _write_atomic(path, "w", lambda fh: fh.write(text))
 
 
 def _plan_tasks(plan: CampaignPlan, salt: str) -> List[Tuple[str, SimPoint]]:
@@ -209,9 +217,8 @@ def run_campaign(
                 results[point] = stats
                 by_key[key] = loaded[key]
             continue
-        resolved, simulated = resolve_points(shard_tasks, cache, jobs=jobs)
-        counters.simulated += simulated
-        counters.cache_hits += len(shard_tasks) - simulated
+        resolved, info = resolve_points(shard_tasks, cache, jobs=jobs)
+        counters.count(info)
         shard_results = {}
         for key, point in shard_tasks:
             stats = resolved[point]
@@ -219,10 +226,7 @@ def run_campaign(
             shard_results[key] = stats.to_dict()
             by_key[key] = shard_results[key]
         _write_shard(path, index, spec, salt, keys, shard_results)
-        say(
-            f"shard {index + 1}/{len(shards)}: "
-            f"{len(shard_tasks) - simulated} cached, {simulated} simulated"
-        )
+        say(f"shard {index + 1}/{len(shards)}: {info.describe()}")
 
     ordered = [{"key": key, "stats": by_key[key]} for key, _ in tasks]
     lock = Lockfile(
@@ -305,9 +309,8 @@ def run_frozen(
     )
     results: Dict[SimPoint, SimStats] = {}
     for shard_tasks in _chunk(tasks, lock.shard_size):
-        resolved, simulated = resolve_points(shard_tasks, cache, jobs=jobs)
-        counters.simulated += simulated
-        counters.cache_hits += len(shard_tasks) - simulated
+        resolved, info = resolve_points(shard_tasks, cache, jobs=jobs)
+        counters.count(info)
         results.update(resolved)
 
     ordered = [

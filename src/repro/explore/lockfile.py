@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.explore.spec import SweepSpec
+from repro.harness.engine import _write_atomic
 
 LOCKFILE_VERSION = 1
 
@@ -94,13 +94,10 @@ class Lockfile:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
     def save(self, path: Path) -> None:
-        # pid-suffixed temp name: a serve daemon and a manual campaign
-        # sharing a directory must not cross-publish each other's
-        # half-written manifests (mirrors engine.ResultCache.put).
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(self.canonical_json())
-        tmp.replace(path)
+        # Atomic: a serve daemon and a manual campaign sharing a
+        # directory never cross-publish half-written manifests.
+        text = self.canonical_json()
+        _write_atomic(path, "w", lambda fh: fh.write(text))
 
     @classmethod
     def load(cls, path: Path) -> "Lockfile":

@@ -13,7 +13,7 @@ CLI::
     python -m repro.harness fig13 fig14 --jobs 4
 """
 
-from repro.harness.engine import Engine, MemoryCache, NullCache, ResultCache
+from repro.harness.engine import Engine, NullCache, ResultCache
 from repro.harness.report import FigureResult, format_table, gmean
 from repro.harness.spec import ExperimentSpec, PlanContext, ShapeError, SimPoint
 
@@ -21,7 +21,6 @@ __all__ = [
     "Engine",
     "ExperimentSpec",
     "FigureResult",
-    "MemoryCache",
     "NullCache",
     "PlanContext",
     "ResultCache",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -132,7 +131,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     engine = Engine(
         jobs=args.jobs, cache=cache, seed=args.seed, n_insts=args.n_insts
     )
-    t0 = time.time()
 
     def run():
         try:
@@ -151,7 +149,6 @@ def main(argv: Optional[List[str]] = None) -> None:
         print(f"wrote profile to {args.profile}", flush=True)
     else:
         results = run()
-    elapsed = time.time() - t0
 
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -169,8 +166,8 @@ def main(argv: Optional[List[str]] = None) -> None:
             )
     if out_dir is not None:
         print(f"\nwrote {len(names)} artifact(s) to {out_dir}/")
-    if engine.last_run is not None:
-        print(f"\n{engine.last_run.describe()} in {elapsed:.1f}s")
+    info = engine.last_run
+    print(f"\n{info.describe()} ({info.phases.total():.1f}s)")
 
 
 if __name__ == "__main__":

@@ -23,12 +23,16 @@ engine
 4. re-runs each experiment's reducer against the resolved results and
    enforces its expected-shape assertions.
 
-The same pool helper (:func:`parallel_map`) backs the fault campaign's
-trial fan-out in :mod:`repro.faults.campaign` and the long-lived
-results service in :mod:`repro.harness.serve`; the salt machinery
-(:func:`compute_salt_recipe`, :func:`code_salt`) and the plan/classify
-split on :class:`Engine` are the queryable dirtiness API that service
-builds its incremental recomputation on.
+:meth:`Engine.run` is the one driver of these steps: the harness CLI
+and each generation of the long-lived results service
+(:mod:`repro.harness.serve`) call it, and the explorer's shards run
+its resolve step (:func:`resolve_points`).  Each leaves one
+:class:`RunInfo`: points planned, served from the cache and simulated,
+simulator runs, and seconds per phase.  The same pool helper
+(:func:`parallel_map`) backs the fault campaign's trial fan-out in
+:mod:`repro.faults.campaign`; the salt machinery
+(:func:`compute_salt_recipe`, :func:`code_salt`) is what the results
+service watches.
 """
 
 from __future__ import annotations
@@ -214,10 +218,11 @@ def _write_atomic(path: Path, mode: str, write: Callable) -> None:
     """Call *write* on a pid-suffixed temp file opened with *mode*, then
     move it to *path*: readers never see the entry torn."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    # The whole name: files of one stem in one directory never share one.
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     with open(tmp, mode) as fh:
         write(fh)
-    os.replace(tmp, path)
+    tmp.replace(path)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -556,8 +561,9 @@ def _sibling_group(point: SimPoint) -> Tuple[tuple, Tuple[int, ...]]:
 
 def _execute_batch(
     batch: List[Point], traces: Optional[TraceStore] = None
-) -> List[SimStats]:
-    """Compute one worker batch; its memo dies with it.
+) -> Tuple[List[SimStats], int]:
+    """Compute one worker batch; returns its stats and its simulator runs.
+    The batch's memo dies with it.
 
     Each group of capacity siblings is walked in ascending capacity
     order, and a point is simulated only if no earlier run of its group
@@ -570,9 +576,11 @@ def _execute_batch(
     memo = _batch_memo(batch) if len(batch) > 1 else None
     results: List[Optional[SimStats]] = [None] * len(batch)
     groups: Dict[tuple, List[Tuple[Tuple[int, ...], int]]] = {}
+    n_runs = 0
     for index, point in enumerate(batch):
         if isinstance(point, MulticorePoint):
             results[index] = compute_point(point, traces=traces)
+            n_runs += 1
         else:
             group, capacities = _sibling_group(point)
             groups.setdefault(group, []).append((capacities, index))
@@ -588,7 +596,8 @@ def _execute_batch(
                 _release(memo, trace_key)
                 stats = SimStats.from_dict(witness.to_dict())
             results[index] = stats
-    return results
+        n_runs += len(runs)
+    return results, n_runs
 
 
 class WorkerCrash(RuntimeError):
@@ -768,7 +777,7 @@ def compute_points(
     cache,
     jobs: int = 1,
     traces: Optional[TraceStore] = None,
-) -> Dict[Point, SimStats]:
+) -> Tuple[Dict[Point, SimStats], int]:
     """Simulate the ``(cache_key, point)`` *misses* and backfill *cache*.
 
     Misses run in the batches :func:`form_batches` cuts, one pool task
@@ -777,10 +786,11 @@ def compute_points(
     batch lands, in completion order, so an interrupt or worker crash
     keeps every completed batch and loses only the batches in flight.
     Workers read and write their traces in *traces*, if given.
-    Returns ``{point: stats}`` in the order of *misses*.
+    Returns ``({point: stats}, n_runs)``, the dict in the order of
+    *misses* and *n_runs* the simulator runs the batches made.
     """
     if not misses:
-        return {}
+        return {}, 0
     # Load the simulator stack and NumPy once, before the pool forks
     # workers that inherit them (multicore imports machine, caches,
     # queues and trace).  Simulator first: compiled after NumPy, it
@@ -794,12 +804,16 @@ def compute_points(
     batches = form_batches(misses, jobs)
     work = [[misses[i][1] for i in batch] for batch in batches]
     computed: Dict[int, SimStats] = {}
+    runs = 0
 
-    def _flush(index: int, results: List[SimStats]) -> None:
+    def _flush(index: int, landed: Tuple[List[SimStats], int]) -> None:
+        nonlocal runs
+        results, n_runs = landed
         for i, stats in zip(batches[index], results):
             key, point = misses[i]
             cache.put(key, point, stats)
             computed[i] = stats
+        runs += n_runs
 
     parallel_map(
         partial(_execute_batch, traces=traces),
@@ -808,28 +822,63 @@ def compute_points(
         ordered=False,
         on_result=_flush,
     )
-    return {point: computed[i] for i, (_key, point) in enumerate(misses)}
+    return {point: computed[i] for i, (_key, point) in enumerate(misses)}, runs
+
+
+@dataclasses.dataclass
+class RunInfo:
+    """What one resolve did: the record the harness CLI's summary, the
+    serve ledger and the explorer's shard lines all read."""
+
+    planned: int = 0
+    cached: int = 0
+    simulated: int = 0
+    #: Simulator runs: fewer than ``simulated`` when runs served
+    #: capacity siblings (:func:`_execute_batch`).
+    runs: int = 0
+    #: Wall-clock seconds per phase: ``classify`` and ``simulate``, and
+    #: under :meth:`Engine.run` also ``plan`` and ``reduce``.
+    phases: PhaseTimer = dataclasses.field(default_factory=PhaseTimer)
+
+    def describe(self) -> str:
+        return (
+            f"{self.planned} deduplicated points: {self.cached} cached, "
+            f"{self.simulated} simulated in {self.runs} runs"
+        )
 
 
 def resolve_points(
     tasks: Sequence[Tuple[str, Point]],
     cache,
     jobs: int = 1,
-) -> Tuple[Dict[Point, SimStats], int]:
+    traces: Optional[TraceStore] = None,
+    phases: Optional[PhaseTimer] = None,
+) -> Tuple[Dict[Point, SimStats], RunInfo]:
     """Serve ``(cache_key, point)`` *tasks* from *cache*, simulating
     misses over the worker pool and backfilling the cache.
 
-    The one point-execution path shared by :meth:`Engine.run`, the
-    design-space campaign driver's shards (:mod:`repro.explore`), and
-    the serve loop's dirty-delta recomputation.  Misses run in
-    per-app batches (:func:`form_batches`), and each batch's results
-    are flushed into *cache* as the batch lands (not per point, and
-    not at the end), so an interrupt or worker crash keeps every
-    completed batch.  Returns ``({point: stats}, n_simulated)``.
+    The one point-execution path shared by :meth:`Engine.run` (the
+    harness CLI and every serve generation) and the design-space
+    campaign driver's shards (:mod:`repro.explore`).  Each cache entry
+    is read once (:func:`classify_points`), and only the misses
+    simulate (:func:`compute_points`), timed as the ``classify`` and
+    ``simulate`` phases of *phases*.  Returns ``({point: stats},
+    info)``.
     """
-    resolved, misses = classify_points(tasks, cache)
-    resolved.update(compute_points(misses, cache, jobs=jobs))
-    return resolved, len(misses)
+    phases = PhaseTimer() if phases is None else phases
+    with phases.phase("classify"):
+        resolved, misses = classify_points(tasks, cache)
+    with phases.phase("simulate"):
+        computed, runs = compute_points(misses, cache, jobs=jobs, traces=traces)
+    resolved.update(computed)
+    info = RunInfo(
+        planned=len(tasks),
+        cached=len(tasks) - len(misses),
+        simulated=len(misses),
+        runs=runs,
+        phases=phases,
+    )
+    return resolved, info
 
 
 # ----------------------------------------------------------------------
@@ -873,21 +922,6 @@ class ResultCache:
         _write_json(self._path(key), payload)  # concurrent runs never tear entries
 
 
-class MemoryCache:
-    """In-process cache (the default for direct figure-function calls)."""
-
-    scans: Optional[ScanStore] = None  # no directory: the salt walk parses
-
-    def __init__(self) -> None:
-        self._store: Dict[str, SimStats] = {}
-
-    def get(self, key: str) -> Optional[SimStats]:
-        return self._store.get(key)
-
-    def put(self, key: str, point: Point, stats: SimStats) -> None:
-        self._store[key] = stats
-
-
 class NullCache:
     """No caching (``--no-cache``)."""
 
@@ -903,28 +937,6 @@ class NullCache:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-@dataclasses.dataclass
-class RunInfo:
-    """What the last :meth:`Engine.run` actually did."""
-
-    planned: int = 0
-    executed: int = 0
-    cached: int = 0
-    #: Wall-clock seconds per engine phase (plan/cache/simulate/reduce),
-    #: measured with :class:`repro.perf.timers.PhaseTimer`.
-    phase_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
-
-    def describe(self) -> str:
-        return (
-            f"{self.planned} deduplicated points: {self.cached} cached, "
-            f"{self.executed} simulated"
-        )
-
-    def describe_phases(self) -> str:
-        parts = [f"{name} {sec:.2f}s" for name, sec in self.phase_seconds.items()]
-        return ", ".join(parts)
-
-
 class Engine:
     """Plans, deduplicates, executes, caches, and reduces experiments."""
 
@@ -938,7 +950,7 @@ class Engine:
         traces: Optional[TraceStore] = None,
     ) -> None:
         self.jobs = jobs
-        self.cache = MemoryCache() if cache is None else cache
+        self.cache = NullCache() if cache is None else cache
         self.seed = seed
         #: Global n_insts override; ``None`` uses each spec's default.
         self.n_insts = n_insts
@@ -956,7 +968,6 @@ class Engine:
             seed=self.seed,
         )
 
-    # -- the composable pipeline (plan -> classify -> resolve -> reduce)
     def plan(self, specs: Sequence[ExperimentSpec]) -> List[Tuple[str, Point]]:
         """The deduplicated union grid as ``(cache_key, point)`` tasks.
 
@@ -969,33 +980,6 @@ class Engine:
                 points.setdefault(point, None)
         salt = self._salt if self._salt is not None else code_salt(scans=self.cache.scans)
         return [(point_cache_key(point, salt), point) for point in points]
-
-    def classify(
-        self, tasks: Sequence[Tuple[str, Point]]
-    ) -> Tuple[Dict[Point, SimStats], List[Tuple[str, Point]]]:
-        """Split *tasks* into ``(clean, dirty)`` by cache presence.
-
-        A point is *clean* iff its content-addressed key -- point plus
-        dependency-sliced code salt -- already has a cached result;
-        everything else is *dirty* and must simulate.  This is the
-        dirtiness query the serve loop publishes per generation; it
-        never computes anything.  *clean* maps each clean point to the
-        stats just read, so :meth:`compute` on *dirty* completes the
-        generation without reading any entry twice.
-        """
-        return classify_points(tasks, self.cache)
-
-    def compute(self, dirty: Sequence[Tuple[str, Point]]) -> Dict[Point, SimStats]:
-        """Simulate the *dirty* tasks over the pool and backfill the cache."""
-        return compute_points(dirty, self.cache, jobs=self.jobs, traces=self.traces)
-
-    def resolve(
-        self, tasks: Sequence[Tuple[str, Point]]
-    ) -> Tuple[Dict[Point, SimStats], int]:
-        """Serve *tasks* from the cache, simulating misses over the pool."""
-        resolved, dirty = self.classify(tasks)
-        resolved.update(self.compute(dirty))
-        return resolved, len(dirty)
 
     def reduce(
         self,
@@ -1027,33 +1011,20 @@ class Engine:
 
         Planning takes the union of all experiments' grids, so shared
         points (baselines above all) execute exactly once per batch and
-        at most once ever with a persistent cache.
+        at most once ever with a persistent cache.  The phases ``plan``,
+        ``classify``, ``simulate`` and ``reduce`` are timed into
+        :attr:`last_run`.
         """
         say = progress if progress is not None else lambda _msg: None
-        timer = PhaseTimer()
-
-        # Phase 1: plan the union grid.
-        with timer.phase("plan"):
+        phases = PhaseTimer()
+        with phases.phase("plan"):
             tasks = self.plan(specs)
-
-        # Phases 2+3: serve from the cache, fan misses out over the
-        # pool, and backfill (the same path the explore campaign
-        # driver's shards run through).
-        with timer.phase("resolve"):
-            resolved, executed = self.resolve(tasks)
-        info = RunInfo(
-            planned=len(tasks), executed=executed,
-            cached=len(tasks) - executed,
-            phase_seconds=timer.seconds,
+        resolved, info = resolve_points(
+            tasks, self.cache, jobs=self.jobs, traces=self.traces, phases=phases
         )
         say(f"plan: {info.describe()} (jobs={self.jobs})")
-
-        # Phase 4: reduce every experiment and check its shape.
-        with timer.phase("reduce"):
+        with phases.phase("reduce"):
             results = self.reduce(specs, resolved, progress=say)
-        say(f"phases: {info.describe_phases()}")
+        say(f"phases: {phases.format()}")
         self.last_run = info
         return results
-
-    def run_one(self, spec: ExperimentSpec) -> FigureResult:
-        return self.run([spec])[spec.name]

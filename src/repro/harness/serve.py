@@ -60,6 +60,7 @@ from repro.harness.engine import (
     Engine,
     ResultCache,
     TraceStore,
+    _write_atomic,
     compute_salt_recipe,
     recipe_salt,
     trace_salt,
@@ -104,14 +105,6 @@ class ServeConfig:
     #: Exit after this many generations (None = run forever).  CI and
     #: the e2e tests use it to bound the daemon's lifetime.
     max_generations: Optional[int] = None
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Publish *text* at *path* without readers ever seeing a torn file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class ResultsServer:
@@ -175,12 +168,12 @@ class ResultsServer:
     def build_generation(
         self, reason: str, changed: List[str], timer: Optional[PhaseTimer] = None
     ) -> Dict[str, object]:
-        """One incremental recomputation in this process; returns the ledger
-        entry.  *timer* may hold time already spent on the ``plan`` phase."""
+        """One incremental recomputation in this process, through
+        :meth:`Engine.run`; returns the ledger entry.  *timer* may hold time
+        already spent on the ``plan`` phase (the generation child's imports)."""
         timer = PhaseTimer() if timer is None else timer
         with timer.phase("plan"):
-            recipe = compute_salt_recipe(scans=self.scans)
-            salt = recipe_salt(recipe)
+            salt = recipe_salt(compute_salt_recipe(scans=self.scans))
             generator_salt = trace_salt(self.scans)
             engine = Engine(
                 jobs=self.config.jobs,
@@ -194,36 +187,34 @@ class ResultsServer:
                     Path(self.config.cache_dir) / "trace", generator_salt
                 ),
             )
-            tasks = engine.plan(self.specs)
-        with timer.phase("classify"):
-            clean, dirty = engine.classify(tasks)
+        # The content-addressed keys make only the dirty delta simulate.
+        results = engine.run(self.specs)
+        info = engine.last_run
         self.say(
             f"serve: generation {self.generation} [{reason}] salt {salt}: "
-            f"{len(dirty)} dirty / {len(clean)} clean of {len(tasks)} points"
+            f"{info.describe()}"
         )
-        with timer.phase("simulate"):
-            # classify already read the clean results, so each cache
-            # entry is read once per generation; only the dirty delta
-            # simulates.
-            resolved = {**clean, **engine.compute(dirty)}
-            executed = len(dirty)
-        with timer.phase("reduce"):
-            results = engine.reduce(self.specs, resolved)
         with timer.phase("publish"):
             digest = self.publish(self.names, results, engine)
-        planned = len(tasks)
+        # The engine's phases, with the imports and salt walks before
+        # the run counted into ``plan``.
+        seconds = info.phases.seconds
+        seconds["plan"] += timer.seconds["plan"]
+        seconds["publish"] = timer.seconds["publish"]
         return {
             "generation": self.generation,
             "reason": reason,
             "salt": salt,
             "trace_salt": generator_salt,
             "changed_modules": sorted(changed),
-            "planned": planned,
-            "dirty": len(dirty),
-            "clean": len(clean),
-            "executed": executed,
-            "cache_hit_rate": round(len(clean) / planned, 4) if planned else 1.0,
-            "phase_seconds": {k: round(v, 3) for k, v in timer.seconds.items()},
+            "planned": info.planned,
+            "dirty": info.simulated,
+            "clean": info.cached,
+            "executed": info.runs,
+            "cache_hit_rate": (
+                round(info.cached / info.planned, 4) if info.planned else 1.0
+            ),
+            "phase_seconds": {k: round(v, 3) for k, v in seconds.items()},
             "artifacts_digest": digest,
             "experiments": self.names,
         }
@@ -259,7 +250,8 @@ class ResultsServer:
         self._write_status(entry)
         self.say(
             f"serve: generation {self.generation} published: "
-            f"{entry['executed']} simulated, artifacts {entry['artifacts_digest']}"
+            f"{entry['dirty']} simulated in {entry['executed']} runs, "
+            f"artifacts {entry['artifacts_digest']}"
         )
         self.generation += 1
         self.produced += 1
@@ -296,7 +288,7 @@ class ResultsServer:
             digest.update(files[rel].encode())
             digest.update(b"\0")
         for rel, text in files.items():
-            _atomic_write(self.out / rel, text)
+            _write_atomic(self.out / rel, "w", lambda fh: fh.write(text))
         return digest.hexdigest()[:16]
 
     # -- ledger + status -----------------------------------------------
@@ -332,10 +324,8 @@ class ResultsServer:
             "out_dir": str(self.out.resolve()),
             "ledger": LEDGER_NAME,
         }
-        _atomic_write(
-            self.out / STATUS_NAME,
-            json.dumps(status, indent=2, sort_keys=True) + "\n",
-        )
+        text = json.dumps(status, indent=2, sort_keys=True) + "\n"
+        _write_atomic(self.out / STATUS_NAME, "w", lambda fh: fh.write(text))
 
     # -- the loop ------------------------------------------------------
     def _done(self) -> bool:

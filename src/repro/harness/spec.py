@@ -18,7 +18,7 @@ engine's on-disk result cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import MachineConfig
@@ -230,11 +230,6 @@ class ExperimentSpec:
         recorder = RecordingResolver(ctx)
         self.build(recorder, ctx)
         return list(recorder.points)
-
-    def with_n_insts(self, n_insts: Optional[int]) -> "ExperimentSpec":
-        if n_insts is None or n_insts == self.default_n_insts:
-            return self
-        return replace(self, default_n_insts=n_insts)
 
 
 def validate_result(spec: ExperimentSpec, result: FigureResult) -> None:

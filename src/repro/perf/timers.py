@@ -37,7 +37,7 @@ class Stopwatch:
 class PhaseTimer:
     """Named wall-clock phases, accumulated in insertion order.
 
-    The harness engine wraps each stage of a run (plan, cache probe,
+    The harness engine wraps each stage of a run (plan, classify,
     simulate, reduce) so every harness invocation doubles as a coarse
     end-to-end perf sample::
 

@@ -1,7 +1,7 @@
 """EXPERIMENTS.md generation must be deterministic: same inputs,
 byte-identical document."""
 
-from repro.harness.engine import Engine, MemoryCache
+from repro.harness.engine import Engine, ResultCache
 from repro.harness.experiments_md import HEADER, build_document, generate
 from repro.harness.figures import SPECS
 
@@ -10,7 +10,7 @@ NAMES = ["tab01", "hw"]  # no simulation: instant and fully deterministic
 
 class TestBuildDocument:
     def _results(self):
-        return Engine(cache=MemoryCache()).run([SPECS[n] for n in NAMES])
+        return Engine().run([SPECS[n] for n in NAMES])
 
     def test_contains_header_and_tables(self):
         text = build_document(self._results(), n_insts=8000, names=NAMES)
@@ -28,18 +28,18 @@ class TestBuildDocument:
         text = build_document(self._results(), n_insts=8000, names=NAMES)
         assert "regenerated in" not in text  # timing text breaks determinism
 
-    def test_byte_identical_regeneration(self):
-        a = generate(n_insts=8000, engine=Engine(cache=MemoryCache()), names=NAMES)
-        b = generate(n_insts=8000, engine=Engine(cache=MemoryCache()), names=NAMES)
+    def test_byte_identical_regeneration(self, tmp_path):
+        a = generate(n_insts=8000, engine=Engine(cache=ResultCache(tmp_path)), names=NAMES)
+        b = generate(n_insts=8000, engine=Engine(cache=ResultCache(tmp_path)), names=NAMES)
         assert a == b
 
-    def test_byte_identical_with_simulation(self):
+    def test_byte_identical_with_simulation(self, tmp_path):
         # A real (tiny) simulated figure, cold cache vs warm cache.
-        eng = Engine(cache=MemoryCache(), n_insts=1500)
+        eng = Engine(cache=ResultCache(tmp_path), n_insts=1500)
         cold = generate(n_insts=1500, engine=eng, names=["fig13"])
-        assert eng.last_run.executed > 0
+        assert eng.last_run.simulated > 0
         warm = generate(n_insts=1500, engine=eng, names=["fig13"])
-        assert eng.last_run.executed == 0
+        assert eng.last_run.simulated == 0
         assert cold == warm
 
     def test_header_mentions_generator(self):

@@ -271,8 +271,8 @@ class TestAtomicTempNames:
         lock.save(target)
         # The name this process used is unique to its pid, so a
         # concurrent writer (different pid) uses a different one.
-        used = target.with_suffix(f".tmp.{os.getpid()}")
-        other = target.with_suffix(".tmp.99999999")
+        used = target.with_name(f"{target.name}.tmp.{os.getpid()}")
+        other = target.with_name(f"{target.name}.tmp.99999999")
         assert used != other
         assert not used.exists()  # renamed away, not left behind
 

@@ -14,7 +14,6 @@ from repro.arch import SimStats, skylake_machine
 from repro.harness.engine import (
     BATCHES_PER_JOB,
     Engine,
-    MemoryCache,
     NullCache,
     ResultCache,
     TraceStore,
@@ -56,21 +55,27 @@ def _spec(name, apps, scheme_factory=cwsp, check=None):
     return ExperimentSpec(name, name, build, default_n_insts=N, check=check)
 
 
-class CountingCache(MemoryCache):
-    """MemoryCache that counts lookups and stores."""
+class CountingCache:
+    """An in-process cache that counts lookups and stores."""
+
+    scans = None  # no directory: the salt walk parses
 
     def __init__(self):
-        super().__init__()
+        self._store = {}
         self.gets = 0
         self.puts = 0
 
     def get(self, key):
         self.gets += 1
-        return super().get(key)
+        return self._store.get(key)
 
     def put(self, key, point, stats):
         self.puts += 1
-        super().put(key, point, stats)
+        self._store[key] = stats
+
+
+def _run_one(eng, spec):
+    return eng.run([spec])[spec.name]
 
 
 class TestCacheKey:
@@ -258,16 +263,16 @@ class TestDedupAndCache:
         # 2 apps x (baseline, cwsp) = 4 deduplicated points, each
         # simulated exactly once despite "namd" appearing in both specs.
         assert eng.last_run.planned == 4
-        assert eng.last_run.executed == 4
+        assert eng.last_run.simulated == 4
         assert cache.puts == 4
 
     def test_warm_rerun_does_zero_simulations(self):
         cache = CountingCache()
         eng = Engine(cache=cache)
-        first = eng.run_one(_spec("a", ["namd", "lbm"]))
-        assert eng.last_run.executed == 4
-        again = eng.run_one(_spec("a", ["namd", "lbm"]))
-        assert eng.last_run.executed == 0
+        first = _run_one(eng, _spec("a", ["namd", "lbm"]))
+        assert eng.last_run.simulated == 4
+        again = _run_one(eng, _spec("a", ["namd", "lbm"]))
+        assert eng.last_run.simulated == 0
         assert eng.last_run.cached == 4
         assert cache.puts == 4  # nothing new stored
         assert again.rows == first.rows
@@ -275,45 +280,45 @@ class TestDedupAndCache:
     def test_disk_cache_warm_across_engines(self, tmp_path):
         spec = _spec("a", ["namd"])
         e1 = Engine(cache=ResultCache(str(tmp_path)))
-        r1 = e1.run_one(spec)
-        assert e1.last_run.executed == 2
+        r1 = _run_one(e1, spec)
+        assert e1.last_run.simulated == 2
         e2 = Engine(cache=ResultCache(str(tmp_path)))
-        r2 = e2.run_one(spec)
-        assert e2.last_run.executed == 0
+        r2 = _run_one(e2, spec)
+        assert e2.last_run.simulated == 0
         assert r2.rows == r1.rows
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         spec = _spec("a", ["namd"])
         e1 = Engine(cache=ResultCache(str(tmp_path)))
-        e1.run_one(spec)
+        _run_one(e1, spec)
         for path in tmp_path.rglob("*.json"):
             path.write_text("{torn")
         e2 = Engine(cache=ResultCache(str(tmp_path)))
-        e2.run_one(spec)
-        assert e2.last_run.executed == 2  # recomputed, not crashed
+        _run_one(e2, spec)
+        assert e2.last_run.simulated == 2  # recomputed, not crashed
 
     def test_code_salt_change_invalidates(self, tmp_path):
         spec = _spec("a", ["namd"])
         e1 = Engine(cache=ResultCache(str(tmp_path)), salt="v1")
-        e1.run_one(spec)
+        _run_one(e1, spec)
         e2 = Engine(cache=ResultCache(str(tmp_path)), salt="v2")
-        e2.run_one(spec)
-        assert e2.last_run.executed == 2  # different salt: full recompute
+        _run_one(e2, spec)
+        assert e2.last_run.simulated == 2  # different salt: full recompute
         e3 = Engine(cache=ResultCache(str(tmp_path)), salt="v1")
-        e3.run_one(spec)
-        assert e3.last_run.executed == 0
+        _run_one(e3, spec)
+        assert e3.last_run.simulated == 0
 
     def test_null_cache_always_executes(self):
         eng = Engine(cache=NullCache())
         spec = _spec("a", ["namd"])
-        eng.run_one(spec)
-        assert eng.last_run.executed == 2
-        eng.run_one(spec)
-        assert eng.last_run.executed == 2
+        _run_one(eng, spec)
+        assert eng.last_run.simulated == 2
+        _run_one(eng, spec)
+        assert eng.last_run.simulated == 2
 
     def test_cache_entry_records_point_provenance(self, tmp_path):
         eng = Engine(cache=ResultCache(str(tmp_path)))
-        eng.run_one(_spec("a", ["namd"]))
+        _run_one(eng, _spec("a", ["namd"]))
         entries = list(tmp_path.rglob("*.json"))
         assert len(entries) == 2
         payload = json.loads(entries[0].read_text())
@@ -343,8 +348,8 @@ class TestDedupAndCache:
 class TestParallelism:
     def test_jobs2_matches_jobs1(self):
         spec = _spec("a", ["namd", "lbm", "milc"])
-        r1 = Engine(jobs=1, cache=NullCache()).run_one(spec)
-        r2 = Engine(jobs=2, cache=NullCache()).run_one(spec)
+        r1 = _run_one(Engine(jobs=1, cache=NullCache()), spec)
+        r2 = _run_one(Engine(jobs=2, cache=NullCache()), spec)
         assert r1.rows == r2.rows
 
     def test_parallel_map_inline_and_pool(self):
@@ -426,7 +431,8 @@ class TestBatchFormation:
                 [(baseline(), None), (cwsp(), "pruned"), (cwsp(), None)]
             )
         ]
-        stats = engine_mod._execute_batch([point for _key, point in batch])
+        stats, runs = engine_mod._execute_batch([point for _key, point in batch])
+        assert runs == 3
         assert len(calls) == 2  # two distinct traces
         for (_key, point), got in zip(batch, stats):
             assert json.dumps(got.to_dict()) == json.dumps(compute_point(point).to_dict())
@@ -463,8 +469,10 @@ class TestCapacitySiblings:
 
         monkeypatch.setattr(TimingSimulator, "run", counting_run)
         misses = _sweep_misses()
-        resolved, n_simulated = resolve_points(misses, NullCache(), jobs=1)
-        assert (len(misses), n_simulated, len(runs)) == (100, 100, 24)
+        resolved, info = resolve_points(misses, NullCache(), jobs=1)
+        assert (len(misses), info.simulated, len(runs)) == (100, 100, 24)
+        assert info.runs == 24
+        assert info.describe() == "100 deduplicated points: 0 cached, 100 simulated in 24 runs"
         assert len({id(stats) for stats in resolved.values()}) == 100
         monkeypatch.undo()
         for _key, point in misses:
@@ -570,7 +578,7 @@ class TestEngineSemantics:
 
         eng = Engine()
         with pytest.raises(ShapeError, match="deliberately broken"):
-            eng.run_one(_spec("a", ["namd"], check=bad_check))
+            _run_one(eng, _spec("a", ["namd"], check=bad_check))
 
     def test_unplanned_point_rejected(self):
         resolver = ResolvedResolver(PlanContext(n_insts=N), {})
@@ -579,7 +587,7 @@ class TestEngineSemantics:
 
     def test_provenance_records_schemes(self):
         eng = Engine()
-        eng.run_one(_spec("a", ["namd"]))
+        _run_one(eng, _spec("a", ["namd"]))
         prov = eng.provenance["a"]
         assert set(prov) == {"baseline", "cwsp"}
         assert prov["cwsp"]["persist_bytes"] == 8

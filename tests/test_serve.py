@@ -56,15 +56,35 @@ def _build(r, ctx):
 SPECS = {"tiny": ExperimentSpec("tiny", "tiny", _build, default_n_insts=1000)}
 '''
 
+# One app at three PB sizes: points that differ only in a queue size
+# are capacity siblings, and a run that never fills its PB serves the
+# larger sizes.
+PB_SIBLING_SPECS = TINY_SPECS.replace(
+    '''    for app in ("namd", "lbm"):
+        result.add(app, r.slowdown(app, cwsp(), skylake_machine(scaled=True)))''',
+    '''    for entries in (64, 128, 256):
+        machine = skylake_machine(scaled=True, pb_entries=entries)
+        result.add(str(entries), r.slowdown("namd", cwsp(), machine))''',
+)
+
+
+def _specs_module(tmp_path, monkeypatch, name, text):
+    (tmp_path / f"{name}.py").write_text(text)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    sys.modules.pop(name, None)
+    return name
+
 
 @pytest.fixture
 def tiny_specs(tmp_path, monkeypatch):
-    name = "serve_tiny_specs"
-    (tmp_path / f"{name}.py").write_text(TINY_SPECS)
-    monkeypatch.syspath_prepend(str(tmp_path))
-    sys.modules.pop(name, None)
-    yield name
-    sys.modules.pop(name, None)
+    yield _specs_module(tmp_path, monkeypatch, "serve_tiny_specs", TINY_SPECS)
+    sys.modules.pop("serve_tiny_specs", None)
+
+
+@pytest.fixture
+def pb_sibling_specs(tmp_path, monkeypatch):
+    yield _specs_module(tmp_path, monkeypatch, "serve_pb_specs", PB_SIBLING_SPECS)
+    sys.modules.pop("serve_pb_specs", None)
 
 
 def _server(tmp_path, tiny_specs, **overrides):
@@ -104,6 +124,13 @@ class TestResultsServer:
         assert "<!-- begin autogen:serve-tiny -->" in (
             out / "EXPERIMENTS.md"
         ).read_text()
+
+    def test_executed_counts_runs_not_served_siblings(self, tmp_path, pb_sibling_specs):
+        server = _server(tmp_path, pb_sibling_specs)
+        assert PB_SIBLING_SPECS != TINY_SPECS
+        entry = _generation(server, "initial", [])
+        assert entry["planned"] == entry["dirty"] == 6  # 3 PB sizes x 2 schemes
+        assert 0 < entry["executed"] < entry["dirty"]
 
     def test_warm_generation_is_clean_and_byte_identical(self, tmp_path, tiny_specs):
         server = _server(tmp_path, tiny_specs)

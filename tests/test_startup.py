@@ -132,8 +132,8 @@ misses = [
 ]
 preloaded = ["numpy"] + SIMULATOR
 assert not set(preloaded) & set(sys.modules)
-resolved = compute_points(misses, NullCache(), jobs=2)
-assert len(resolved) == 2
+resolved, runs = compute_points(misses, NullCache(), jobs=2)
+assert len(resolved) == runs == 2
 print(sorted(set(preloaded) - set(sys.modules)))
 """
     assert _python(f"SIMULATOR = {SIMULATOR!r}" + code, tmp_path) == "[]"
