@@ -6,7 +6,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.arch.config import CacheConfig, DRAMCacheConfig
 
@@ -15,20 +15,12 @@ class SetAssocCache:
     """Set-associative cache with LRU replacement and dirty bits.
 
     Tag state lives in dicts keyed by set index, so a 16MB cache costs
-    memory proportional to the lines actually touched.
+    memory proportional to the lines actually touched.  Each set keeps
+    its lines in recency order: a hit moves its line to the end, and
+    the victim is the first line.
     """
 
-    __slots__ = (
-        "name",
-        "ways",
-        "line_bits",
-        "n_sets",
-        "hit_latency",
-        "sets",
-        "hits",
-        "misses",
-        "_tick",
-    )
+    __slots__ = ("name", "ways", "line_bits", "n_sets", "hit_latency", "sets", "hits", "misses")
 
     def __init__(self, config: CacheConfig) -> None:
         self.name = config.name
@@ -36,69 +28,61 @@ class SetAssocCache:
         self.line_bits = config.line_bytes.bit_length() - 1
         self.n_sets = max(1, config.size_bytes // (config.line_bytes * config.ways))
         self.hit_latency = config.hit_latency
-        #: set index -> {tag: [lru_tick, dirty]}
-        self.sets: Dict[int, Dict[int, List]] = {}
+        #: set index -> {line address: dirty}, least recently used first
+        self.sets: Dict[int, Dict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
-        self._tick = 0
 
     def access(self, line_addr: int, is_write: bool) -> Tuple[bool, Optional[Tuple[int, bool]]]:
         """Access a line; returns (hit, evicted) where evicted is
         (line_addr, dirty) of a victim line or None."""
-        n_sets = self.n_sets
-        index = line_addr % n_sets
-        tag = line_addr // n_sets
-        tick = self._tick + 1
-        self._tick = tick
+        index = line_addr % self.n_sets
         ways = self.sets.get(index)
         if ways is None:
             ways = self.sets[index] = {}
-        entry = ways.get(tag)
-        if entry is not None:
+        dirty = ways.pop(line_addr, None)
+        if dirty is not None:
             self.hits += 1
-            entry[0] = tick
-            if is_write:
-                entry[1] = True
+            ways[line_addr] = dirty or is_write
             return True, None
         self.misses += 1
         evicted = None
         if len(ways) >= self.ways:
-            # First-minimum LRU scan: same victim as min(key=...) but
-            # without a lambda frame per candidate (hot path).
-            victim_tag = None
-            victim_tick = tick  # every resident tick is strictly older
-            for t, e in ways.items():
-                et = e[0]
-                if et < victim_tick:
-                    victim_tick = et
-                    victim_tag = t
-            victim = ways.pop(victim_tag)
-            evicted = (victim_tag * n_sets + index, victim[1])
-        ways[tag] = [tick, is_write]
+            victim = next(iter(ways))
+            evicted = (victim, ways.pop(victim))
+        ways[line_addr] = is_write
         return False, evicted
 
+    def prime(self, first: int, end: int) -> None:
+        """Insert lines ``[first, end)`` clean, in order, into the sets
+        that still have a free way.  A resident line in such a set turns
+        clean and keeps its place."""
+        sets, n_sets, ways_cap = self.sets, self.n_sets, self.ways
+        for line in range(first, end):
+            ways = sets.setdefault(line % n_sets, {})
+            if len(ways) < ways_cap:
+                ways[line] = False
+
     def invalidate(self, line_addr: int) -> None:
-        index = line_addr % self.n_sets
-        ways = self.sets.get(index)
+        ways = self.sets.get(line_addr % self.n_sets)
         if ways is not None:
-            ways.pop(line_addr // self.n_sets, None)
+            ways.pop(line_addr, None)
 
     def snapshot(self) -> dict:
         """JSON-serializable tag state.
 
-        Sets and ways are emitted as *ordered* lists: LRU victim
-        selection is a first-minimum scan over dict insertion order,
-        and primed entries tie at tick 0, so the insertion order is
-        observable state and must survive the round trip.
+        Each non-empty set, by index, lists its ``[line, dirty]`` pairs
+        in recency order, least recent first: the order is observable
+        state (it picks the victims), so it must survive the round trip.
         """
         return {
             "sets": [
-                [index, [[tag, e[0], bool(e[1])] for tag, e in ways.items()]]
-                for index, ways in self.sets.items()
+                [index, [[line, dirty] for line, dirty in ways.items()]]
+                for index, ways in sorted(self.sets.items())
+                if ways
             ],
             "hits": self.hits,
             "misses": self.misses,
-            "tick": self._tick,
         }
 
     @property
@@ -319,11 +303,7 @@ class CacheHierarchy:
             for (base, size), cum in zip(ranges, level_cutoff):
                 if cum > capacity:
                     continue
-                for line in range(base >> level.line_bits, (base + size) >> level.line_bits):
-                    index = line % level.n_sets
-                    ways = level.sets.setdefault(index, {})
-                    if len(ways) < level.ways:
-                        ways[line // level.n_sets] = [0, False]
+                level.prime(base >> level.line_bits, (base + size) >> level.line_bits)
         if self.dram is not None:
             # Largest ranges first, so the smaller (hotter) classes win
             # direct-mapped conflicts -- the steady state a long

@@ -261,8 +261,8 @@ class TimingSimulator:
         """The event loop, as a coroutine: commits ``trace[start:]``.
 
         Every committed event in the simulator goes through here, every
-        event code inlined with the core-private state (clock, L1 LRU
-        state, PB and RBT clocks and occupancy integrals) held in
+        event code inlined with the core-private state (clock, L1 miss
+        tally, PB and RBT clocks and occupancy integrals) held in
         locals.  Only the store of an atomic (``x``) and the checkpoint
         stores a boundary synthesizes sync state back to ``self``, call
         :meth:`_store`, and reload.
@@ -359,9 +359,7 @@ class TimingSimulator:
         path_free = self.path_free
         region_last_persist = self.region_last_persist
         prev_region_complete = self.prev_region_complete
-        l1_tick = l1._tick
-        l1_hits = l1.hits
-        l1_misses = l1.misses
+        l1_misses = 0  # inline misses; inline hits are derived at exit
         pb_last, pb_occ = pb._last_t, pb.occ_integral
         rbt_last, rbt_occ = rbt._last_t, rbt.occ_integral
         n_nvm_reads = 0
@@ -409,74 +407,51 @@ class TimingSimulator:
                     continue
                 if code == "l":
                     # ---- load (L1 probe unrolled) -----------------------
-                    # The L1 probe is a pure read of private state, so it
+                    # The L1 probe touches private state only, so it
                     # doubles as the shared/private classification: a hit
-                    # never leaves the core.
+                    # never leaves the core.  A hit moves its line to the
+                    # set's recent end at once; a miss pops nothing, so
+                    # no line is out of its set across the yield below.
                     l1_line = addr >> line_bits
-                    index = l1_line % l1_nsets
-                    tag = l1_line // l1_nsets
-                    ways = l1_setlist[index]
-                    entry = ways.get(tag)
-                    if entry is not None:
+                    ways = l1_setlist[l1_line % l1_nsets]
+                    dirty = ways.pop(l1_line, None)
+                    if dirty is not None:
                         # L1 hit: zero penalty, no evictions, next event.
+                        ways[l1_line] = dirty
                         cycle += commit_cost
-                        l1_tick += 1
-                        l1_hits += 1
-                        entry[0] = l1_tick
                         continue
                     # L1 miss: L2+/DRAM tags and NVM state are shared.
                     while cycle > limit_c or (cycle == limit_c and idx > limit_i):
                         limit_c, limit_i = yield cycle
                     cycle += commit_cost
-                    l1_tick += 1
                     l1_misses += 1
                     if len(ways) >= l1_ways_cap:
-                        victim_tag = None
-                        victim_tick = l1_tick
-                        for t, e in ways.items():
-                            et = e[0]
-                            if et < victim_tick:
-                                victim_tick = et
-                                victim_tag = t
-                        victim = ways.pop(victim_tag)
-                        l1_ev = victim_tag * l1_nsets + index if victim[1] else None
+                        victim = next(iter(ways))  # least recently used
+                        l1_ev = victim if ways.pop(victim) else None
                     else:
                         l1_ev = None
-                    ways[tag] = [l1_tick, False]
+                    ways[l1_line] = False
                     # ---- inlined L2 probe (walk resumes at level 2) -----
                     if multi_level:
-                        l2._tick = l2_tick = l2._tick + 1
                         index2 = l1_line % l2_nsets
-                        tag2 = l1_line // l2_nsets
                         ways2 = l2_sets.get(index2)
                         if ways2 is None:
                             ways2 = l2_sets[index2] = {}
-                        entry2 = ways2.get(tag2)
-                        if entry2 is not None:
+                        dirty = ways2.pop(l1_line, None)
+                        if dirty is not None:
                             l2.hits += 1
-                            entry2[0] = l2_tick
+                            ways2[l1_line] = dirty
                             latency = l2_hit_lat
                             to_nvm = False
                             llc_ev = None
                         else:
                             l2.misses += 1
                             if len(ways2) >= l2_ways_cap:
-                                victim_tag = None
-                                victim_tick = l2_tick
-                                for t, e in ways2.items():
-                                    et = e[0]
-                                    if et < victim_tick:
-                                        victim_tick = et
-                                        victim_tag = t
-                                victim = ways2.pop(victim_tag)
-                                llc2 = (
-                                    victim_tag * l2_nsets + index2
-                                    if llc_from_l2 and victim[1]
-                                    else None
-                                )
+                                victim = next(iter(ways2))
+                                llc2 = victim if ways2.pop(victim) and llc_from_l2 else None
                             else:
                                 llc2 = None
-                            ways2[tag2] = [l2_tick, False]
+                            ways2[l1_line] = False
                             latency, to_nvm, llc_ev = hier_miss(l1_line, False, 2)
                             if llc_from_l2:
                                 llc_ev = llc2
@@ -539,12 +514,12 @@ class TimingSimulator:
                     # Shared iff the L1 probe misses (L2+/DRAM tags) or the
                     # persist path engages (WPQ/NVM); a store merged into
                     # an already-buffered dirty line never leaves the core.
+                    # The probe only reads the set: the line moves after
+                    # the gate, so none is out of its set across a yield.
                     l1_line = addr >> line_bits
-                    index = l1_line % l1_nsets
-                    tag = l1_line // l1_nsets
-                    ways = l1_setlist[index]
-                    entry = ways.get(tag)
-                    if entry is None or (
+                    ways = l1_setlist[l1_line % l1_nsets]
+                    hit = l1_line in ways
+                    if not hit or (
                         persist_stores and not (coalesce and l1_line in region_lines)
                     ):
                         while cycle > limit_c or (cycle == limit_c and idx > limit_i):
@@ -552,59 +527,35 @@ class TimingSimulator:
                     cycle += commit_cost
                     if extra_store_cost:
                         cycle += extra_store_cost
-                    l1_tick += 1
-                    if entry is not None:
-                        l1_hits += 1
-                        entry[0] = l1_tick
-                        entry[1] = True
+                    if hit:
+                        del ways[l1_line]
+                        ways[l1_line] = True
                     else:
                         l1_misses += 1
                         if len(ways) >= l1_ways_cap:
-                            victim_tag = None
-                            victim_tick = l1_tick
-                            for t, e in ways.items():
-                                et = e[0]
-                                if et < victim_tick:
-                                    victim_tick = et
-                                    victim_tag = t
-                            victim = ways.pop(victim_tag)
-                            l1_ev = victim_tag * l1_nsets + index if victim[1] else None
+                            victim = next(iter(ways))
+                            l1_ev = victim if ways.pop(victim) else None
                         else:
                             l1_ev = None
-                        ways[tag] = [l1_tick, True]
+                        ways[l1_line] = True
                         # ---- inlined L2 probe (store miss) --------------
                         if multi_level:
-                            l2._tick = l2_tick = l2._tick + 1
                             index2 = l1_line % l2_nsets
-                            tag2 = l1_line // l2_nsets
                             ways2 = l2_sets.get(index2)
                             if ways2 is None:
                                 ways2 = l2_sets[index2] = {}
-                            entry2 = ways2.get(tag2)
-                            if entry2 is not None:
+                            if ways2.pop(l1_line, None) is not None:
                                 l2.hits += 1
-                                entry2[0] = l2_tick
-                                entry2[1] = True
+                                ways2[l1_line] = True
                                 llc_ev = None
                             else:
                                 l2.misses += 1
                                 if len(ways2) >= l2_ways_cap:
-                                    victim_tag = None
-                                    victim_tick = l2_tick
-                                    for t, e in ways2.items():
-                                        et = e[0]
-                                        if et < victim_tick:
-                                            victim_tick = et
-                                            victim_tag = t
-                                    victim = ways2.pop(victim_tag)
-                                    llc2 = (
-                                        victim_tag * l2_nsets + index2
-                                        if llc_from_l2 and victim[1]
-                                        else None
-                                    )
+                                    victim = next(iter(ways2))
+                                    llc2 = victim if ways2.pop(victim) and llc_from_l2 else None
                                 else:
                                     llc2 = None
-                                ways2[tag2] = [l2_tick, True]
+                                ways2[l1_line] = True
                                 _, _, llc_ev = hier_miss(l1_line, True, 2)
                                 if llc_from_l2:
                                     llc_ev = llc2
@@ -728,7 +679,6 @@ class TimingSimulator:
                     if stores:
                         self.cycle, self.path_free = cycle, path_free
                         self.region_last_persist = region_last_persist
-                        l1._tick, l1.hits, l1.misses = l1_tick, l1_hits, l1_misses
                         pb._last_t, pb.occ_integral = pb_last, pb_occ
                         if code == "x":
                             self._store(addr)
@@ -742,7 +692,6 @@ class TimingSimulator:
                                 self._store(self._ckpt_addr)
                         cycle, path_free = self.cycle, self.path_free
                         region_last_persist = self.region_last_persist
-                        l1_tick, l1_hits, l1_misses = l1._tick, l1.hits, l1.misses
                         pb_last, pb_occ = pb._last_t, pb.occ_integral
                     if code != "b":
                         if persist_stores:
@@ -803,9 +752,6 @@ class TimingSimulator:
             self.path_free = path_free
             self.region_last_persist = region_last_persist
             self.prev_region_complete = prev_region_complete
-            l1._tick = l1_tick
-            l1.hits = l1_hits
-            l1.misses = l1_misses
             pb._last_t, pb.occ_integral = pb_last, pb_occ
             rbt._last_t, rbt.occ_integral = rbt_last, rbt_occ
             c_stall.value = n_stall
@@ -819,12 +765,17 @@ class TimingSimulator:
             # and is not re-counted).  Every inlined persist pushes one
             # PB entry, sends persist_bytes and writes NVM once; every
             # boundary pushes one RBT entry when the RBT is in use.
+            # Every inline load or store probes L1 once: the probes
+            # that did not miss hit.  (The rare-path _store tallies its
+            # own probes on the L1 object.)
             boundaries = codes.count("b", start, end)
+            loads = codes.count("l", start, end)
+            stores = codes.count("s", start, end) + codes.count("c", start, end)
             self._c_insts.value += end - start
-            self._c_loads.value += codes.count("l", start, end)
-            self._c_stores.value += codes.count("s", start, end) + codes.count(
-                "c", start, end
-            )
+            self._c_loads.value += loads
+            self._c_stores.value += stores
+            l1.hits += loads + stores - l1_misses
+            l1.misses += l1_misses
             self._c_boundaries.value += boundaries
             if persist_stores and mc_speculation:
                 rbt.pushes += boundaries

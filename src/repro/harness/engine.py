@@ -1022,7 +1022,6 @@ class Engine:
         resolved, info = resolve_points(
             tasks, self.cache, jobs=self.jobs, traces=self.traces, phases=phases
         )
-        say(f"plan: {info.describe()} (jobs={self.jobs})")
         with phases.phase("reduce"):
             results = self.reduce(specs, resolved, progress=say)
         say(f"phases: {phases.format()}")

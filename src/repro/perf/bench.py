@@ -255,15 +255,18 @@ def bench_machine_multicore(config: BenchConfig) -> BenchResult:
 
 #: The single-class streams of ``machine.event_classes``: each class's
 #: event code and the address of its i-th event, for an L1 of ``l1``
-#: bytes.  Hits cycle over 8 lines; misses sweep 4x the L1 in line
-#: steps, so LRU evicts every line before its reuse (they hit L2).
+#: and an L2 of ``l2`` bytes.  Hits cycle over 8 lines; L1 misses sweep
+#: 4x the L1 in line steps, so LRU evicts every line before its reuse
+#: (they hit L2); L2 misses sweep 4x the L2, so once the L2 fills each
+#: one evicts from a full set (they hit the DRAM cache).
 _EVENT_CLASSES = {
-    "alu": ("a", lambda i, l1: 0),
-    "load_l1_hit": ("l", lambda i, l1: (i % 8) << 6),
-    "load_l1_miss": ("l", lambda i, l1: (i << 6) % (4 * l1)),
-    "store_persisted": ("s", lambda i, l1: (i % 8) << 6),
-    "boundary": ("b", lambda i, l1: 0),
-    "fence": ("f", lambda i, l1: 0),
+    "alu": ("a", lambda i, l1, l2: 0),
+    "load_l1_hit": ("l", lambda i, l1, l2: (i % 8) << 6),
+    "load_l1_miss": ("l", lambda i, l1, l2: (i << 6) % (4 * l1)),
+    "load_l2_miss": ("l", lambda i, l1, l2: (i << 6) % (4 * l2)),
+    "store_persisted": ("s", lambda i, l1, l2: (i % 8) << 6),
+    "boundary": ("b", lambda i, l1, l2: 0),
+    "fence": ("f", lambda i, l1, l2: 0),
 }
 
 
@@ -278,11 +281,11 @@ def bench_event_classes(config: BenchConfig) -> BenchResult:
     n = config.size("n_insts") // 3
     reps = config.size("reps")
     machine = _machine()
-    l1_bytes = machine.caches[0].size_bytes
+    l1_bytes, l2_bytes = (c.size_bytes for c in machine.caches[:2])
     ns_per_event: Dict[str, float] = {}
     seconds = 0.0
     for name, (code, addr) in _EVENT_CLASSES.items():
-        trace = PackedTrace(code * n, [addr(i, l1_bytes) for i in range(n)])
+        trace = PackedTrace(code * n, [addr(i, l1_bytes, l2_bytes) for i in range(n)])
         # Best-of-N seconds of the loop alone: construction stays out.
         best = None
         for _ in range(reps):

@@ -10,8 +10,11 @@ same boundary log and the same ``snapshot()``.  ``OracleMulticore`` is
 the specification of the fused scheduler's order.  Both inherit
 construction, the store methods the fused loop still calls for atomics
 and synthesized checkpoint stores (``_store``, ``_persist``,
-``_evictions``) and ``snapshot()`` unchanged, so oracle and simulator
-differ only in how events are dispatched.
+``_evictions``) and ``snapshot()`` unchanged.  Their SRAM levels are
+:class:`TickLRUCache`: LRU by access ticks and a first-minimum victim
+scan, an independent statement of the replacement rule that
+:class:`SetAssocCache` keeps as recency order.  Otherwise oracle and
+simulator differ only in how events are dispatched.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.arch.caches import SetAssocCache
 from repro.arch.config import MachineConfig
 from repro.arch.machine import _CKPT_SYNTH_BASE, Event, SimStats, TimingSimulator
 from repro.arch.multicore import MulticoreSimulator, MulticoreStats
@@ -26,8 +30,88 @@ from repro.arch.scheme import Scheme
 from repro.arch.trace import unpack_events
 
 
+class TickLRUCache(SetAssocCache):
+    """:class:`SetAssocCache` with LRU by access ticks.
+
+    Each set maps a tag to ``[lru_tick, dirty]``; primed lines tie at
+    tick 0, and the victim is the first minimum-tick line in insertion
+    order.  :meth:`snapshot` lists each set's lines in (tick,
+    insertion) order, which is recency order, so it compares with the
+    recency-ordered cache's.
+    """
+
+    __slots__ = ("_tick",)
+
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        self._tick = 0
+
+    def access(self, line_addr: int, is_write: bool):
+        n_sets = self.n_sets
+        index = line_addr % n_sets
+        tag = line_addr // n_sets
+        tick = self._tick + 1
+        self._tick = tick
+        ways = self.sets.setdefault(index, {})
+        entry = ways.get(tag)
+        if entry is not None:
+            self.hits += 1
+            entry[0] = tick
+            if is_write:
+                entry[1] = True
+            return True, None
+        self.misses += 1
+        evicted = None
+        if len(ways) >= self.ways:
+            victim_tag = None
+            victim_tick = tick  # every resident tick is strictly older
+            for t, e in ways.items():
+                if e[0] < victim_tick:
+                    victim_tick = e[0]
+                    victim_tag = t
+            victim = ways.pop(victim_tag)
+            evicted = (victim_tag * n_sets + index, victim[1])
+        ways[tag] = [tick, is_write]
+        return False, evicted
+
+    def prime(self, first: int, end: int) -> None:
+        for line in range(first, end):
+            ways = self.sets.setdefault(line % self.n_sets, {})
+            if len(ways) < self.ways:
+                ways[line // self.n_sets] = [0, False]
+
+    def invalidate(self, line_addr: int) -> None:
+        ways = self.sets.get(line_addr % self.n_sets)
+        if ways is not None:
+            ways.pop(line_addr // self.n_sets, None)
+
+    def snapshot(self) -> dict:
+        def recency(index, ways):
+            order = sorted(ways.items(), key=lambda item: item[1][0])  # stable
+            return [[tag * self.n_sets + index, e[1]] for tag, e in order]
+
+        return {
+            "sets": [
+                [index, recency(index, ways)]
+                for index, ways in sorted(self.sets.items())
+                if ways
+            ],
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+
+def _tick_lru_levels(hier, machine: MachineConfig) -> None:
+    """Replace *hier*'s SRAM levels with empty :class:`TickLRUCache` ones."""
+    hier.levels = [TickLRUCache(c) for c in machine.caches]
+
+
 class OracleSimulator(TimingSimulator):
     """:class:`TimingSimulator` with the per-event reference loop."""
+
+    def __init__(self, machine: MachineConfig, scheme: Scheme) -> None:
+        super().__init__(machine, scheme)
+        _tick_lru_levels(self.hier, machine)
 
     def run(self, events: Iterable[Event]) -> SimStats:
         self._run_events(unpack_events(events))
@@ -150,12 +234,16 @@ class OracleSimulator(TimingSimulator):
 class OracleMulticore(MulticoreSimulator):
     """:class:`MulticoreSimulator` with the per-event heap stepper."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, machine: MachineConfig, scheme: Scheme, n_cores: int,
+                 share_llc: bool = True) -> None:
+        super().__init__(machine, scheme, n_cores, share_llc=False)
         # Same objects, same shared-structure wiring: only the event
-        # dispatch changes.
+        # dispatch and the SRAM levels change.
         for core in self.cores:
             core.__class__ = OracleSimulator
+            _tick_lru_levels(core.hier, machine)
+        if share_llc:
+            self._share_llc_tags()
 
     def run(self, traces: Sequence[List[Event]]) -> MulticoreStats:
         if len(traces) > self.n_cores:

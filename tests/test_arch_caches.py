@@ -1,7 +1,10 @@
 """Cache models: LRU, dirty eviction, direct-mapped DRAM, priming."""
 
 from repro.arch.caches import CacheHierarchy, DirectMappedCache, SetAssocCache
-from repro.arch.config import CacheConfig, DRAMCacheConfig
+from repro.arch.config import CacheConfig, DRAMCacheConfig, skylake_machine
+from repro.arch.machine import TimingSimulator
+from repro.arch.trace import PackedTrace
+from repro.schemes import cwsp
 
 
 def tiny_cache(ways=2, sets=2):
@@ -57,6 +60,71 @@ class TestSetAssoc:
         c.invalidate(0)
         hit, _ = c.access(0, False)
         assert not hit
+
+
+def _lines(cache, index=0):
+    """Set *index*'s lines, least recently used first."""
+    return list(cache.sets.get(index, {}))
+
+
+class TestRecencyOrder:
+    """Each set keeps its lines least recently used first: a hit moves
+    its line to the end, and the victim is the first line."""
+
+    def test_first_eviction_after_priming_is_the_first_primed_line(self):
+        h = CacheHierarchy((CacheConfig("L1", 8 * 64, 8, hit_latency=4),), None)
+        # Smallest range first: lines 64-65, then 0-3.
+        h.prime([(0, 4 * 64), (64 * 64, 2 * 64)])
+        l1 = h.levels[0]
+        assert _lines(l1) == [64, 65, 0, 1, 2, 3]
+        for line in (6, 7):
+            assert l1.access(line, False) == (False, None)
+        assert l1.access(100, False) == (False, (64, False))
+        assert l1.access(101, False) == (False, (65, False))
+
+    def test_hit_moves_its_line_behind_all_others(self):
+        c = tiny_cache(ways=3, sets=1)
+        for line in (0, 1, 2):
+            c.access(line, False)
+        assert c.access(0, False) == (True, None)
+        assert _lines(c) == [1, 2, 0]
+        evicted = [c.access(line, False)[1][0] for line in (3, 4, 5)]
+        assert evicted == [1, 2, 0]
+
+    def test_write_hit_leaves_the_line_dirty(self):
+        c = tiny_cache(ways=2, sets=1)
+        c.access(0, False)
+        c.access(0, True)
+        c.access(0, False)  # a read hit keeps it dirty
+        assert c.snapshot()["sets"] == [[0, [[0, True]]]]
+        c.access(1, False)
+        assert c.access(2, False)[1] == (0, True)
+
+    def test_no_l1_line_is_out_of_its_set_at_a_yield(self):
+        """The fused loop yields to the multicore scheduler before each
+        shared event; at every yield, the private L1 holds exactly the
+        lines the executed events left, in their recency order."""
+        sim = TimingSimulator(skylake_machine(scaled=True), cwsp())
+        l1 = sim.hier.levels[0]
+        a, b, c = (k * l1.n_sets << l1.line_bits for k in range(3))  # one set
+        # Load misses A and B, a private load hit on A, a store hit on
+        # B (shared: it persists), a load miss on C.
+        trace = PackedTrace("lllsl", [a, b, a, b, c])
+        gen = sim._packed_gen(trace, 1)
+        next(gen)
+        seen = []
+        limit = (0.0, 0)  # core 1 loses the tie: every shared event yields
+        while True:
+            try:
+                clock = gen.send(limit)
+            except StopIteration:
+                break
+            seen.append(_lines(l1))
+            limit = (clock, 2)  # let this event run, stop at the next
+        a, b, c = (x >> l1.line_bits for x in (a, b, c))
+        assert seen == [[], [a], [b, a], [a, b]]
+        assert _lines(l1) == [a, b, c]
+        assert (l1.hits, l1.misses) == (2, 3)
 
 
 class TestDirectMapped:

@@ -77,20 +77,25 @@ class TestRegistry:
         assert all(ns > 0 for ns in res.meta["ns_per_event"].values())
 
     def test_event_class_streams_are_their_class(self):
-        """Hit loads hit, miss loads miss, stores persist, under cwsp."""
+        """Hit loads hit, miss loads miss (L2 misses in both levels, and
+        past the L2's capacity), stores persist, under cwsp."""
         from repro.arch.machine import simulate
         from repro.arch.trace import PackedTrace
         from repro.schemes import cwsp
 
         machine = _machine()
+        l1, l2 = (c.size_bytes for c in machine.caches[:2])
         n = 4_000
+        assert n > l2 >> 6  # the L2 sweep fills the L2, then evicts
         stats = {}
         for name, (code, addr) in _EVENT_CLASSES.items():
-            addrs = [addr(i, machine.caches[0].size_bytes) for i in range(n)]
+            addrs = [addr(i, l1, l2) for i in range(n)]
             stats[name] = simulate(PackedTrace(code * n, addrs), machine, cwsp())
         miss_rate = {k: s.metrics.value("cache.l1.miss_rate") for k, s in stats.items()}
         assert miss_rate["load_l1_hit"] < 0.01
         assert miss_rate["load_l1_miss"] == 1.0
+        assert miss_rate["load_l2_miss"] == 1.0
+        assert stats["load_l2_miss"].metrics.value("cache.l2.miss_rate") == 1.0
         assert stats["store_persisted"].metrics.value("pb.pushes") == n
         assert stats["boundary"].metrics.value("core.boundaries") == n
 

@@ -371,8 +371,8 @@ def test_packed_loop_matches_reference_loop(trace, scheme, commit_width):
 # ``CacheHierarchy.prime`` fills the direct-mapped DRAM cache from
 # constant-tag runs.  The reference below writes every line of every
 # range in turn, as priming is defined; the two must leave snapshots
-# that are equal byte for byte, dict insertion order included (LRU
-# first-minimum scans treat primed ticks as ties, so order is state).
+# that are equal byte for byte, each set's line order included (it is
+# the recency order that picks the victims).
 
 
 def _reference_prime(hier, ranges, from_level=0):
@@ -392,7 +392,7 @@ def _reference_prime(hier, ranges, from_level=0):
             for line in range(base >> level.line_bits, (base + size) >> level.line_bits):
                 ways = level.sets.setdefault(line % level.n_sets, {})
                 if len(ways) < level.ways:
-                    ways[line // level.n_sets] = [0, False]
+                    ways[line] = False
     dram = hier.dram
     if dram is not None:
         for base, size in reversed(ranges):
@@ -571,6 +571,35 @@ class TestPackedVsReference:
         profile = PROFILES["astar"]
         trace = generate_trace(profile, 2_000, seed=7, instrument="pruned", packed=True)
         _assert_packed_equals_reference(trace, machine, cwsp())
+
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    @pytest.mark.parametrize("scheme_name", ["baseline", "cwsp", "psp_ideal"])
+    def test_every_level_fills_and_evicts(self, n_levels, scheme_name):
+        """Sets of 2-4 ways over 64 lines with a hot subset: every SRAM
+        level evicts, and hits reorder sets before their victims are
+        picked, on the inlined L1 and L2 and on the walk below them,
+        with and without a DRAM cache.  Stats and final state against
+        the oracle's tick LRU."""
+        caches = (
+            CacheConfig("L1D", 2 * 2 * 64, 2, hit_latency=4),
+            CacheConfig("L2", 4 * 4 * 64, 4, hit_latency=14),
+            CacheConfig("L3", 8 * 4 * 64, 4, hit_latency=44),
+        )[:n_levels]
+        machine = skylake_machine(
+            scaled=True, caches=caches, dram_cache=DRAMCacheConfig(16 * 64, hit_latency=140)
+        )
+        rng = random.Random(n_levels)
+        codes, addrs = [], []
+        for _ in range(3_000):
+            codes.append(rng.choice("aalllllsssc"))
+            line = rng.randrange(8) if rng.random() < 0.5 else rng.randrange(64)
+            addrs.append(line << 6 | rng.randrange(0, 64, 8))
+        trace = PackedTrace("".join(codes), addrs)
+        scheme = _CATALOG[scheme_name]()
+        args = (trace, machine, scheme, ((0, 4 * 64), (1024, 16 * 64)), float("inf"))
+        assert _single_cut(TimingSimulator, *args, finalize=True) == _single_cut(
+            OracleSimulator, *args, finalize=True
+        )
 
 
 # ----------------------------------------------------------------------
