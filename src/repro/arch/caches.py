@@ -63,11 +63,6 @@ class SetAssocCache:
             if len(ways) < ways_cap:
                 ways[line] = False
 
-    def invalidate(self, line_addr: int) -> None:
-        ways = self.sets.get(line_addr % self.n_sets)
-        if ways is not None:
-            ways.pop(line_addr, None)
-
     def snapshot(self) -> dict:
         """JSON-serializable tag state.
 
@@ -84,11 +79,6 @@ class SetAssocCache:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
 
 class DirectMappedCache:

@@ -164,7 +164,7 @@ def _import_candidates(source: bytes) -> List[Tuple[str, Optional[str]]]:
 
 #: File sha256 -> :func:`_import_candidates` of those bytes: a process
 #: parses each version of a file once, however often the recipe is
-#: recomputed (the serve loop does so on every poll).
+#: recomputed (the serve loop does so on every content walk).
 _CANDIDATES_BY_DIGEST: Dict[str, List[Tuple[str, Optional[str]]]] = {}
 
 #: Digest of the scanner's own bytecode.  A stored scan is a function of
@@ -326,16 +326,29 @@ def _candidates(
     return found
 
 
+def file_stat(path) -> Optional[Tuple[int, int, int]]:
+    """``(st_mtime_ns, st_size, st_ino)`` of *path*, or None if it is gone:
+    the metadata the serve daemon watches between content walks."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_mtime_ns, st.st_size, st.st_ino
+
+
 def compute_salt_recipe(
     entries: Sequence[str] = _SALT_ENTRY_MODULES,
     scans: Optional[ScanStore] = None,
+    stats: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Walk the module closure of *entries* and hash every file: uncached.
 
     The pure computation behind :func:`salt_recipe`.  The results
-    service (:mod:`repro.harness.serve`) calls this on every poll tick
-    to re-derive the closure from what is on disk *now* -- the cached
-    :func:`salt_recipe` would keep serving the boot-time tree forever.
+    service (:mod:`repro.harness.serve`) calls this on every content
+    walk to re-derive the closure from what is on disk *now* -- the
+    cached :func:`salt_recipe` would keep serving the boot-time tree
+    forever.  *stats*, if given, receives the :func:`file_stat` of every
+    file the walk reads, by path, taken just before it reads the file.
     Only the parse is memoised, by content: in the process, and across
     processes in *scans* when the caller owns a result cache directory.
     Resolution is not, because whether ``from pkg.mod import name``
@@ -355,6 +368,8 @@ def compute_salt_recipe(
         path = module_file(name)
         if path is None:
             continue
+        if stats is not None:
+            stats[str(path)] = file_stat(path)
         source = path.read_bytes()
         digest = modules[name] = hashlib.sha256(source).hexdigest()
         for module, attr in _candidates(source, digest, scans):
@@ -795,11 +810,13 @@ def compute_points(
     # workers that inherit them (multicore imports machine, caches,
     # queues and trace).  Simulator first: compiled after NumPy, it
     # left forked workers about 0.5 MB larger (sweep-cold peak RSS).
-    # With a trace store NumPy loads only where a trace is missing.
+    # ``numpy.random`` loads lazily, so import it by name: otherwise each
+    # worker imports it again on its first trace.  With a trace store
+    # NumPy loads only where a trace is missing.
     import repro.arch.multicore  # noqa: F401
     import repro.workloads.synthetic  # noqa: F401
     if traces is None:
-        import numpy  # noqa: F401
+        import numpy.random  # noqa: F401
 
     batches = form_batches(misses, jobs)
     work = [[misses[i][1] for i in batch] for batch in batches]

@@ -4,11 +4,16 @@ A long-lived daemon that keeps the published results continuously
 correct under live code and spec edits by recomputing *only the dirty
 delta*:
 
-1. **Watch.**  Every poll tick the daemon re-derives from disk
+1. **Watch.**  A content walk re-derives from disk
    (:func:`compute_salt_recipe`) the module closure of the simulation,
    the experiment-spec module and the publish path, and
-   content-hashes every file in it.  No inotify: plain sha256
-   polling, so it works on any filesystem.
+   content-hashes every file in it; its hashes alone decide what
+   changed.  Between walks the daemon stats the files the last walk
+   read every :data:`WATCH_TICK` and walks again as soon as one's
+   mtime, size or inode differs (or it vanished), and at least once
+   per ``--interval`` whatever the stats say, which catches an edit
+   that keeps a file's metadata.  No inotify and no thread: plain
+   ``stat`` polling, so it works on any filesystem.
 2. **Classify.**  On change (and once at boot) the daemon forks a child
    that imports ``repro`` and the spec module afresh (so it runs only
    the code now on disk), re-plans the grid and classifies every point
@@ -62,6 +67,7 @@ from repro.harness.engine import (
     TraceStore,
     _write_atomic,
     compute_salt_recipe,
+    file_stat,
     recipe_salt,
     trace_salt,
 )
@@ -72,6 +78,14 @@ LEDGER_NAME = "generations.jsonl"
 STATUS_NAME = "status.json"
 ARTIFACTS_DIR = "artifacts"
 DEFAULT_SPECS_MODULE = "repro.harness.figures"
+
+#: Seconds between two stat sweeps of the watch set, so an edit starts
+#: a generation within a tick.  A sweep of the default registry's 20
+#: files costs about 40 us of CPU and a content walk about 2.7 ms, but
+#: each wake-up costs more than the sweep: idle at the default interval
+#: the daemon used 0.75 % of a core (0.17 % with a plain sleep of the
+#: interval), and 1.7 % with a 20 ms tick.
+WATCH_TICK = 0.05
 
 #: The publish path: this module, and the artifact writer it imports
 #: lazily.  Their closure (the EXPERIMENTS.md renderer, the report and
@@ -141,23 +155,28 @@ class ResultsServer:
         self.generation = self._last_ledger_generation() + 1
 
     # -- watching ------------------------------------------------------
-    def snapshot(self) -> Dict[str, Optional[str]]:
+    def snapshot(
+        self, stats: Optional[Dict[str, object]] = None
+    ) -> Dict[str, Optional[str]]:
         """Content hash per watched module (None for a vanished file).
 
         One walk from disk (so a newly added import joins the watch set
-        on the next tick) over the module closure of the simulation (the
+        on the next walk) over the module closure of the simulation (the
         salt's entries), the experiment spec module and the publish
         path: this module and the artifact writer it imports lazily.  A
         spec module outside the ``repro`` tree the walk follows is
-        hashed by its file.
+        hashed by its file.  *stats*, if given, receives the
+        :func:`file_stat` of every file read, taken just before reading it.
         """
         name = self.config.specs_module
         recipe = compute_salt_recipe(
-            (*_SALT_ENTRY_MODULES, name, *_PUBLISH_MODULES), self.scans
+            (*_SALT_ENTRY_MODULES, name, *_PUBLISH_MODULES), self.scans, stats
         )
         snapshot: Dict[str, Optional[str]] = dict(recipe["modules"])
         file = getattr(sys.modules.get(name), "__file__", None)
         if name not in snapshot and file:
+            if stats is not None:
+                stats[file] = file_stat(file)
             try:
                 snapshot[name] = hashlib.sha256(Path(file).read_bytes()).hexdigest()
             except OSError:
@@ -332,27 +351,42 @@ class ResultsServer:
         limit = self.config.max_generations
         return limit is not None and self.produced >= limit
 
+    def _await_change(self, stats: Dict[str, object]) -> None:
+        """Return as soon as a file's :func:`file_stat` differs from *stats*
+        (a vanished file's does), checking at once and then every
+        :data:`WATCH_TICK`, or once ``interval`` seconds have passed."""
+        deadline = time.monotonic() + self.config.interval
+        while all(file_stat(path) == stat for path, stat in stats.items()):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            time.sleep(min(WATCH_TICK, left))
+
     def serve_forever(self) -> int:
-        """Generation 0, then poll-and-recompute until the limit (if any).
+        """Generation 0, then watch-and-recompute until the limit (if any).
 
         A failed generation 0 ends the daemon; a later one (half-saved
-        module, crashed worker) is logged and retried on the next tick --
-        the watch snapshot only advances after a generation lands, so the
-        daemon keeps trying until the tree is importable and simulable
-        again.
+        module, crashed worker) is logged and retried -- the watch
+        snapshot only advances after a generation lands, so the daemon
+        keeps trying until the tree is importable and simulable again.
+        The stats advance with every walk, so it retries once per
+        interval, or at once when a watched file changes again (a fix).
         """
         self.out.mkdir(parents=True, exist_ok=True)
-        watch = self.snapshot()
+        stats: Dict[str, object] = {}
+        watch = self.snapshot(stats)
         self.say(
-            f"serve: watching {len(watch)} modules, polling every "
-            f"{self.config.interval}s (cache {self.config.cache_dir})"
+            f"serve: watching {len(watch)} modules: stat every {WATCH_TICK}s, "
+            f"content walk at least every {self.config.interval}s "
+            f"(cache {self.config.cache_dir})"
         )
         code = self.fork_generation("initial", [])
         if code != 0:
             raise SystemExit(f"serve: generation 0 failed (child exit {code})")
         while not self._done():
-            time.sleep(self.config.interval)
-            current = self.snapshot()
+            self._await_change(stats)
+            stats = {}
+            current = self.snapshot(stats)
             changed = sorted(
                 name
                 for name in set(watch) | set(current)
@@ -363,8 +397,8 @@ class ResultsServer:
             code = self.fork_generation("edit", changed)
             if code != 0:
                 self.say(
-                    f"serve: generation failed (child exit {code}); "
-                    "retrying on next tick"
+                    f"serve: generation failed (child exit {code}); retrying "
+                    f"when a watched file changes or in {self.config.interval}s"
                 )
                 continue
             watch = current
@@ -439,7 +473,9 @@ def build_parser():
     )
     parser.add_argument(
         "--interval", type=float, default=2.0, metavar="SEC",
-        help="content-hash polling interval (default: 2.0)",
+        help="longest wait between two content walks of the watched "
+        f"modules; their metadata is checked every {WATCH_TICK}s and a "
+        "change starts a walk at once (default: 2.0)",
     )
     parser.add_argument(
         "--specs-module", default=DEFAULT_SPECS_MODULE, metavar="MODULE",

@@ -80,11 +80,6 @@ class TickLRUCache(SetAssocCache):
             if len(ways) < self.ways:
                 ways[line // self.n_sets] = [0, False]
 
-    def invalidate(self, line_addr: int) -> None:
-        ways = self.sets.get(line_addr % self.n_sets)
-        if ways is not None:
-            ways.pop(line_addr // self.n_sets, None)
-
     def snapshot(self) -> dict:
         def recency(index, ways):
             order = sorted(ways.items(), key=lambda item: item[1][0])  # stable

@@ -194,7 +194,12 @@ class TestResultsServer:
         assert status["pid"] == os.getpid()
 
     def test_watch_covers_salted_and_spec_modules(self, tmp_path, tiny_specs):
-        watched = _server(tmp_path, tiny_specs).snapshot()
+        stats = {}
+        watched = _server(tmp_path, tiny_specs).snapshot(stats)
+        # The walk stats every file it reads: one per module.
+        assert len(stats) == len(watched)
+        assert str(tmp_path / f"{tiny_specs}.py") in stats
+        assert None not in stats.values()
         assert "repro.arch.machine" in watched       # salted
         assert tiny_specs in watched                 # the spec registry
         # What renders the published bytes: the publish path's closure.
@@ -428,14 +433,15 @@ def _copied_checkout(tmp_path, specs_name, specs_source):
     return env
 
 
-def _serve(tmp_path, env, args, **popen):
+def _serve(tmp_path, env, args, interval=0.2, **popen):
+    popen.setdefault("stdout", subprocess.DEVNULL)
+    popen.setdefault("stderr", subprocess.PIPE)
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.harness", "serve", *args,
-            "--interval", "0.2", "--out", "out", "--cache-dir", "cache",
+            "--interval", str(interval), "--out", "out", "--cache-dir", "cache",
         ],
-        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True, **popen,
+        cwd=tmp_path, env=env, text=True, **popen,
     )
 
 
@@ -542,3 +548,110 @@ class TestServeRunsFreshCode:
             proc.wait()
         assert code == 130, proc.stderr.read()
         assert left == []
+
+
+def _reap(proc):
+    """Kill *proc* if it still runs; returns its stderr."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    return proc.stderr.read()
+
+
+def _edit_catalog_keeping_metadata(tmp_path):
+    """Edit the copy's catalog in place from 2.0 to 2.5 -- same size, same
+    inode -- and give it back its mtime: only its bytes differ."""
+    catalog = tmp_path / "src" / "repro" / "schemes" / "catalog.py"
+    before = os.stat(catalog)
+    text = catalog.read_text()
+    edited = text.replace("nvm_write_amp=2.0,", "nvm_write_amp=2.5,", 1)
+    assert edited != text and len(edited) == len(text)
+    with open(catalog, "r+") as fh:
+        fh.write(edited)
+    os.utime(catalog, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(catalog)
+    metadata = (after.st_mtime_ns, after.st_size, after.st_ino)
+    assert metadata == (before.st_mtime_ns, before.st_size, before.st_ino)
+
+
+class TestServeWatch:
+    """Between content walks the daemon stats the walked files every tick:
+    an edit starts a generation at once, however long ``--interval`` is."""
+
+    def test_edit_starts_a_generation_long_before_the_interval(self, tmp_path):
+        env = _copied_checkout(tmp_path, "amp_specs", AMP_SPECS)
+        ledger = tmp_path / "out" / "generations.jsonl"
+        proc = _serve(
+            tmp_path, env,
+            ["amp", "--specs-module", "amp_specs", "--max-generations", "2"],
+            interval=30,
+        )
+        try:
+            _wait_for_lines(ledger, 1)
+            with open(tmp_path / "src/repro/schemes/catalog.py", "a") as fh:
+                fh.write("\n# serve test: watched edit\n")
+            g1 = _wait_for_lines(ledger, 2, deadline=10.0)[1]
+            assert proc.wait(timeout=60) == 0
+        finally:
+            err = _reap(proc)
+        assert g1["changed_modules"] == ["repro.schemes.catalog"], err
+
+    def test_edit_that_keeps_the_metadata_is_caught_by_the_walk(self, tmp_path):
+        env = _copied_checkout(tmp_path, "amp_specs", AMP_SPECS)
+        ledger = tmp_path / "out" / "generations.jsonl"
+        artifact = tmp_path / "out" / "artifacts" / "amp.json"
+        interval = 2.0
+        proc = _serve(
+            tmp_path, env,
+            ["amp", "--specs-module", "amp_specs", "--max-generations", "2"],
+            interval=interval,
+        )
+        try:
+            _wait_for_lines(ledger, 1)
+            _edit_catalog_keeping_metadata(tmp_path)
+            start = time.monotonic()
+            g1 = _wait_for_lines(ledger, 2, deadline=30.0)[1]
+            waited = time.monotonic() - start
+            assert proc.wait(timeout=60) == 0
+        finally:
+            err = _reap(proc)
+        assert g1["changed_modules"] == ["repro.schemes.catalog"], err
+        assert json.loads(artifact.read_text())["rows"] == [["cwsp", 2.5]], err
+        # One interval to the walk, plus the generation itself.
+        assert waited < interval + 10.0, waited
+
+    def test_failed_generation_retries_once_per_interval(self, tmp_path):
+        env = _copied_checkout(tmp_path, "amp_specs", AMP_SPECS)
+        ledger = tmp_path / "out" / "generations.jsonl"
+        log = tmp_path / "serve.log"
+        with open(log, "w") as out:
+            proc = _serve(
+                tmp_path, env,
+                ["amp", "--specs-module", "amp_specs", "--max-generations", "2"],
+                interval=30, stdout=out, stderr=subprocess.STDOUT,
+            )
+        spec = tmp_path / "amp_specs.py"
+        try:
+            _wait_for_lines(ledger, 1)
+            with open(spec, "a") as fh:
+                fh.write("\nthis is not python\n")
+            deadline = time.monotonic() + 30
+            while "generation failed" not in log.read_text():
+                assert proc.poll() is None, log.read_text()
+                assert time.monotonic() < deadline, log.read_text()
+                time.sleep(0.05)
+            # Many ticks with the tree still broken: no retry before the
+            # interval, whose walk would be the next judge.
+            time.sleep(2.0)
+            failures = log.read_text().count("generation failed")
+            # The fix changes the file's metadata: it retries at once.
+            spec.write_text(AMP_SPECS + "\n# serve test: fixed\n")
+            g1 = _wait_for_lines(ledger, 2, deadline=15.0)[1]
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert failures == 1, log.read_text()
+        assert g1["changed_modules"] == ["amp_specs"]
+        assert g1["generation"] == 1

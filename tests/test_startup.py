@@ -130,7 +130,7 @@ misses = [
     (f"key-{app}", SimPoint(app, cwsp(), machine, None, 200, 1))
     for app in ("namd", "lbm")
 ]
-preloaded = ["numpy"] + SIMULATOR
+preloaded = ["numpy", "numpy.random"] + SIMULATOR
 assert not set(preloaded) & set(sys.modules)
 resolved, runs = compute_points(misses, NullCache(), jobs=2)
 assert len(resolved) == runs == 2
