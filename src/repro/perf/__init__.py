@@ -1,10 +1,10 @@
 """Measured performance layer: benchmarks, timers, and the CI gate.
 
 ``python -m repro.perf`` times named micro- and end-to-end benchmarks
-(events/sec through ``Machine.run``, queue ops/sec, warm vs. cold
-harness wall-clock), emits a machine-readable ``BENCH_PR4.json`` with
-git SHA and config provenance, and supports
-``--compare BASELINE.json --max-regress PCT`` for the CI perf gate.
+(events/sec through ``TimingSimulator.run``, queue ops/sec, warm vs.
+cold harness wall-clock), writes a JSON document with git SHA and
+config provenance (``--out``), and with ``--compare SRC --max-regress
+PCT`` gates this tree against another tree's ``src/`` in paired runs.
 
 Only :mod:`repro.perf.timers` is imported eagerly -- it is dependency-
 free, so the harness engine can reuse the same clocks for its phase

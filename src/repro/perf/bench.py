@@ -4,12 +4,12 @@ Every benchmark is a named callable registered with :func:`bench`; it
 receives a :class:`BenchConfig` (quick vs. full sizing) and returns a
 :class:`BenchResult`.  The CLI (``python -m repro.perf``) runs them,
 emits a machine-readable JSON document with git/config provenance, and
-gates regressions against a committed baseline.
+gates regressions against a base tree run in alternating pairs.
 
 Throughput benchmarks (events/sec, ops/sec) are best-of-N over a fixed
-seed, so numbers are stable to a few percent on an idle machine; the
-CI gate normalizes by the ``calibration`` benchmark to absorb
-host-speed differences (see ``repro.perf.cli``).
+seed.  The host's speed still drifts between processes, so the gate
+compares per-pair ratios, never values taken at different times (see
+``repro.perf.cli``).
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from typing import Callable, Dict, List, Optional
 from repro.perf.timers import best_of
 
 #: Default trace sizes; ``--quick`` (CI) uses the smaller set.  Quick
-#: sizes keep every gated benchmark above ~50ms so the regression gate
-#: measures the code, not timer noise.
-_FULL = {"n_insts": 120_000, "queue_ops": 400_000, "reps": 3, "harness_n": 6_000}
-_QUICK = {"n_insts": 60_000, "queue_ops": 200_000, "reps": 5, "harness_n": 2_000}
+#: sizes keep every gated benchmark's best repetition above 50 ms so the
+#: regression gate measures the code, not timer noise: the floor was
+#: 63 ms (``tracegen.synthetic``; ``machine.run.baseline`` 71 ms) on a
+#: 2-vCPU x86-64 host, where one quick suite runs in about 6 s.
+_FULL = {"n_insts": 600_000, "queue_ops": 400_000, "reps": 3, "harness_n": 6_000}
+_QUICK = {"n_insts": 300_000, "queue_ops": 200_000, "reps": 5, "harness_n": 2_000}
 
 _BENCH_APP = "astar"
 _BENCH_SEED = 3
@@ -137,36 +139,6 @@ def _events_per_sec(scheme_factory, config: BenchConfig, name: str) -> BenchResu
 # ----------------------------------------------------------------------
 # Benchmarks
 # ----------------------------------------------------------------------
-@bench("calibration")
-def bench_calibration(config: BenchConfig) -> BenchResult:
-    """Host-speed reference: a fixed pure-Python workload.
-
-    Not gated itself; the compare step divides the other benchmarks by
-    the calibration ratio so a slower CI host does not read as a code
-    regression.
-    """
-    n = 400_000 if config.quick else 600_000
-
-    def spin():
-        acc = 0
-        d = {}
-        for i in range(n):
-            acc += i & 1023
-            d[i & 511] = acc
-        return acc
-
-    seconds, _ = best_of(spin, config.size("reps"))
-    return BenchResult(
-        name="calibration",
-        value=n / seconds,
-        unit="ops/sec",
-        higher_is_better=True,
-        seconds=seconds,
-        reps=config.size("reps"),
-        meta={"n": n},
-    )
-
-
 @bench("machine.run.cwsp")
 def bench_machine_cwsp(config: BenchConfig) -> BenchResult:
     """End-to-end hot path: cwsp (persist path + RBT + WPQ delays)."""
@@ -278,7 +250,9 @@ def bench_event_classes(config: BenchConfig) -> BenchResult:
     from repro.perf.timers import Stopwatch
     from repro.schemes import cwsp
 
-    n = config.size("n_insts") // 3
+    # 20k events per class at --quick, so that seven classes times N
+    # repetitions stay a small share of the suite's run time.
+    n = config.size("n_insts") // 15
     reps = config.size("reps")
     machine = _machine()
     l1_bytes, l2_bytes = (c.size_bytes for c in machine.caches[:2])
@@ -344,8 +318,8 @@ def bench_queue_ops(config: BenchConfig) -> BenchResult:
 @bench("tracegen.synthetic")
 def bench_tracegen(config: BenchConfig) -> BenchResult:
     """Workload event-generation throughput (instrumented stream)."""
-    # Generation is about 4x faster than the baseline simulation and
-    # 6x faster than cwsp (7.6M vs 1.9M and 1.2M events/s at --quick
+    # Generation is about 2x faster than the baseline simulation and
+    # 4x faster than cwsp (10M vs 4.4M and 2.4M events/s at --quick
     # sizes on a 2-vCPU x86-64 host), so double the stream length to
     # keep the measured interval above timer and scheduler noise.
     n_insts = 2 * config.size("n_insts")
@@ -436,15 +410,4 @@ def run_benchmarks(
         result = BENCHMARKS[name](config)
         results[name] = result
         say(f"bench: {name} = {result.value:,.0f} {result.unit}")
-    # The calibration reference anchors the regression gate's host-speed
-    # normalization, but it samples one moment while the benchmarks run
-    # much later, possibly under different load.  Re-measure it at suite
-    # end and keep the faster sample: transient contention can only slow
-    # the reference down, never speed it up.
-    if "calibration" in results and len(selected) > 1:
-        say("bench: calibration (recheck) ...")
-        again = BENCHMARKS["calibration"](config)
-        if again.value > results["calibration"].value:
-            results["calibration"] = again
-        say(f"bench: calibration = {results['calibration'].value:,.0f} ops/sec")
     return results

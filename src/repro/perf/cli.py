@@ -6,26 +6,29 @@
     python -m repro.perf --quick                 # CI-sized runs
     python -m repro.perf machine.run.cwsp        # a subset
     python -m repro.perf --list                  # what exists
-    python -m repro.perf --quick \\
-        --compare benchmarks/baseline.json --max-regress 25
+    python -m repro.perf --quick --compare BASE/src --max-regress 25
 
-``--compare`` exits nonzero when any benchmark regresses more than
-``--max-regress`` percent against the baseline document.  Throughput
-numbers are normalized by the ``calibration`` benchmark (a fixed
-pure-Python workload) before comparison, so a slower CI host is not
-mistaken for a code regression; ``--no-normalize`` compares raw values.
-Suspected regressions are re-measured once before the gate fails
-(``--no-retry`` disables): transient contention does not reproduce,
-real regressions do.
+``--compare SRC`` gates this tree against another tree's ``src/``
+directory (CI extracts the merge base's with ``git archive``).  Both
+trees run the selected benchmarks in fresh child processes, ``PAIRS``
+times each, alternating which runs first, so the two sides of a pair
+see the same host speed.  A gated benchmark fails only when its median
+per-pair ratio is worse than ``--max-regress`` percent *and* the change
+ran slower in at least nine tenths of the pairs: host noise moves the
+median, not the sign of nearly every pair.  A benchmark the base lacks,
+or whose unit changed, is reported and not gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -33,6 +36,14 @@ from typing import Dict, List, Optional
 from repro.perf.bench import BENCHMARKS, BenchConfig, BenchResult, run_benchmarks
 
 SCHEMA_VERSION = 1
+
+#: Base/change pairs of one ``--compare``.  With ten, the change being
+#: slower in nine or more by chance alone has probability 11/1024; ten
+#: pairs of the quick suite take about two minutes on a 2-vCPU host.
+PAIRS = 10
+
+#: This tree's ``src/`` directory: the change side of ``--compare``.
+_HERE = Path(__file__).resolve().parents[2]
 
 
 def git_sha() -> str:
@@ -89,80 +100,152 @@ def document(results: Dict[str, BenchResult], config: BenchConfig) -> dict:
     }
 
 
-class Regression:
-    """One benchmark's baseline-vs-current delta."""
-
-    __slots__ = ("name", "unit", "base", "current", "expected", "regress_pct")
-
-    def __init__(self, name, unit, base, current, expected, regress_pct):
-        self.name = name
-        self.unit = unit
-        self.base = base
-        self.current = current
-        self.expected = expected
-        self.regress_pct = regress_pct
+def _speedup(base: float, change: float, higher_is_better: bool) -> float:
+    return change / base if higher_is_better else base / change
 
 
-def compare_documents(
-    current: dict, baseline: dict, normalize: bool = True
-) -> List[Regression]:
-    """Per-benchmark regression percentages (positive = got worse).
+def compare_pairs(pairs: List[dict], max_regress: float) -> List[dict]:
+    """One row per benchmark of the change, judged over paired documents.
 
-    ``expected`` is the baseline value scaled by the hosts' calibration
-    ratio; the regression is measured against that, so the gate tracks
-    the *code*, not the hardware it happens to run on.
+    Each pair is ``{"base": document, "change": document}``.  A row's
+    ``ratios`` are the change's speed over the base's in each pair
+    (above 1 means faster, whatever the unit's direction), and
+    ``classes`` holds the median ratio of each event class in
+    ``meta.ns_per_event``.  A gated benchmark regresses when its median
+    ratio is more than ``max_regress`` percent below 1 and the change
+    was slower in at least nine tenths of the pairs.  ``note`` says why
+    a row is not gated.
     """
-    cur_results = current.get("results", {})
-    base_results = baseline.get("results", {})
-    factor = 1.0
-    if normalize and "calibration" in cur_results and "calibration" in base_results:
-        base_cal = base_results["calibration"]["value"]
-        if base_cal > 0:
-            factor = cur_results["calibration"]["value"] / base_cal
-    out: List[Regression] = []
-    for name in sorted(set(cur_results) & set(base_results)):
-        if name == "calibration":
+    rows = []
+    for name, first in pairs[0]["change"]["results"].items():
+        base = [p["base"]["results"].get(name) for p in pairs]
+        change = [p["change"]["results"][name] for p in pairs]
+        if base[0] is None or base[0]["unit"] != first["unit"]:
+            why = "absent at base" if base[0] is None else f"unit was {base[0]['unit']}"
+            rows.append({"name": name, "note": why})
             continue
-        cur = cur_results[name]
-        base = base_results[name]
-        if cur.get("unit") != base.get("unit"):
-            continue  # incomparable across schema drift
-        if not (cur.get("gated", True) and base.get("gated", True)):
-            continue  # recorded for trends, too noisy to gate
-        higher = bool(cur.get("higher_is_better", True))
-        if higher:
-            expected = base["value"] * factor
-            regress = (expected - cur["value"]) / expected * 100.0 if expected else 0.0
-        else:
-            expected = base["value"] / factor if factor else base["value"]
-            regress = (cur["value"] - expected) / expected * 100.0 if expected else 0.0
-        out.append(
-            Regression(
-                name,
-                cur.get("unit", ""),
-                base["value"],
-                cur["value"],
-                expected,
-                regress,
+        higher = first["higher_is_better"]
+        ratios = [
+            _speedup(b["value"], c["value"], higher) for b, c in zip(base, change)
+        ]
+        median = statistics.median(ratios)
+        slower = sum(r < 1.0 for r in ratios)
+        gated = base[0].get("gated", True) and first.get("gated", True)
+        base_ns = [b["meta"].get("ns_per_event", {}) for b in base]
+        change_ns = [c["meta"].get("ns_per_event", {}) for c in change]
+        classes = {
+            cls: statistics.median(
+                [_speedup(b[cls], c[cls], False) for b, c in zip(base_ns, change_ns)]
             )
+            for cls in change_ns[0]
+            if cls in base_ns[0]
+        }
+        regressed = (
+            gated
+            and (1.0 - median) * 100.0 > max_regress
+            and slower * 10 >= 9 * len(ratios)
         )
-    return out
+        rows.append(
+            {
+                "name": name,
+                "note": "" if gated else "ungated",
+                "ratios": ratios,
+                "median": median,
+                "slower": slower,
+                "regressed": regressed,
+                "classes": classes,
+            }
+        )
+    return rows
 
 
-def format_comparison(rows: List[Regression], max_regress: float) -> str:
-    width = max((len(r.name) for r in rows), default=4)
-    header = (
-        f"{'benchmark'.ljust(width)}  {'baseline':>14}  {'expected':>14}  "
-        f"{'current':>14}  {'delta':>8}"
-    )
-    lines = [header]
-    for r in rows:
-        flag = "  << REGRESSION" if r.regress_pct > max_regress else ""
+def format_rows(rows: List[dict]) -> str:
+    width = max(len(row["name"]) for row in rows + [{"name": "benchmark"}])
+    lines = [f"{'benchmark'.ljust(width)}  {'speed':>8}  slower in"]
+    for row in rows:
+        name = row["name"].ljust(width)
+        if "median" not in row:
+            lines.append(f"{name}  {'-':>8}  not compared: {row['note']}")
+            continue
+        flag = f"  ({row['note']})" if row["note"] else ""
+        if row["regressed"]:
+            flag = "  << REGRESSION"
         lines.append(
-            f"{r.name.ljust(width)}  {r.base:>14,.0f}  {r.expected:>14,.0f}  "
-            f"{r.current:>14,.0f}  {-r.regress_pct:>+7.1f}%{flag}"
+            f"{name}  {(row['median'] - 1.0) * 100.0:>+7.1f}%  "
+            f"{row['slower']}/{len(row['ratios'])} pairs{flag}"
         )
+        for cls, ratio in row["classes"].items():
+            lines.append(f"  {cls.ljust(width - 2)}  {(ratio - 1.0) * 100.0:>+7.1f}%")
     return "\n".join(lines)
+
+
+def _child(src: Path, argv: List[str], cwd: str) -> str:
+    """Run ``python -m repro.perf ARGV`` on the tree at *src*; its stdout."""
+    cmd = [sys.executable, "-m", "repro.perf", *argv]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        cmd, env=env, cwd=cwd, stdout=subprocess.PIPE, text=True, check=True
+    )
+    return proc.stdout
+
+
+def run_pairs(base_src: Path, names: List[str], args) -> List[dict]:
+    """``PAIRS`` alternating suite runs of *names* on the base and this tree."""
+    sizing = ["--quick"] if args.quick else []
+    if args.reps is not None:
+        sizing += ["--reps", str(args.reps)]
+    with tempfile.TemporaryDirectory(prefix="repro-perf-pairs-") as tmp:
+        out = os.path.join(tmp, "bench.json")
+        listing = _child(base_src, ["--list"], tmp).splitlines()
+        listed = {line.split()[0] for line in listing if line.strip()}
+        runs = {
+            "base": (base_src, [n for n in names if n in listed]),
+            "change": (_HERE, names),
+        }
+        pairs = []
+        for i in range(PAIRS):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair: dict = {"first": order[0]}
+            for side in order:
+                src, picked = runs[side]
+                pair[side] = {"results": {}}
+                if picked:  # no names would run the whole suite
+                    _child(src, [*picked, *sizing, "--out", out], tmp)
+                    pair[side] = json.loads(Path(out).read_text())
+            pairs.append(pair)
+            print(f"pair {i + 1}/{PAIRS} done ({order[0]} first)", flush=True)
+    return pairs
+
+
+def gate(args) -> int:
+    """``--compare``: the paired run, its table, and the exit status."""
+    base_src = Path(args.compare).resolve()
+    names = args.names or list(BENCHMARKS)
+    print(f"{len(names)} benchmark(s), {PAIRS} pairs against {base_src}", flush=True)
+    pairs = run_pairs(base_src, names, args)
+    rows = compare_pairs(pairs, args.max_regress)
+    if args.out:
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "kind": "repro.perf.pairs",
+            "base_src": str(base_src),
+            "max_regress": args.max_regress,
+            "pairs": pairs,
+            "rows": rows,
+        }
+        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"\nwrote {args.out}")
+    print(f"\nchange vs base, median per-pair speed (gate {args.max_regress:g}%):")
+    print(format_rows(rows))
+    failures = [row["name"] for row in rows if row.get("regressed")]
+    if failures:
+        print(
+            f"\nFAIL: slower by more than {args.max_regress:g}% in at least "
+            f"nine tenths of the pairs: {', '.join(failures)}"
+        )
+        return 1
+    print("\nOK: no regression beyond the gate")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,32 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--compare",
         default=None,
-        metavar="BASELINE",
-        help="baseline JSON to gate against",
+        metavar="SRC",
+        help="gate against the tree whose src/ directory is SRC, in paired runs",
     )
     parser.add_argument(
         "--max-regress",
         type=float,
         default=10.0,
         metavar="PCT",
-        help="fail when any benchmark regresses more than PCT%% (default: 10)",
-    )
-    parser.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="compare raw values, without calibration normalization",
-    )
-    parser.add_argument(
-        "--no-retry",
-        action="store_true",
-        help="fail immediately instead of re-measuring suspected regressions",
+        help="with --compare: the median per-pair loss that fails (default: 10)",
     )
     parser.add_argument("--list", action="store_true", help="list benchmarks and exit")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
     if args.list:
         width = max(len(name) for name in BENCHMARKS)
@@ -226,6 +300,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             doc = (fn.__doc__ or "").strip().splitlines()
             print(f"{name.ljust(width)}  {doc[0] if doc else ''}")
         return 0
+
+    if args.compare:
+        if not (Path(args.compare) / "repro" / "perf").is_dir():
+            parser.error(f"--compare: {args.compare} is not a src/ directory")
+        unknown = [n for n in args.names if n not in BENCHMARKS]
+        if unknown:
+            parser.error(f"unknown benchmark(s) {unknown}; see --list")
+        return gate(args)
 
     config = BenchConfig(quick=args.quick, reps=args.reps)
     results = run_benchmarks(
@@ -244,45 +326,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"\nwrote {args.out} (git {doc['git_sha'][:12]}, {doc['mode']})")
-
-    if args.compare:
-        baseline = json.loads(Path(args.compare).read_text())
-        normalize = not args.no_normalize
-        rows = compare_documents(doc, baseline, normalize=normalize)
-        failing = [r.name for r in rows if r.regress_pct > args.max_regress]
-        if failing and not args.no_retry:
-            # Confirm before failing: transient host contention only
-            # makes a benchmark slower, so the faster of two samples is
-            # closer to the truth, and a real regression reproduces.
-            print(f"\nre-measuring suspected regression(s): {', '.join(failing)}")
-            again = run_benchmarks(
-                config,
-                failing + ["calibration"],
-                progress=lambda msg: print(msg, flush=True),
-            )
-            for name, res in again.items():
-                cur = results.get(name)
-                better = cur is None or (
-                    res.value > cur.value
-                    if res.higher_is_better
-                    else res.value < cur.value
-                )
-                if better:
-                    results[name] = res
-            doc = document(results, config)
-            if args.out:
-                text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-                Path(args.out).write_text(text)
-            rows = compare_documents(doc, baseline, normalize=normalize)
-        print(
-            f"\ncompared against {args.compare} "
-            f"(max regress {args.max_regress:.0f}%):"
-        )
-        print(format_comparison(rows, args.max_regress))
-        failures = [r for r in rows if r.regress_pct > args.max_regress]
-        if failures:
-            names = ", ".join(r.name for r in failures)
-            print(f"\nFAIL: regression(s) beyond {args.max_regress:.0f}%: {names}")
-            return 1
-        print("\nOK: no regression beyond the gate")
     return 0

@@ -7,7 +7,7 @@ clocks for its phase timings without import cycles.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 
 class Stopwatch:
@@ -80,11 +80,7 @@ class PhaseTimer:
         return ", ".join(parts)
 
 
-def best_of(
-    fn: Callable[[], object],
-    repeats: int = 3,
-    setup: Optional[Callable[[], None]] = None,
-) -> Tuple[float, object]:
+def best_of(fn: Callable[[], object], repeats: int = 3) -> Tuple[float, object]:
     """Run *fn* ``repeats`` times; return (best wall-clock, last result).
 
     Best-of-N is the standard defense against scheduler noise: the
@@ -93,8 +89,6 @@ def best_of(
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
-        if setup is not None:
-            setup()
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0

@@ -1,8 +1,12 @@
 """The repro.perf subsystem: timers, registry, document, and the gate."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
+
+from repro.perf import cli
 
 from repro.perf.bench import (
     _EVENT_CLASSES,
@@ -12,7 +16,7 @@ from repro.perf.bench import (
     _machine,
     run_benchmarks,
 )
-from repro.perf.cli import compare_documents, document, main
+from repro.perf.cli import compare_pairs, document, main
 from repro.perf.timers import PhaseTimer, Stopwatch, best_of
 
 
@@ -50,7 +54,6 @@ class TestTimers:
 class TestRegistry:
     def test_expected_benchmarks_registered(self):
         expected = {
-            "calibration",
             "machine.run.cwsp",
             "machine.run.baseline",
             "machine.run.capri",
@@ -107,74 +110,85 @@ class TestRegistry:
         assert res.meta["pushes"] > 0
 
 
-def _doc(values):
-    """A minimal benchmark document for comparison tests."""
-    results = {
-        name: BenchResult(
-            name=name,
-            value=value,
-            unit="events/sec",
-            higher_is_better=True,
-            seconds=0.1,
-            reps=1,
-        ).to_dict()
-        for name, value in values.items()
-    }
-    return {"schema": 1, "results": results}
+def _pairs(base, change, unit="events/sec", higher_is_better=True):
+    """Paired documents of one benchmark ``m`` from per-pair values."""
+
+    def doc(value):
+        row = BenchResult("m", value, unit, higher_is_better, 0.1, 1).to_dict()
+        return {"results": {"m": row}}
+
+    return [{"base": doc(b), "change": doc(c)} for b, c in zip(base, change)]
+
+
+def _judge(ratios, max_regress=5.0, **kwargs):
+    """The one row of a 10-pair comparison whose per-pair ratios are given."""
+    base = [100.0 + i for i in range(len(ratios))]
+    pairs = _pairs(base, [b * r for b, r in zip(base, ratios)], **kwargs)
+    (row,) = compare_pairs(pairs, max_regress)
+    return row
 
 
 class TestCompare:
-    def test_no_regression(self):
-        base = _doc({"m": 100.0})
-        cur = _doc({"m": 110.0})
-        rows = compare_documents(cur, base)
-        assert len(rows) == 1
-        assert rows[0].regress_pct < 0  # got faster
-
     def test_regression_detected(self):
-        base = _doc({"m": 100.0})
-        cur = _doc({"m": 50.0})
-        rows = compare_documents(cur, base)
-        assert rows[0].regress_pct == pytest.approx(50.0)
+        """A consistent 6 % loss fails a 5 % gate."""
+        row = _judge([0.94] * 10)
+        assert row["regressed"]
+        assert row["median"] == pytest.approx(0.94)
+        assert row["slower"] == 10
 
-    def test_calibration_normalizes_host_speed(self):
-        """A uniformly 2x-slower host is not a code regression."""
-        base = _doc({"calibration": 1000.0, "m": 100.0})
-        cur = _doc({"calibration": 500.0, "m": 50.0})
-        rows = compare_documents(cur, base, normalize=True)
-        assert [r.name for r in rows] == ["m"]
-        assert rows[0].regress_pct == pytest.approx(0.0)
-        raw = compare_documents(cur, base, normalize=False)
-        assert raw[0].regress_pct == pytest.approx(50.0)
+    def test_no_regression(self):
+        """Noise around 1.0 with one 0.6 outlier passes."""
+        row = _judge([1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.01, 0.99, 0.6])
+        assert not row["regressed"]
+        assert row["median"] == pytest.approx(0.995)
+
+    def test_improvement_passes(self):
+        row = _judge([1.2] * 10)
+        assert not row["regressed"]
+        assert row["slower"] == 0
+
+    def test_loss_in_too_few_pairs_passes(self):
+        """A 20 % median loss fails only when nine tenths of pairs lose."""
+        assert not _judge([0.8] * 8 + [1.1] * 2)["regressed"]
+        assert _judge([0.8] * 9 + [1.1])["regressed"]
 
     def test_lower_is_better_unit(self):
-        def doc(seconds):
-            row = {
-                "name": "h",
-                "value": seconds,
-                "unit": "seconds",
-                "higher_is_better": False,
-                "seconds": seconds,
-                "reps": 1,
-                "meta": {},
-            }
-            return {"schema": 1, "results": {"h": row}}
-
-        rows = compare_documents(doc(2.0), doc(1.0))
-        assert rows[0].regress_pct == pytest.approx(100.0)
+        """Seconds that double are a loss; seconds that halve are a gain."""
+        slower = _judge([2.0] * 10, unit="seconds", higher_is_better=False)
+        assert slower["regressed"]
+        assert slower["median"] == pytest.approx(0.5)
+        faster = _judge([0.5] * 10, unit="seconds", higher_is_better=False)
+        assert not faster["regressed"]
+        assert faster["median"] == pytest.approx(2.0)
 
     def test_ungated_benchmark_skipped(self):
-        base = _doc({"m": 100.0})
-        cur = _doc({"m": 10.0})  # 90% regression, but ungated
-        for d in (base, cur):
-            d["results"]["m"]["gated"] = False
-        assert compare_documents(cur, base) == []
+        pairs = _pairs([100.0] * 10, [10.0] * 10)  # 90 % loss, but ungated
+        for pair in pairs:
+            pair["change"]["results"]["m"]["gated"] = False
+        (row,) = compare_pairs(pairs, 5.0)
+        assert (row["regressed"], row["note"]) == (False, "ungated")
+
+    def test_missing_at_base_skipped(self):
+        pairs = _pairs([100.0] * 10, [10.0] * 10)
+        for pair in pairs:
+            pair["base"]["results"] = {}
+        assert compare_pairs(pairs, 5.0) == [{"name": "m", "note": "absent at base"}]
 
     def test_unit_drift_skipped(self):
-        base = _doc({"m": 100.0})
-        cur = _doc({"m": 100.0})
-        cur["results"]["m"]["unit"] = "ops/sec"
-        assert compare_documents(cur, base) == []
+        pairs = _pairs([100.0] * 10, [10.0] * 10)
+        for pair in pairs:
+            pair["base"]["results"]["m"]["unit"] = "ops/sec"
+        (row,) = compare_pairs(pairs, 5.0)
+        assert row == {"name": "m", "note": "unit was ops/sec"}
+
+    def test_event_class_ratios_reported(self):
+        """Each class's median per-pair ratio, lower ns/event = faster."""
+        pairs = _pairs([100.0] * 3, [100.0] * 3)
+        for i, pair in enumerate(pairs):
+            pair["base"]["results"]["m"]["meta"]["ns_per_event"] = {"alu": 50.0 + i}
+            pair["change"]["results"]["m"]["meta"]["ns_per_event"] = {"alu": 100.0}
+        (row,) = compare_pairs(pairs, 5.0)
+        assert row["classes"] == {"alu": pytest.approx(0.51)}
 
 
 class TestCLI:
@@ -197,32 +211,32 @@ class TestCLI:
         assert main(["queues.ops", "--quick", "--reps", "1"]) == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_run_and_gate(self, tmp_path, capsys):
-        """End-to-end: write a doc, then gate a second run against it."""
-        out = tmp_path / "bench.json"
-        rc = main(["queues.ops", "--quick", "--reps", "1", "--out", str(out)])
-        assert rc == 0
+    def test_compare_needs_a_src_directory(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["--compare", str(tmp_path)])
+
+    def test_run_and_gate(self, tmp_path, capsys, monkeypatch):
+        """Paired runs against copies of this tree's src/: the copy itself
+        passes, and a copy whose queues.ops reports double fails."""
+        monkeypatch.setattr(cli, "PAIRS", 2)
+        base = tmp_path / "src"
+        shutil.copytree(
+            Path(cli.__file__).resolve().parents[1],
+            base / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        out = tmp_path / "pairs.json"
+        args = ["queues.ops", "--quick", "--reps", "3", "--compare", str(base)]
+        assert main(args + ["--max-regress", "25", "--out", str(out)]) == 0
+        assert "OK: no regression" in capsys.readouterr().out
         doc = json.loads(out.read_text())
-        assert "queues.ops" in doc["results"]
+        assert [pair["first"] for pair in doc["pairs"]] == ["base", "change"]
+        assert all("queues.ops" in pair["base"]["results"] for pair in doc["pairs"])
 
-        # Gate against itself with a generous threshold: must pass.
-        out2 = tmp_path / "bench2.json"
-        args = ["queues.ops", "--quick", "--reps", "1", "--out", str(out2)]
-        rc = main(args + ["--compare", str(out), "--max-regress", "90"])
-        assert rc == 0
-
-        # An impossible baseline must fail the gate.
-        doc["results"]["queues.ops"]["value"] *= 1000.0
-        impossible = tmp_path / "impossible.json"
-        impossible.write_text(json.dumps(doc))
-        gate = ["--compare", str(impossible), "--max-regress", "25"]
-        rc = main(args + gate + ["--no-normalize"])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "re-measuring suspected regression(s)" in out
-        assert "REGRESSION" in out
-
-        # --no-retry must fail without the confirmation pass.
-        rc = main(args + gate + ["--no-normalize", "--no-retry"])
-        assert rc == 1
-        assert "re-measuring" not in capsys.readouterr().out
+        bench_py = base / "repro" / "perf" / "bench.py"
+        text = bench_py.read_text()
+        assert text.count("value=n / seconds,") == 1  # queues.ops alone
+        doubled = text.replace("value=n / seconds,", "value=2 * n / seconds,")
+        bench_py.write_text(doubled)
+        assert main(args + ["--max-regress", "25"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
