@@ -27,4 +27,15 @@ Subpackages
     Experiment runner and per-figure/table regeneration entry points.
 """
 
+import os
+
+# Nothing here calls BLAS: numpy serves only trace generation's random
+# draws.  Loading numpy still starts OpenBLAS's thread pool, one helper
+# per extra CPU, unless told otherwise; on a 2-vCPU host that costs
+# ``import numpy.random`` about 55 ms of wall time (130-145 ms against
+# 76-100 ms) and the helper spins for about 60 ms of CPU afterwards.
+# Every entry point imports this package before numpy, and forked or
+# spawned children inherit the environment.  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "1.0.0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -30,13 +31,23 @@ LOCKFILE_VERSION = 1
 
 
 def environment_provenance() -> Dict[str, str]:
-    """The toolchain facts a byte-identical replay depends on."""
-    import numpy
+    """The toolchain facts a byte-identical replay depends on.
 
+    numpy's version comes from its installed metadata unless numpy is
+    already loaded: a fully cached campaign or replay never imports it,
+    and the import would cost several times the metadata read.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        version = numpy.__version__
+    else:
+        import importlib.metadata
+
+        version = importlib.metadata.version("numpy")
     return {
         "python": platform.python_version(),
         "python_impl": platform.python_implementation(),
-        "numpy": numpy.__version__,
+        "numpy": version,
     }
 
 

@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -63,11 +64,15 @@ def git_sha() -> str:
 
 
 def numpy_version() -> str:
-    try:
-        import numpy
-
+    """numpy's version, read from its metadata unless numpy is loaded."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
         return numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
         return "absent"
 
 
@@ -217,12 +222,22 @@ def run_pairs(base_src: Path, names: List[str], args) -> List[dict]:
     return pairs
 
 
+def _exit_on_signal(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def gate(args) -> int:
     """``--compare``: the paired run, its table, and the exit status."""
     base_src = Path(args.compare).resolve()
     names = args.names or list(BENCHMARKS)
     print(f"{len(names)} benchmark(s), {PAIRS} pairs against {base_src}", flush=True)
-    pairs = run_pairs(base_src, names, args)
+    # SIGTERM unwinds like Ctrl-C: ``subprocess.run`` kills the running
+    # child and the pairs directory is removed on the way out.
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        pairs = run_pairs(base_src, names, args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     rows = compare_pairs(pairs, args.max_regress)
     if args.out:
         doc = {

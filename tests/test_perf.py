@@ -1,7 +1,12 @@
 """The repro.perf subsystem: timers, registry, document, and the gate."""
 
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +216,13 @@ class TestCLI:
         assert main(["queues.ops", "--quick", "--reps", "1"]) == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_document_numpy_version_without_loading_numpy(self, monkeypatch):
+        import numpy
+
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert cli.numpy_version() == numpy.__version__
+        assert "numpy" not in sys.modules
+
     def test_compare_needs_a_src_directory(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--compare", str(tmp_path)])
@@ -240,3 +252,64 @@ class TestCLI:
         bench_py.write_text(doubled)
         assert main(args + ["--max-regress", "25"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+
+#: A base tree whose ``python -m repro.perf`` lists ``queues.ops`` and
+#: otherwise records its pid and sleeps: a gate run against it stays in
+#: its first pair until it is stopped.
+_SLOW_BASE = """
+import os, sys, time
+if "--list" in sys.argv:
+    print("queues.ops  stub")
+else:
+    with open({pid_file!r}, "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(300)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_ends_a_gate_run_with_its_child_and_directory(tmp_path):
+    base = tmp_path / "base"
+    (base / "repro" / "perf").mkdir(parents=True)
+    (base / "repro" / "__init__.py").write_text("")
+    (base / "repro" / "perf" / "__init__.py").write_text("")
+    pid_file = tmp_path / "child.pid"
+    (base / "repro" / "perf" / "__main__.py").write_text(
+        _SLOW_BASE.format(pid_file=str(pid_file))
+    )
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    src = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp))
+    gate = subprocess.Popen(
+        [sys.executable, "-m", "repro.perf", "queues.ops", "--quick",
+         "--compare", str(base)],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() or not pid_file.read_text():
+            assert gate.poll() is None, "the gate ended before its first child ran"
+            assert time.monotonic() < deadline, "the stub child never started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert list(tmp.glob("repro-perf-pairs-*"))
+        gate.send_signal(signal.SIGTERM)
+        assert gate.wait(timeout=30) == 128 + signal.SIGTERM
+        assert not _alive(child)
+        assert list(tmp.iterdir()) == []
+    finally:
+        if gate.poll() is None:
+            gate.kill()
+            gate.wait()
+        if child is not None and _alive(child):
+            os.kill(child, signal.SIGKILL)

@@ -25,6 +25,7 @@ long since imported all of these.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -194,6 +195,51 @@ assert sorted(os.listdir("cache/trace")) == traces
 print(os.path.exists("numpy-imports"), "numpy" in sys.modules)
 """
     assert _python(code, tmp_path) == "False False"
+
+
+THREADS = (
+    "import repro, numpy.random, os; "
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_numpy_loads_single_threaded(tmp_path, monkeypatch):
+    """Nothing calls BLAS, so importing repro first keeps numpy from
+    starting OpenBLAS's thread pool: the process runs one OS thread."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert _python(THREADS, tmp_path) == "1 1"
+
+
+def test_a_user_set_blas_thread_count_wins(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    code = "import repro, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, tmp_path) == "3"
+
+
+def test_cached_campaign_and_frozen_replay_load_no_numpy(tmp_path):
+    """A fully cached campaign writes its lockfile, and a frozen replay
+    checks it, with numpy's version read from its metadata: the string
+    equals ``numpy.__version__`` and numpy itself never loads."""
+    import numpy
+
+    spec = {
+        "name": "t", "schemes": ["cwsp"], "profiles": ["lbm"],
+        "pb_entries": [20], "n_insts": 500,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    run = (
+        "import sys; from repro.explore.cli import main; main({!r}); "
+        "print('numpy' in sys.modules)"
+    )
+    campaign = ["--spec", "spec.json", "--cache-dir", "cache", "--campaign-dir"]
+    assert _python(run.format(campaign + ["cold"]), tmp_path) == "True"
+    assert _python(run.format(campaign + ["warm"]), tmp_path) == "False"
+    frozen = ["--frozen", "warm/lockfile.json", "--cache-dir", "cache"]
+    assert _python(run.format(frozen + ["--expect-cached"]), tmp_path) == "False"
+    for name in ("cold", "warm"):
+        lock = json.loads((tmp_path / name / "lockfile.json").read_text())
+        assert lock["environment"]["numpy"] == numpy.__version__
 
 
 @pytest.mark.parametrize("package", ["repro.arch", "repro.workloads"])
