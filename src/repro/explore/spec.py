@@ -161,17 +161,6 @@ class Cell:
             overrides["wb_entries"] = self.wb
         return skylake_machine(scaled=True, **overrides)
 
-    def baseline_machine(self) -> MachineConfig:
-        """The normalization point: stock persist machinery, same memory.
-
-        The swept knobs live in the persistence hardware the baseline
-        scheme never exercises, so all cells sharing a memory tech
-        share one baseline run (the engine dedups them); the memory
-        technology *is* visible to the baseline (Figure 27), so each
-        tech gets its own.
-        """
-        return skylake_machine(scaled=True, nvm=MEMORY_TECHS[self.nvm])
-
     def label(self) -> str:
         m = self.machine()
         return (
@@ -218,6 +207,10 @@ def expand(spec: SweepSpec) -> CampaignPlan:
     apps = spec.effective_profiles
 
     seen: Dict[SimPoint, None] = {}
+    # The normalization points: stock persist machinery, one per memory
+    # tech.  The swept knobs live in hardware the baseline scheme never
+    # exercises, so every cell of a tech shares its baseline run; the
+    # memory technology is visible to the baseline (Figure 27).
     for nvm in spec.nvm_techs:
         for app in apps:
             machine = skylake_machine(scaled=True, nvm=MEMORY_TECHS[nvm])

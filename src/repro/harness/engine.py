@@ -12,10 +12,12 @@ engine
    sources -- a warm rerun of ``python -m repro.harness`` does zero
    simulations, and neither parses (:class:`ScanStore`) nor imports
    the simulator;
-3. fans cache misses out over a process pool (``--jobs N``) in
-   per-app batches (:func:`form_batches`); workers regenerate traces
-   from the point key -- once per batch for points that share one, or
-   not at all when a :class:`TraceStore` holds them -- so only compact
+3. runs cache misses in per-app batches (:func:`form_batches`), over
+   a process pool of at most ``--jobs N`` workers when the plan is
+   large enough to pay for one (:data:`POOL_BREAK_EVEN`) and inline
+   otherwise; batches regenerate traces from the point key -- once
+   per batch for points that share one, or not at all when a
+   :class:`TraceStore` holds them -- so only compact
    :class:`~repro.arch.metrics.SimStats` metric sets cross process
    boundaries; a run that never filled a queue also serves the
    batch's points that differ from it only in larger sizes of that
@@ -646,6 +648,23 @@ def _shutdown_hard(executor) -> None:
         proc.join(timeout=5.0)
 
 
+def _place_worker(fd: int, cpus: Tuple[int, ...]) -> None:
+    """Pool initializer: move this worker to the next CPU that *fd* hands
+    out, then allow it every CPU of *cpus* again.
+
+    Placement, not pinning: the scheduler may still move the worker
+    later, but it no longer starts on its parent's CPU, where a 2-vCPU
+    guest was seen to leave both workers of a sub-second pool while the
+    other CPU idled (DESIGN.md section 7e).
+    """
+    try:
+        cpu = int.from_bytes(os.read(fd, 4), "little")
+        os.sched_setaffinity(0, (cpu,))
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # no CPU left to hand out, or placement refused: stay put
+
+
 def parallel_map(
     fn: Callable,
     tasks: Sequence,
@@ -656,10 +675,13 @@ def parallel_map(
 ) -> List:
     """Map *fn* over *tasks*, optionally across a process pool.
 
-    ``jobs <= 1`` (or a single task) runs inline, which keeps tracebacks
-    readable and avoids pool startup for trivial work.  ``ordered=False``
-    trades result order for scheduling slack (the fault campaign
-    aggregates order-insensitively).
+    The pool forks at most *jobs* workers and at most one per chunk of
+    *chunksize* tasks; where that leaves one worker or none (``jobs <=
+    1``, or a single chunk) everything runs inline, which keeps
+    tracebacks readable and costs no pool start-up.  Worker *k* starts
+    on the *k*-th CPU of the allowed set (:func:`_place_worker`).
+    ``ordered=False`` trades result order for scheduling slack (the
+    fault campaign aggregates order-insensitively).
 
     ``on_result(index, result)`` fires as each result lands (inline and
     pool paths alike), with *index* the task's position in *tasks* --
@@ -670,9 +692,9 @@ def parallel_map(
     orphans), then re-raise -- worker death as :class:`WorkerCrash`.
     """
     tasks = list(tasks)
-    if not tasks:
-        return []
-    if jobs <= 1 or len(tasks) <= 1:
+    step = max(1, chunksize)
+    workers = min(jobs, -(-len(tasks) // step))
+    if workers <= 1:
         results = []
         for index, task in enumerate(tasks):
             result = fn(task)
@@ -681,22 +703,40 @@ def parallel_map(
                 on_result(index, result)
         return results
     # The pool stack loads here, in the parent and before any fork, so
-    # runs that never pool (a warm cache, --jobs 1) never import it.
+    # runs that never pool (a warm cache, a small plan, --jobs 1) never
+    # import it.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    executor = ProcessPoolExecutor(max_workers=jobs)
+    cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_setaffinity") else ()
+    fd = None
+    if len(cpus) > 1:
+        # One CPU id per worker, in a pipe each worker reads once.
+        fd, write_end = os.pipe()
+        os.set_blocking(fd, False)
+        os.write(write_end, b"".join(
+            cpus[k % len(cpus)].to_bytes(4, "little") for k in range(workers)
+        ))
+        os.close(write_end)
+    # Workers are forked: they inherit the modules the parent loaded,
+    # and the pipe.
+    executor = ProcessPoolExecutor(
+        workers,
+        multiprocessing.get_context("fork"),
+        initializer=None if fd is None else _place_worker,
+        initargs=(fd, cpus),
+    )
     results: List = []
     try:
         if ordered:
             for index, result in enumerate(
-                executor.map(fn, tasks, chunksize=chunksize)
+                executor.map(fn, tasks, chunksize=step)
             ):
                 results.append(result)
                 if on_result is not None:
                     on_result(index, result)
         else:
-            step = max(1, chunksize)
             futures = {
                 executor.submit(_apply_chunk, fn, tasks[start : start + step]): start
                 for start in range(0, len(tasks), step)
@@ -715,7 +755,11 @@ def parallel_map(
                 f"{len(tasks)} results completed and flushed)"
             ) from exc
         raise
-    executor.shutdown(wait=True)
+    else:
+        executor.shutdown(wait=True)
+    finally:
+        if fd is not None:
+            os.close(fd)
     return results
 
 
@@ -732,8 +776,38 @@ def parallel_map(
 BATCHES_PER_JOB = 4
 
 
+def _group_misses(
+    misses: Sequence[Tuple[str, Point]],
+) -> Tuple[List[int], Dict[str, Dict[tuple, List[int]]]]:
+    """``(multicore, by_app)``: the indices of *misses*' multicore
+    points, and of its single-core points by app and then by group of
+    capacity siblings (:func:`_sibling_group`), all in plan order."""
+    multicore: List[int] = []
+    by_app: Dict[str, Dict[tuple, List[int]]] = {}
+    for index, (_key, point) in enumerate(misses):
+        if isinstance(point, MulticorePoint):
+            multicore.append(index)
+        else:
+            groups = by_app.setdefault(point.app, {})
+            groups.setdefault(_sibling_group(point)[0], []).append(index)
+    return multicore, by_app
+
+
+def planned_events(misses: Sequence[Tuple[str, Point]], grouped=None) -> int:
+    """The simulator work *misses* plan, in committed instructions:
+    ``n_insts`` once per group of capacity siblings (its smallest member
+    runs; the others are usually served), and ``n_insts * n_cores`` per
+    multicore point.  *grouped* is :func:`_group_misses`' result, if
+    already at hand."""
+    multicore, by_app = _group_misses(misses) if grouped is None else grouped
+    events = sum(misses[i][1].n_insts * misses[i][1].n_cores for i in multicore)
+    return events + sum(
+        misses[group[0]][1].n_insts for groups in by_app.values() for group in groups.values()
+    )
+
+
 def form_batches(
-    misses: Sequence[Tuple[str, Point]], jobs: int = 1
+    misses: Sequence[Tuple[str, Point]], jobs: int = 1, grouped=None
 ) -> List[List[int]]:
     """Group *misses* into worker batches, as lists of indices.
 
@@ -742,17 +816,12 @@ def form_batches(
     * jobs))`` points, except that a group of capacity siblings
     (:func:`_sibling_group`) is never split: it joins whole the chunk
     its first point falls in.  A multicore point (its per-core traces
-    barely repeat) is a batch of its own.
+    barely repeat) is a batch of its own.  *grouped* is
+    :func:`_group_misses`' result, if already at hand.
     """
+    multicore, by_app = _group_misses(misses) if grouped is None else grouped
     cap = -(-len(misses) // (BATCHES_PER_JOB * max(1, jobs)))
-    batches: List[List[int]] = []
-    by_app: Dict[str, Dict[tuple, List[int]]] = {}
-    for index, (_key, point) in enumerate(misses):
-        if isinstance(point, MulticorePoint):
-            batches.append([index])
-        else:
-            groups = by_app.setdefault(point.app, {})
-            groups.setdefault(_sibling_group(point)[0], []).append(index)
+    batches: List[List[int]] = [[index] for index in multicore]
     for groups in by_app.values():
         total = sum(map(len, groups.values()))
         n_chunks = -(-total // cap)
@@ -787,6 +856,19 @@ def classify_points(
     return hits, misses
 
 
+#: Planned simulator work (:func:`planned_events`) below which a plan
+#: resolves in the parent whatever ``jobs`` allows.  A pool costs its
+#: import (15-20 ms), the forks, copy-on-write faults and teardown --
+#: 60-80 ms of CPU that only parallel simulation wins back.  Measured on
+#: a 2-vCPU host for fig13's 74 points at ``jobs=2`` (fresh process per
+#: run, 6-8 alternating pairs, median ``compute_points`` wall, inline
+#: against pooled): 0.155 / 0.170 s at 74k events, 0.163 / 0.163 s at
+#: 148k, 0.170 / 0.164 s at 185k and 0.191 / 0.168 s at 222k, with the
+#: inline run 60-80 ms of CPU cheaper at every size.  The bench sweep
+#: plans 32k events, ``--preset smoke`` 18k, ``figures-cold`` 1.28M.
+POOL_BREAK_EVEN = 150_000
+
+
 def compute_points(
     misses: Sequence[Tuple[str, Point]],
     cache,
@@ -797,12 +879,15 @@ def compute_points(
 
     Misses run in the batches :func:`form_batches` cuts, one pool task
     each, where sibling runs serve what they can (:func:`_execute_batch`).
-    A batch's results are flushed into *cache* together as the
-    batch lands, in completion order, so an interrupt or worker crash
-    keeps every completed batch and loses only the batches in flight.
-    Workers read and write their traces in *traces*, if given.
-    Returns ``({point: stats}, n_runs)``, the dict in the order of
-    *misses* and *n_runs* the simulator runs the batches made.
+    *jobs* bounds the pool: a plan whose :func:`planned_events` fall
+    below :data:`POOL_BREAK_EVEN` runs its batches inline, in this
+    process, since forking and tearing down workers would cost more
+    than they win back.  A batch's results are flushed into *cache*
+    together as the batch lands, in completion order, so an interrupt
+    or worker crash keeps every completed batch and loses only the
+    batches in flight.  Traces are read and written in *traces*, if
+    given.  Returns ``({point: stats}, n_runs)``, the dict in the order
+    of *misses* and *n_runs* the simulator runs the batches made.
     """
     if not misses:
         return {}, 0
@@ -818,7 +903,10 @@ def compute_points(
     if traces is None:
         import numpy.random  # noqa: F401
 
-    batches = form_batches(misses, jobs)
+    grouped = _group_misses(misses)
+    if planned_events(misses, grouped) < POOL_BREAK_EVEN:
+        jobs = 1
+    batches = form_batches(misses, jobs, grouped)
     work = [[misses[i][1] for i in batch] for batch in batches]
     computed: Dict[int, SimStats] = {}
     runs = 0

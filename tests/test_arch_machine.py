@@ -172,14 +172,14 @@ class TestStaleReadMachinery:
         assert stats.cycles >= without.cycles
 
     def test_wb_delay_flag_controls_delays(self, machine):
-        # dirty L1 evictions whose lines are still in flight
-        tr = []
-        for i in range(3000):
-            tr.append(("s", 0x100000 + (i * 64) % (1 << 16)))
-        slow = replace(machine, persist_bw_gbps=0.25)
-        with_delay = simulate(tr, slow, cwsp())
-        without = simulate(tr, slow, cwsp(wb_delay=False))
-        assert with_delay.wb_delays >= 0
+        # Every store is followed by 9 stores to other lines of its L1
+        # set, so the 8-way set evicts its line dirty while the line's
+        # persist is still in flight.
+        l1 = machine.caches[0]
+        tr = [("s", 0x100000 + i * (l1.size_bytes // l1.ways)) for i in range(400)]
+        with_delay = simulate(tr, machine, cwsp())
+        without = simulate(tr, machine, cwsp(wb_delay=False))
+        assert with_delay.wb_delays > 0
         assert without.wb_delays == 0
 
     def test_wb_occupancy_reported(self, machine):

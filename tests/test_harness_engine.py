@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.arch import SimStats, skylake_machine
 from repro.harness.engine import (
     BATCHES_PER_JOB,
+    POOL_BREAK_EVEN,
     Engine,
     NullCache,
     ResultCache,
@@ -22,6 +24,7 @@ from repro.harness.engine import (
     compute_point,
     form_batches,
     parallel_map,
+    planned_events,
     point_cache_key,
     recipe_salt,
     trace_salt,
@@ -346,7 +349,10 @@ class TestDedupAndCache:
 
 
 class TestParallelism:
-    def test_jobs2_matches_jobs1(self):
+    def test_jobs2_matches_jobs1(self, monkeypatch):
+        from repro.harness import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "POOL_BREAK_EVEN", 0)  # pool this small plan
         spec = _spec("a", ["namd", "lbm", "milc"])
         r1 = _run_one(Engine(jobs=1, cache=NullCache()), spec)
         r2 = _run_one(Engine(jobs=2, cache=NullCache()), spec)
@@ -360,9 +366,136 @@ class TestParallelism:
             x * x for x in tasks
         )
 
+    def test_pool_forks_at_most_one_worker_per_chunk(self, monkeypatch):
+        started = _count_starts(monkeypatch)
+        assert parallel_map(abs, [-1, -2], jobs=8) == [1, 2]
+        assert len(started) == 2
+        started.clear()
+        landed = parallel_map(abs, range(-9, 0), jobs=8, chunksize=4, ordered=False)
+        assert sorted(landed) == list(range(1, 10))
+        assert len(started) == 3
+        started.clear()
+        assert parallel_map(abs, [-1, -2], jobs=8, chunksize=2) == [1, 2]
+        assert started == []  # one chunk runs inline
+
 
 def _square(x):
     return x * x
+
+
+def _count_starts(monkeypatch):
+    """Record every process started from now on (forked children too)."""
+    from multiprocessing.process import BaseProcess
+
+    started = []
+    real_start = BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    return started
+
+
+def _cpu_now():
+    """The CPU this process last ran on (``/proc/self/stat`` field 39)."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
+
+
+def _pid_and_affinity(_task):
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two allowed CPUs",
+)
+def test_pool_workers_start_on_different_cpus(monkeypatch, tmp_path):
+    """Each worker moves to a CPU of its own, then gets the parent's
+    whole mask back: every affinity call is logged, by the forked
+    workers too, with the CPU the caller runs on right after it."""
+    log = tmp_path / "affinity"
+    real_setaffinity = os.sched_setaffinity
+
+    def logged(pid, mask):
+        real_setaffinity(pid, mask)
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), sorted(mask), _cpu_now()]) + "\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    full = sorted(os.sched_getaffinity(0))
+    ran = parallel_map(_pid_and_affinity, range(4), jobs=2)
+    calls: dict = {}
+    for line in log.read_text().splitlines():
+        pid, mask, cpu = json.loads(line)
+        calls.setdefault(pid, []).append((mask, cpu))
+    assert len(calls) == 2 and os.getpid() not in calls
+    starts = set()
+    for (placed, cpu), (restored, _cpu) in calls.values():
+        assert placed == [cpu] and restored == full
+        starts.add(cpu)
+    assert len(starts) == 2
+    assert all(pid in calls and mask == full for pid, mask in ran)
+    assert sorted(os.sched_getaffinity(0)) == full
+
+
+class TestPoolBreakEven:
+    """Only a plan that plans at least ``POOL_BREAK_EVEN`` simulator
+    events forks a pool; a smaller one resolves inline, to the same
+    stats."""
+
+    def test_planned_events_count_each_sibling_group_once(self):
+        misses = _misses(["namd", "lbm"], n_multicore=1)
+        lbm = misses[2][1]
+        misses.append(("key-bigger-pb", dataclasses.replace(
+            lbm, machine=dataclasses.replace(lbm.machine, pb_entries=90))))
+        # Four single-core groups (the PB-90 point is a sibling of lbm's
+        # baseline-machine cwsp point) and one 2-core point.
+        assert planned_events(misses) == 4 * N + 2 * N
+
+    def test_the_bench_sweep_plans_below_the_break_even(self):
+        from repro.explore.spec import expand, load_spec
+
+        sweep = Path(__file__).resolve().parents[1] / "bench" / "sweep.json"
+        points = expand(load_spec(str(sweep))).points
+        tasks = [(f"key-{i}", point) for i, point in enumerate(points)]
+        assert len(tasks) == 100
+        assert planned_events(tasks) == 32_000 < POOL_BREAK_EVEN
+
+    @pytest.mark.parametrize("pools", [True, False], ids=["at", "below"])
+    def test_a_plan_pools_from_the_break_even(self, monkeypatch, pools):
+        from repro.harness import engine as engine_mod
+        from repro.harness.engine import resolve_points
+
+        misses = _misses(["namd", "lbm"])
+        events = planned_events(misses)
+        monkeypatch.setattr(engine_mod, "POOL_BREAK_EVEN", events + (0 if pools else 1))
+        started = _count_starts(monkeypatch)
+        _resolved, info = resolve_points(misses, NullCache(), jobs=2)
+        assert info.simulated == len(misses)
+        assert len(started) == (2 if pools else 0)
+
+    def test_inline_and_pooled_stats_are_byte_equal(self, monkeypatch):
+        from repro.harness import engine as engine_mod
+        from repro.harness.engine import resolve_points
+
+        misses = _misses(["namd", "lbm", "milc"], n_multicore=1)
+        lbm = misses[2][1]
+        misses.append(("key-bigger-pb", dataclasses.replace(
+            lbm, machine=dataclasses.replace(lbm.machine, pb_entries=90))))
+        started = _count_starts(monkeypatch)
+        inline, inline_info = resolve_points(misses, NullCache(), jobs=2)
+        assert started == []
+        monkeypatch.setattr(engine_mod, "POOL_BREAK_EVEN", 0)
+        pooled, pooled_info = resolve_points(misses, NullCache(), jobs=2)
+        assert len(started) == 2
+        assert inline_info.runs == pooled_info.runs < len(misses)
+        for _key, point in misses:
+            assert json.dumps(inline[point].to_dict(), sort_keys=True) == json.dumps(
+                pooled[point].to_dict(), sort_keys=True
+            )
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +671,10 @@ def test_worker_crash_keeps_every_completed_batch(monkeypatch):
     from repro.harness import engine as engine_mod
     from repro.harness.engine import WorkerCrash, resolve_points
 
-    # Forked workers inherit the patched compute_point.
+    # Forked workers inherit the patched compute_point; the plan is small,
+    # so force the pool (inline, the SIGKILL would end this process).
     monkeypatch.setattr(engine_mod, "compute_point", _die_on_seed_666)
+    monkeypatch.setattr(engine_mod, "POOL_BREAK_EVEN", 0)
     machine = skylake_machine(scaled=True)
     misses = [("key-die", SimPoint("lbm", cwsp(), machine, None, N, 666))] + _misses(
         ["namd", "milc", "lbm", "astar", "namd"]

@@ -29,6 +29,7 @@ from repro.compiler import (
     check_regions_replayable,
     compile_module,
 )
+from repro.harness import engine
 from repro.harness.engine import NullCache, TraceStore, compute_point, resolve_points
 from repro.harness.spec import SimPoint
 from repro.ir.builder import IRBuilder
@@ -729,7 +730,8 @@ def test_batched_resolve_matches_per_point_compute(misses):
     _assert_batched_equals_per_point(misses, jobs=1)
 
 
-def test_batched_resolve_matches_per_point_compute_two_jobs():
+def test_batched_resolve_matches_per_point_compute_two_jobs(monkeypatch):
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN", 0)  # pool this small plan
     machine = _BATCH_MACHINES[0]
     misses = [
         (f"key-{i}", SimPoint(app, scheme, machine, instrument, 300, seed))

@@ -9,13 +9,14 @@ copy instead of each importing their own (DESIGN.md section 7e).
 
 The same holds for the rest of the tree: the IR stack (through
 ``repro.workloads.adapter``) and the IR analyses are not re-exported
-by their packages, and the process-pool
-stack loads inside ``parallel_map``.  The simulator itself (machine,
-caches, multicore, queues, trace and the trace generator) loads where a
-point simulates, and ``compute_points`` imports it before the fork as
-it does numpy -- numpy only when no trace store is given: the serve
-daemon's generations read stored traces, and a process whose traces
-are stored never loads numpy at all.  The daemon itself only watches:
+by their packages, and the process-pool stack loads inside
+``parallel_map``, only once a plan is large enough to pool.  The
+simulator itself (machine, caches, multicore, queues, trace and the
+trace generator) loads where a point simulates, and ``compute_points``
+imports it before the fork as it does numpy -- numpy only when no
+trace store is given: the serve daemon's generations read stored
+traces, and a process whose traces are stored never loads numpy at
+all.  The daemon itself only watches:
 each generation runs in a child forked for it, which imports the
 simulator.  A warm run also parses no salted module: the salt walk's
 parses are stored beside the results.
@@ -117,13 +118,16 @@ def test_warm_run_does_not_load_numpy(tmp_path):
 
 
 def test_compute_points_imports_numpy_before_forking(tmp_path):
-    # Two apps make two batches, so both run in pool workers and the
-    # parent never builds a trace itself: numpy and the simulator in
-    # the parent's sys.modules can only come from the pre-fork import.
+    # Two apps make two batches, so both run in pool workers (forced:
+    # the plan is below the break-even) and the parent never builds a
+    # trace itself: numpy and the simulator in the parent's sys.modules
+    # can only come from the pre-fork import.
     code = """
 import sys
 from repro.arch import skylake_machine
+from repro.harness import engine
 from repro.harness.engine import NullCache, compute_points
+engine.POOL_BREAK_EVEN = 0
 from repro.harness.spec import SimPoint
 from repro.schemes import cwsp
 machine = skylake_machine(scaled=True)
@@ -138,6 +142,21 @@ assert len(resolved) == runs == 2
 print(sorted(set(preloaded) - set(sys.modules)))
 """
     assert _python(f"SIMULATOR = {SIMULATOR!r}" + code, tmp_path) == "[]"
+
+
+def test_bench_sweep_resolves_in_the_parent(tmp_path):
+    """The bench sweep plans fewer simulator events than a pool wins
+    back, so at ``--jobs 2`` it simulates in this process and loads
+    neither pool module."""
+    sweep = SRC.parent / "bench" / "sweep.json"
+    argv = ["--spec", str(sweep), "--jobs", "2", "--cache-dir", "cache", "--campaign-dir", "c"]
+    code = (
+        f"import sys; from repro.explore.cli import main; main({argv!r}); "
+        + LOADED.format(["multiprocessing", "concurrent.futures"])
+    )
+    assert _python(code, tmp_path) == "[]"
+    lock = json.loads((tmp_path / "c" / "lockfile.json").read_text())
+    assert len(lock["point_keys"]) == 100
 
 
 def test_serve_supervisor_loads_neither_numpy_nor_the_simulator(tmp_path):
@@ -161,10 +180,11 @@ print(sorted(set(["numpy"] + SIMULATOR) & set(sys.modules)))
 
 def test_generation_on_stored_traces_loads_numpy_nowhere(tmp_path):
     """An audit hook, inherited by every fork, logs each numpy import
-    with its process id: generation 0 generates (and stores) its traces
-    in the workers, and a second generation on the filled trace store,
-    with every result dirty, imports numpy in neither the child nor its
-    workers."""
+    with its parent's process id: generation 0 generates (and stores)
+    its traces in the workers -- the children of the generation child,
+    since its plan is above the pool's break-even -- and a second
+    generation on the filled trace store, with every result dirty,
+    imports numpy in neither the child nor its workers."""
     code = """
 import json, os, shutil, sys
 from pathlib import Path
@@ -173,16 +193,16 @@ from repro.harness.serve import ResultsServer, ServeConfig
 def log_numpy(event, args):
     if event == "import" and args[0] == "numpy":
         with open("numpy-imports", "a") as fh:
-            fh.write(f"{os.getpid()}\\n")
+            fh.write(f"{os.getppid()}\\n")
 
 sys.addaudithook(log_numpy)
 config = ServeConfig(
-    names=["multicore"], out_dir="out", cache_dir="cache", jobs=2, n_insts=500
+    names=["multicore"], out_dir="out", cache_dir="cache", jobs=2, n_insts=3000
 )
 server = ResultsServer(config)
 assert server.fork_generation("initial", []) == 0
-generated = set(Path("numpy-imports").read_text().split())
-assert generated and str(os.getpid()) not in generated, generated
+parents = set(Path("numpy-imports").read_text().split())
+assert parents and str(os.getpid()) not in parents, parents
 os.remove("numpy-imports")
 traces = sorted(os.listdir("cache/trace"))
 for entry in os.listdir("cache"):
