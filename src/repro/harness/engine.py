@@ -648,23 +648,6 @@ def _shutdown_hard(executor) -> None:
         proc.join(timeout=5.0)
 
 
-def _place_worker(fd: int, cpus: Tuple[int, ...]) -> None:
-    """Pool initializer: move this worker to the next CPU that *fd* hands
-    out, then allow it every CPU of *cpus* again.
-
-    Placement, not pinning: the scheduler may still move the worker
-    later, but it no longer starts on its parent's CPU, where a 2-vCPU
-    guest was seen to leave both workers of a sub-second pool while the
-    other CPU idled (DESIGN.md section 7e).
-    """
-    try:
-        cpu = int.from_bytes(os.read(fd, 4), "little")
-        os.sched_setaffinity(0, (cpu,))
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass  # no CPU left to hand out, or placement refused: stay put
-
-
 def parallel_map(
     fn: Callable,
     tasks: Sequence,
@@ -678,10 +661,9 @@ def parallel_map(
     The pool forks at most *jobs* workers and at most one per chunk of
     *chunksize* tasks; where that leaves one worker or none (``jobs <=
     1``, or a single chunk) everything runs inline, which keeps
-    tracebacks readable and costs no pool start-up.  Worker *k* starts
-    on the *k*-th CPU of the allowed set (:func:`_place_worker`).
-    ``ordered=False`` trades result order for scheduling slack (the
-    fault campaign aggregates order-insensitively).
+    tracebacks readable and costs no pool start-up.  ``ordered=False``
+    trades result order for scheduling slack (the fault campaign
+    aggregates order-insensitively).
 
     ``on_result(index, result)`` fires as each result lands (inline and
     pool paths alike), with *index* the task's position in *tasks* --
@@ -709,24 +691,8 @@ def parallel_map(
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_setaffinity") else ()
-    fd = None
-    if len(cpus) > 1:
-        # One CPU id per worker, in a pipe each worker reads once.
-        fd, write_end = os.pipe()
-        os.set_blocking(fd, False)
-        os.write(write_end, b"".join(
-            cpus[k % len(cpus)].to_bytes(4, "little") for k in range(workers)
-        ))
-        os.close(write_end)
-    # Workers are forked: they inherit the modules the parent loaded,
-    # and the pipe.
-    executor = ProcessPoolExecutor(
-        workers,
-        multiprocessing.get_context("fork"),
-        initializer=None if fd is None else _place_worker,
-        initargs=(fd, cpus),
-    )
+    # Workers are forked: they inherit the modules the parent loaded.
+    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     results: List = []
     try:
         if ordered:
@@ -755,11 +721,7 @@ def parallel_map(
                 f"{len(tasks)} results completed and flushed)"
             ) from exc
         raise
-    else:
-        executor.shutdown(wait=True)
-    finally:
-        if fd is not None:
-            os.close(fd)
+    executor.shutdown(wait=True)
     return results
 
 
@@ -864,8 +826,10 @@ def classify_points(
 #: run, 6-8 alternating pairs, median ``compute_points`` wall, inline
 #: against pooled): 0.155 / 0.170 s at 74k events, 0.163 / 0.163 s at
 #: 148k, 0.170 / 0.164 s at 185k and 0.191 / 0.168 s at 222k, with the
-#: inline run 60-80 ms of CPU cheaper at every size.  The bench sweep
-#: plans 32k events, ``--preset smoke`` 18k, ``figures-cold`` 1.28M.
+#: inline run 60-80 ms of CPU cheaper at every size.  The value holds
+#: for ``jobs=2`` on 2 CPUs only: with more workers and CPUs a pool may
+#: pay on smaller plans, and that is unmeasured.  The bench sweep plans
+#: 32k events, ``--preset smoke`` 18k, ``figures-cold`` 1.28M.
 POOL_BREAK_EVEN = 150_000
 
 
@@ -907,6 +871,9 @@ def compute_points(
     if planned_events(misses, grouped) < POOL_BREAK_EVEN:
         jobs = 1
     batches = form_batches(misses, jobs, grouped)
+    # Its group keys hold each point's machine and scheme repr: kept
+    # through the pool they raised figures-cold's peak RSS by 0.13 MB.
+    del grouped
     work = [[misses[i][1] for i in batch] for batch in batches]
     computed: Dict[int, SimStats] = {}
     runs = 0

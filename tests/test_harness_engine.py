@@ -398,49 +398,6 @@ def _count_starts(monkeypatch):
     return started
 
 
-def _cpu_now():
-    """The CPU this process last ran on (``/proc/self/stat`` field 39)."""
-    with open("/proc/self/stat") as fh:
-        return int(fh.read().rsplit(")", 1)[1].split()[36])
-
-
-def _pid_and_affinity(_task):
-    return os.getpid(), sorted(os.sched_getaffinity(0))
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs os.sched_setaffinity and two allowed CPUs",
-)
-def test_pool_workers_start_on_different_cpus(monkeypatch, tmp_path):
-    """Each worker moves to a CPU of its own, then gets the parent's
-    whole mask back: every affinity call is logged, by the forked
-    workers too, with the CPU the caller runs on right after it."""
-    log = tmp_path / "affinity"
-    real_setaffinity = os.sched_setaffinity
-
-    def logged(pid, mask):
-        real_setaffinity(pid, mask)
-        with open(log, "a") as fh:
-            fh.write(json.dumps([os.getpid(), sorted(mask), _cpu_now()]) + "\n")
-
-    monkeypatch.setattr(os, "sched_setaffinity", logged)
-    full = sorted(os.sched_getaffinity(0))
-    ran = parallel_map(_pid_and_affinity, range(4), jobs=2)
-    calls: dict = {}
-    for line in log.read_text().splitlines():
-        pid, mask, cpu = json.loads(line)
-        calls.setdefault(pid, []).append((mask, cpu))
-    assert len(calls) == 2 and os.getpid() not in calls
-    starts = set()
-    for (placed, cpu), (restored, _cpu) in calls.values():
-        assert placed == [cpu] and restored == full
-        starts.add(cpu)
-    assert len(starts) == 2
-    assert all(pid in calls and mask == full for pid, mask in ran)
-    assert sorted(os.sched_getaffinity(0)) == full
-
-
 class TestPoolBreakEven:
     """Only a plan that plans at least ``POOL_BREAK_EVEN`` simulator
     events forks a pool; a smaller one resolves inline, to the same

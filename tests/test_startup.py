@@ -159,6 +159,26 @@ def test_bench_sweep_resolves_in_the_parent(tmp_path):
     assert len(lock["point_keys"]) == 100
 
 
+@pytest.mark.parametrize("cli", ["repro.explore", "repro.harness"])
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_cli_freezes_the_heap_on_exit_if_numpy_loaded(cli, numpy_loaded, tmp_path):
+    """``python -m`` of either CLI leaves every object frozen when numpy
+    is loaded, even where ``main`` exits by raising, so the
+    interpreter's shutdown collections do not free numpy one object at
+    a time; without numpy it freezes nothing."""
+    code = (
+        "import gc, runpy, sys\n"
+        + ("import numpy\n" if numpy_loaded else "")
+        + f"sys.argv = [{cli!r}, '--help']\n"
+        "try:\n"
+        f"    runpy.run_module({cli!r}, run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(gc.get_freeze_count() > 0)\n"
+    )
+    assert _python(code, tmp_path) == str(numpy_loaded)
+
+
 def test_serve_supervisor_loads_neither_numpy_nor_the_simulator(tmp_path):
     """Generations run in forked children, so the daemon that forks them
     imports neither, even when a generation simulates."""
@@ -180,11 +200,12 @@ print(sorted(set(["numpy"] + SIMULATOR) & set(sys.modules)))
 
 def test_generation_on_stored_traces_loads_numpy_nowhere(tmp_path):
     """An audit hook, inherited by every fork, logs each numpy import
-    with its parent's process id: generation 0 generates (and stores)
-    its traces in the workers -- the children of the generation child,
-    since its plan is above the pool's break-even -- and a second
-    generation on the filled trace store, with every result dirty,
-    imports numpy in neither the child nor its workers."""
+    with its process id and its parent's: generation 0 generates (and
+    stores) its traces in the workers -- the children of the generation
+    child, since its plan is well above the pool's break-even -- so the
+    daemon's pid is in neither column; a second generation on the
+    filled trace store, with every result dirty, imports numpy in
+    neither the child nor its workers."""
     code = """
 import json, os, shutil, sys
 from pathlib import Path
@@ -193,16 +214,16 @@ from repro.harness.serve import ResultsServer, ServeConfig
 def log_numpy(event, args):
     if event == "import" and args[0] == "numpy":
         with open("numpy-imports", "a") as fh:
-            fh.write(f"{os.getppid()}\\n")
+            fh.write(f"{os.getpid()} {os.getppid()}\\n")
 
 sys.addaudithook(log_numpy)
 config = ServeConfig(
-    names=["multicore"], out_dir="out", cache_dir="cache", jobs=2, n_insts=3000
+    names=["multicore"], out_dir="out", cache_dir="cache", jobs=2, n_insts=6000
 )
 server = ResultsServer(config)
 assert server.fork_generation("initial", []) == 0
-parents = set(Path("numpy-imports").read_text().split())
-assert parents and str(os.getpid()) not in parents, parents
+imports = [line.split() for line in Path("numpy-imports").read_text().splitlines()]
+assert imports and all(str(os.getpid()) not in pids for pids in imports), imports
 os.remove("numpy-imports")
 traces = sorted(os.listdir("cache/trace"))
 for entry in os.listdir("cache"):
